@@ -2,9 +2,10 @@
 
 A photon-magnon-phonon chain (the charger) feeds a pair of two-level atoms
 (the battery) under conditional non-Hermitian dynamics.  The package
-propagates the four closed amplitudes, reconstructs reduced density matrices,
-computes coherence / stored energy / ergotropy / purity, and drives parameter
-sweeps; the `magbattery` CLI serializes everything to CSV.
+propagates the four closed amplitudes, computes coherence / stored energy /
+ergotropy / purity in closed form from their populations (reduced density
+matrices and the general ergotropy construction are kept as oracles), and
+drives parameter sweeps; the `magbattery` CLI serializes everything to CSV.
 """
 
 from .model import (
@@ -25,24 +26,22 @@ from .propagator import (
     z_to_c,
     evolve,
     oracle_integrate,
-    evolution_spectrum,
 )
 from .states import (
     AccountingMode,
     DensityMatrix,
     InconsistentStateError,
     battery_density,
-    battery_density_series,
     charger_density,
 )
 from .metrics import (
+    METRIC_NAMES,
     BatteryHamiltonian,
     MetricsSample,
-    coherence_l1,
-    stored_energy,
     passive_state,
     ergotropy,
     purity,
+    metric_columns,
     sample_metrics,
     stored_energy_series,
     ergotropy_series,
@@ -77,20 +76,18 @@ __all__ = [
     "z_to_c",
     "evolve",
     "oracle_integrate",
-    "evolution_spectrum",
     "AccountingMode",
     "DensityMatrix",
     "InconsistentStateError",
     "battery_density",
-    "battery_density_series",
     "charger_density",
+    "METRIC_NAMES",
     "BatteryHamiltonian",
     "MetricsSample",
-    "coherence_l1",
-    "stored_energy",
     "passive_state",
     "ergotropy",
     "purity",
+    "metric_columns",
     "sample_metrics",
     "stored_energy_series",
     "ergotropy_series",

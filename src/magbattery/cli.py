@@ -4,7 +4,8 @@ Subcommands: dynamics, sweep, contour, opt-time.  Configuration comes from a
 flat key=value file (``#`` comments) plus ``--key value`` overrides; direct
 detunings win over omegas when both are given.  Output is CSV with numbers
 rendered to 12 significant digits, a pure function of the config: repeated
-runs are byte-identical, and ``--threads`` never changes values.
+runs are byte-identical.  ``--threads`` is accepted for compatibility and has
+no effect: every subcommand evaluates serially.
 
 Exit codes: 0 success, 2 config/validation error, 3 I/O error.
 """
@@ -14,9 +15,9 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 
+from .metrics import METRIC_NAMES
 from .model import SystemParams, derive_detunings
 from .states import AccountingMode
 from .sweeps import (
@@ -86,7 +87,7 @@ _MODES = {
     "trace_repaired": AccountingMode.TRACE_REPAIRED,
 }
 
-_DYNAMICS_HEADER = "t,coherence,energy,ergotropy,purity,norm"
+_DYNAMICS_HEADER = ",".join(("t",) + METRIC_NAMES)
 
 
 def parse_config_file(path: str) -> dict[str, str]:
@@ -243,22 +244,19 @@ def _config_digest(cfg: dict[str, str]) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def _metric_row(prefix: list[str], s) -> str:
-    values = (s.t, s.coherence, s.energy, s.ergotropy, s.purity, s.norm)
-    return ",".join(prefix + [_fmt(v) for v in values])
+def _metric_rows(prefix: list[str], table) -> list[str]:
+    return [",".join(prefix + [_fmt(v) for v in row]) for row in table.tolist()]
 
 
-def run_dynamics(cfg: dict[str, str], out: str | None, threads: int) -> int:
+def run_dynamics(cfg: dict[str, str], out: str | None) -> int:
     params = build_params(cfg)
     times = time_grid(_as_float(cfg, "t_max"), _as_float(cfg, "dt"))
-    samples = time_series(params, times, _resolve_mode(cfg))
-    lines = [_DYNAMICS_HEADER]
-    lines += [_metric_row([], s) for s in samples]
-    _write_lines(out, lines)
+    table = time_series(params, times, _resolve_mode(cfg))
+    _write_lines(out, [_DYNAMICS_HEADER] + _metric_rows([], table))
     return 0
 
 
-def run_sweep(cfg: dict[str, str], out: str | None, threads: int) -> int:
+def run_sweep(cfg: dict[str, str], out: str | None) -> int:
     vary = build_vary(cfg, "vary")
     if vary is None:
         raise ValueError("sweep needs a swept parameter (config key 'vary')")
@@ -266,14 +264,13 @@ def run_sweep(cfg: dict[str, str], out: str | None, threads: int) -> int:
     times = time_grid(_as_float(cfg, "t_max"), _as_float(cfg, "dt"))
     curves = panel_sweep(params, vary, times, _resolve_mode(cfg))
     lines = ["param_name,param_value," + _DYNAMICS_HEADER]
-    for value, samples in curves:
-        prefix = [vary.parameter_name, _fmt(value)]
-        lines += [_metric_row(prefix, s) for s in samples]
+    for value, table in curves:
+        lines += _metric_rows([vary.parameter_name, _fmt(value)], table)
     _write_lines(out, lines)
     return 0
 
 
-def run_contour(cfg: dict[str, str], out: str | None, threads: int) -> int:
+def run_contour(cfg: dict[str, str], out: str | None) -> int:
     vary_x = build_vary(cfg, "vary")
     vary_y = build_vary(cfg, "vary2")
     if vary_x is None or vary_y is None:
@@ -282,7 +279,7 @@ def run_contour(cfg: dict[str, str], out: str | None, threads: int) -> int:
         raise ValueError("contour needs --out (a sidecar metadata file accompanies the CSV)")
     params = build_params(cfg)
     times = time_grid(_as_float(cfg, "t_max"), _as_float(cfg, "dt"))
-    grid = max_ergotropy_grid(params, vary_x, vary_y, times, _resolve_mode(cfg), threads=threads)
+    grid = max_ergotropy_grid(params, vary_x, vary_y, times, _resolve_mode(cfg))
     lines = ["x_name,x,y_name,y,max_ergotropy"]
     for i, yv in enumerate(grid.y_values):
         for j, xv in enumerate(grid.x_values):
@@ -299,7 +296,7 @@ def run_contour(cfg: dict[str, str], out: str | None, threads: int) -> int:
     return 0
 
 
-def run_opt_time(cfg: dict[str, str], out: str | None, threads: int) -> int:
+def run_opt_time(cfg: dict[str, str], out: str | None) -> int:
     vary = build_vary(cfg, "vary")
     if vary is None:
         raise ValueError("opt-time needs a swept parameter (config key 'vary')")
@@ -343,7 +340,7 @@ def _build_parser() -> argparse.ArgumentParser:
             "--threads",
             type=int,
             metavar="N",
-            help="worker threads for grid evaluation (default: CPU count); never changes outputs",
+            help="accepted for compatibility; has no effect (evaluation is serial)",
         )
     return parser
 
@@ -361,10 +358,9 @@ def main(argv: list[str] | None = None) -> int:
         cfg.update(parse_overrides(extra))
         if args.mode is not None:
             cfg["mode"] = args.mode
-        threads = args.threads if args.threads is not None else (os.cpu_count() or 1)
-        if threads < 1:
+        if args.threads is not None and args.threads < 1:
             raise ValueError("--threads must be >= 1")
-        return _COMMANDS[args.command](cfg, args.out, threads)
+        return _COMMANDS[args.command](cfg, args.out)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -1,10 +1,18 @@
 """Figures of merit: l1-coherence, stored energy, ergotropy, purity.
 
-Ergotropy follows the passive-state construction: populations sorted
-descending against energy levels sorted ascending give the least-energetic
-state reachable by unitaries; the work gap to it is the extractable energy.
-In ``paper`` accounting the sub-normalized battery matrix enters these
-formulas as-is; ``trace_repaired`` first books the decayed weight into |gg>.
+In the single-excitation shell the battery state always has the spectrum
+{g', 2|C4|^2, 0, 0}, so every reported metric is a closed-form function of
+the four populations |C_n|^2.  `metric_columns` computes all five of them for
+a whole (..., 4) amplitude array; `sample_metrics`, `ergotropy_series` and
+`stored_energy_series` are views on it.
+
+The general density-matrix routes (`passive_state`, `ergotropy`, `purity`)
+follow the passive-state construction: populations sorted descending against
+energy levels sorted ascending give the least-energetic state reachable by
+unitaries, and the work gap to it is the extractable energy.  The package
+keeps them as the oracles the closed form is tested against.  In ``paper``
+accounting the sub-normalized battery matrix enters these formulas as-is;
+``trace_repaired`` first books the decayed weight into |gg>.
 """
 
 from __future__ import annotations
@@ -14,29 +22,31 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import SystemParams
-from .propagator import AmplitudeState, physical_norm
+from .propagator import AmplitudeState
 from .states import (
     AccountingMode,
     BATTERY_BASIS,
     DensityMatrix,
-    _amplitudes,
+    InconsistentStateError,
+    _NORM_SLACK,
     _coerce_mode,
-    battery_density,
-    battery_density_series,
 )
 
 __all__ = [
+    "METRIC_NAMES",
     "BatteryHamiltonian",
     "MetricsSample",
-    "coherence_l1",
-    "stored_energy",
     "passive_state",
     "ergotropy",
     "purity",
+    "metric_columns",
     "sample_metrics",
     "stored_energy_series",
     "ergotropy_series",
 ]
+
+# column order of `metric_columns`, as printed by the CLI after `t`
+METRIC_NAMES = ("coherence", "energy", "ergotropy", "purity", "norm")
 
 _HERMITICITY_TOL = 1e-10
 _POPULATION_FLOOR = -1e-12
@@ -45,8 +55,8 @@ _POPULATION_FLOOR = -1e-12
 _ZERO_SNAP = 1e-12
 
 
-def _snap(value: float) -> float:
-    return 0.0 if abs(value) <= _ZERO_SNAP else value
+def _snap(value: np.ndarray | float) -> np.ndarray:
+    return np.where(np.abs(value) <= _ZERO_SNAP, 0.0, value)
 
 
 @dataclass(frozen=True)
@@ -85,53 +95,6 @@ class MetricsSample:
     norm: float
 
 
-def coherence_l1(a: AmplitudeState | np.ndarray) -> float:
-    """l1-coherence of the charger state: 2|C1 C2| + 2|C1 C3| + 2|C2 C3|.
-
-    Only the one-excitation kets interfere; the vacuum level carries no
-    coherence, so the amplitude formula is exactly the sum of absolute
-    off-diagonals of the charger density matrix.
-    """
-    c = _amplitudes(a)
-    return float(
-        2.0 * (abs(c[0] * c[1]) + abs(c[0] * c[2]) + abs(c[1] * c[2]))
-    )
-
-
-def stored_energy(
-    a: AmplitudeState | np.ndarray,
-    omega_q: float,
-    mode: AccountingMode | str = AccountingMode.PAPER,
-) -> float:
-    """Energy gained by the battery relative to the uncharged state.
-
-    paper:          omega_q * (1 - |C1|^2 - |C2|^2 - |C3|^2)
-    trace_repaired: 2 * omega_q * |C4|^2
-
-    The two expressions differ exactly by omega_q * (1 - N(t)): the paper form
-    books decayed weight as if it had charged the battery, the repaired form
-    books it back into |gg>.  Results within 1e-12 of zero report as 0.0
-    (propagator roundoff would otherwise print as spurious charge).
-    """
-    mode = _coerce_mode(mode)
-    c = _amplitudes(a)
-    if mode is AccountingMode.PAPER:
-        return _snap(
-            float(omega_q * (1.0 - (abs(c[0]) ** 2 + abs(c[1]) ** 2 + abs(c[2]) ** 2)))
-        )
-    return _snap(float(2.0 * omega_q * abs(c[3]) ** 2))
-
-
-def _checked_populations(m: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a Hermitian PSD matrix, ascending, FP residue clamped."""
-    pops = np.linalg.eigvalsh(m)
-    if np.any(pops < _POPULATION_FLOOR):
-        raise ValueError(
-            f"density matrix is not positive semidefinite (eigenvalue {pops.min()})"
-        )
-    return np.where(pops < 0.0, 0.0, pops)
-
-
 def passive_state(rho: DensityMatrix, h: BatteryHamiltonian) -> DensityMatrix:
     """Least-energetic state with the spectrum of rho, diagonal in H.
 
@@ -143,7 +106,12 @@ def passive_state(rho: DensityMatrix, h: BatteryHamiltonian) -> DensityMatrix:
     m = np.asarray(rho.matrix, dtype=complex)
     if float(np.max(np.abs(m - m.conj().T))) > _HERMITICITY_TOL:
         raise ValueError("density matrix is not Hermitian")
-    pops = _checked_populations(m)
+    pops = np.linalg.eigvalsh(m)
+    if np.any(pops < _POPULATION_FLOOR):
+        raise ValueError(
+            f"density matrix is not positive semidefinite (eigenvalue {pops.min()})"
+        )
+    pops = np.where(pops < 0.0, 0.0, pops)
     pop_order = np.argsort(-pops, kind="stable")
     energies = h.eigenvalues
     level_order = np.argsort(energies, kind="stable")
@@ -161,7 +129,7 @@ def ergotropy(rho: DensityMatrix, h: BatteryHamiltonian) -> float:
     eta = passive_state(rho, h)
     hm = h.matrix
     w = float(np.trace(rho.matrix @ hm).real) - float(np.trace(eta.matrix @ hm).real)
-    return _snap(w) if w > 0.0 else 0.0
+    return float(_snap(w)) if w > 0.0 else 0.0
 
 
 def purity(rho: DensityMatrix) -> float:
@@ -170,27 +138,82 @@ def purity(rho: DensityMatrix) -> float:
     return float(np.trace(m @ m).real)
 
 
+def _shell(c) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """|C_n|, the field population g = |C1|^2 + |C2|^2 + |C3|^2 and s = |C4|^2."""
+    a = np.abs(np.asarray(c, dtype=complex))
+    p = a**2
+    return a, p[..., 0] + p[..., 1] + p[..., 2], p[..., 3]
+
+
+def _energy(g: np.ndarray, s: np.ndarray, omega_q: float, mode: AccountingMode) -> np.ndarray:
+    """Energy gained by the battery relative to the uncharged state.
+
+    paper:          omega_q * (1 - |C1|^2 - |C2|^2 - |C3|^2)
+    trace_repaired: 2 * omega_q * |C4|^2
+
+    The two expressions differ exactly by omega_q * (1 - N(t)): the paper form
+    books decayed weight as if it had charged the battery, the repaired form
+    books it back into |gg>.  Results within 1e-12 of zero report as 0.0
+    (propagator roundoff would otherwise print as spurious charge).
+    """
+    if mode is AccountingMode.PAPER:
+        return _snap(omega_q * (1.0 - g))
+    return _snap(2.0 * omega_q * s)
+
+
+def metric_columns(
+    c: np.ndarray,
+    omega_q: float,
+    mode: AccountingMode | str = AccountingMode.PAPER,
+) -> np.ndarray:
+    """All five figures of merit of (..., 4) amplitudes as a (..., 5) array.
+
+    Columns follow METRIC_NAMES.  With g = |C1|^2 + |C2|^2 + |C3|^2,
+    s = |C4|^2 and the battery ground population g' (g in ``paper`` mode,
+    1 - 2s in ``trace_repaired`` mode), the battery spectrum is
+    {g', 2s, 0, 0}, so:
+
+    coherence = 2 (|C1 C2| + |C1 C3| + |C2 C3|)  (charger off-diagonal l1)
+    energy    = see `_energy`
+    ergotropy = omega_q * max(0, 2s - g')       (passive-state gap)
+    purity    = g'^2 + 4 s^2
+    norm      = g + 2s
+
+    Raises InconsistentStateError when the norm exceeds 1 + 1e-9 and
+    ValueError when g' is below -1e-12 (not a density matrix); smaller
+    negative g' is roundoff and clamps to 0.
+    """
+    mode = _coerce_mode(mode)
+    a, g, s = _shell(c)
+    norm = g + 2.0 * s
+    if np.any(norm > 1.0 + _NORM_SLACK):
+        raise InconsistentStateError(f"physical norm {norm.max()} exceeds 1")
+    ground = g if mode is AccountingMode.PAPER else 1.0 - 2.0 * s
+    if np.any(ground < _POPULATION_FLOOR):
+        raise ValueError(
+            f"density matrix is not positive semidefinite (eigenvalue {ground.min()})"
+        )
+    ground = np.maximum(ground, 0.0)
+    a1, a2, a3 = a[..., 0], a[..., 1], a[..., 2]
+    return np.stack(
+        (
+            2.0 * (a1 * a2 + a1 * a3 + a2 * a3),
+            _energy(g, s, omega_q, mode),
+            _snap(omega_q * np.maximum(2.0 * s - ground, 0.0)),
+            ground**2 + 4.0 * s**2,
+            norm,
+        ),
+        axis=-1,
+    )
+
+
 def sample_metrics(
     a: AmplitudeState,
     p: SystemParams,
     mode: AccountingMode | str = AccountingMode.PAPER,
 ) -> MetricsSample:
-    """All figures of merit at one time point.
-
-    Battery metrics (energy, ergotropy, purity) go through battery_density in
-    the requested accounting mode; coherence uses the amplitude formula.
-    """
-    mode = _coerce_mode(mode)
-    h = BatteryHamiltonian(p.omega_q)
-    rho = battery_density(a, mode)
-    return MetricsSample(
-        t=a.t,
-        coherence=coherence_l1(a),
-        energy=stored_energy(a, p.omega_q, mode),
-        ergotropy=ergotropy(rho, h),
-        purity=purity(rho),
-        norm=physical_norm(a.c),
-    )
+    """All figures of merit at one time point: one row of `metric_columns`."""
+    return MetricsSample(a.t, *(float(v) for v in metric_columns(a.c, p.omega_q, mode)))
 
 
 def stored_energy_series(
@@ -198,16 +221,13 @@ def stored_energy_series(
     omega_q: float,
     mode: AccountingMode | str = AccountingMode.PAPER,
 ) -> np.ndarray:
-    """Vectorized stored_energy over a (T, 4) amplitude array."""
-    mode = _coerce_mode(mode)
-    c = np.asarray(c, dtype=complex)
-    if mode is AccountingMode.PAPER:
-        e = omega_q * (
-            1.0 - (np.abs(c[:, 0]) ** 2 + np.abs(c[:, 1]) ** 2 + np.abs(c[:, 2]) ** 2)
-        )
-    else:
-        e = 2.0 * omega_q * np.abs(c[:, 3]) ** 2
-    return np.where(np.abs(e) <= _ZERO_SNAP, 0.0, e)
+    """The energy column of `metric_columns` alone, for (..., 4) amplitudes.
+
+    Skips the other four columns and their state checks, which makes it the
+    cheap reduction for charging-time searches that need energy only.
+    """
+    _, g, s = _shell(c)
+    return _energy(g, s, omega_q, _coerce_mode(mode))
 
 
 def ergotropy_series(
@@ -215,24 +235,5 @@ def ergotropy_series(
     omega_q: float,
     mode: AccountingMode | str = AccountingMode.PAPER,
 ) -> np.ndarray:
-    """Vectorized ergotropy over a (T, 4) amplitude array.
-
-    Same construction as the scalar path (stacked eigendecomposition, sorted
-    assignment), batched so the sweep layer avoids per-sample overhead.
-    """
-    mode = _coerce_mode(mode)
-    rhos = battery_density_series(c, mode)
-    pops = np.linalg.eigvalsh(rhos)  # (T, 4) ascending per row
-    if np.any(pops < _POPULATION_FLOOR):
-        raise ValueError(
-            f"density matrix is not positive semidefinite (eigenvalue {pops.min()})"
-        )
-    pops = np.where(pops < 0.0, 0.0, pops)
-    h = BatteryHamiltonian(omega_q)
-    energies_ascending = h.eigenvalues[np.argsort(h.eigenvalues, kind="stable")]
-    # descending populations against ascending energies; eigvalsh rows are
-    # already sorted so reversing is the stable descending order
-    passive = pops[:, ::-1] @ energies_ascending
-    expectation = np.diagonal(rhos, axis1=1, axis2=2).real @ h.eigenvalues
-    w = np.maximum(expectation - passive, 0.0)
-    return np.where(w <= _ZERO_SNAP, 0.0, w)
+    """The ergotropy column of `metric_columns`, for (..., 4) amplitudes."""
+    return metric_columns(c, omega_q, mode)[..., METRIC_NAMES.index("ergotropy")]

@@ -37,7 +37,6 @@ __all__ = [
     "z_to_c",
     "evolve",
     "oracle_integrate",
-    "evolution_spectrum",
     "DEFAULT_INITIAL",
 ]
 
@@ -90,10 +89,6 @@ class Trajectory:
         for i in range(len(self)):
             yield self[i]
 
-    @property
-    def samples(self) -> list[AmplitudeState]:
-        return list(self)
-
     def norms(self) -> np.ndarray:
         c = self.amplitudes
         return (
@@ -120,6 +115,8 @@ def matrix_exponential(m: np.ndarray) -> np.ndarray:
         raise ValueError("matrix exponential argument has non-finite entries")
 
     norm = float(np.linalg.norm(m, np.inf))
+    if not norm < 2.0**1022:  # the scaling 2**squarings below must stay finite
+        raise ValueError(f"matrix exponential argument is too large (infinity norm {norm:g})")
     squarings = 0
     if norm > 0.5:
         squarings = int(math.ceil(math.log2(norm) + 1.0))
@@ -198,16 +195,29 @@ def evolve(
     z = np.empty((t.size, 4), dtype=complex)
     steps = np.diff(t)
     uniform = t.size > 1 and np.allclose(steps, steps[0], rtol=1e-12, atol=1e-15)
-    if uniform:
-        z[0] = z0 if t[0] == 0.0 else matrix_exponential(-1j * t[0] * a) @ z0
-        step = matrix_exponential(-1j * steps[0] * a)
-        for k in range(1, t.size):
-            z[k] = step @ z[k - 1]
-    else:
-        for k in range(t.size):
-            z[k] = z0 if t[k] == 0.0 else matrix_exponential(-1j * t[k] * a) @ z0
-
-    c = z * np.exp(-1j * t[:, None] * shifts[None, :])
+    # overflow in the exponential's squaring phase is reported below, at its
+    # cause, instead of as numpy warnings followed by NaN output
+    with np.errstate(over="ignore", invalid="ignore"):
+        if uniform:
+            z[0] = z0 if t[0] == 0.0 else matrix_exponential(-1j * t[0] * a) @ z0
+            step = matrix_exponential(-1j * steps[0] * a)
+            if not np.all(np.isfinite(step)):
+                raise ValueError(
+                    f"one-step exponential exp(-i A dt) is not finite for time step "
+                    f"dt = {steps[0]:g}: the evolution matrix is too large"
+                )
+            for k in range(1, t.size):
+                z[k] = step @ z[k - 1]
+        else:
+            for k in range(t.size):
+                z[k] = z0 if t[k] == 0.0 else matrix_exponential(-1j * t[k] * a) @ z0
+        c = z * np.exp(-1j * t[:, None] * shifts[None, :])
+    finite = np.all(np.isfinite(c), axis=1)
+    if not np.all(finite):
+        raise ValueError(
+            f"amplitudes are not finite from t = {t[np.argmin(finite)]:g}: "
+            "the evolution matrix or the time grid is too large"
+        )
     return Trajectory(times=t, amplitudes=c)
 
 
@@ -276,15 +286,3 @@ def oracle_integrate(
 
     return Trajectory(times=t, amplitudes=out)
 
-
-def evolution_spectrum(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Diagnostic eigendecomposition of the evolution matrix.
-
-    Returns (eigenvalues, right eigenvectors as columns), sorted by real part.
-    Not used by the production path: the non-Hermitian matrix can be defective
-    near exceptional points, where the matrix exponential stays well behaved
-    but a naive spectral reconstruction does not.
-    """
-    vals, vecs = np.linalg.eig(np.asarray(a, dtype=complex))
-    order = np.argsort(vals.real, kind="stable")
-    return vals[order], vecs[:, order]

@@ -30,7 +30,6 @@ __all__ = [
     "CHARGER_BASIS",
     "battery_density",
     "charger_density",
-    "battery_density_series",
 ]
 
 BATTERY_BASIS = ("gg", "eg", "ge", "ee")
@@ -131,28 +130,3 @@ def charger_density(
         rho[3, 3] += 1.0 - n
     return DensityMatrix(matrix=rho, basis=CHARGER_BASIS)
 
-
-def battery_density_series(
-    c: np.ndarray, mode: AccountingMode | str = AccountingMode.PAPER
-) -> np.ndarray:
-    """Vectorized battery_density for a (T, 4) amplitude array -> (T, 4, 4).
-
-    Same arithmetic as the scalar version, applied per row; used by the sweep
-    layer where per-sample object construction would dominate the runtime.
-    """
-    mode = _coerce_mode(mode)
-    c = np.asarray(c, dtype=complex)
-    if c.ndim != 2 or c.shape[1] != 4:
-        raise ValueError("expected amplitude array of shape (T, 4)")
-    ground = np.abs(c[:, 0]) ** 2 + np.abs(c[:, 1]) ** 2 + np.abs(c[:, 2]) ** 2
-    shared = np.abs(c[:, 3]) ** 2
-    n = ground + 2.0 * shared
-    if np.any(n > 1.0 + _NORM_SLACK):
-        raise InconsistentStateError(f"physical norm {n.max()} exceeds 1")
-    rho = np.zeros((c.shape[0], 4, 4), dtype=complex)
-    rho[:, 0, 0] = ground
-    rho[:, 1, 1] = rho[:, 2, 2] = shared
-    rho[:, 1, 2] = rho[:, 2, 1] = shared
-    if mode is AccountingMode.TRACE_REPAIRED:
-        rho[:, 0, 0] += 1.0 - n
-    return rho

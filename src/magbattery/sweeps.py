@@ -1,26 +1,19 @@
 """Parameter sweeps: metric panels, max-ergotropy contour grids, charging times.
 
 Every (parameter point, trajectory) evaluation is a pure function of immutable
-inputs, so grid cells may be fanned out across workers; results are always
-merged by index, making output independent of scheduling.
+inputs evaluated in order, so output never depends on scheduling.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .metrics import (
-    MetricsSample,
-    ergotropy_series,
-    sample_metrics,
-    stored_energy_series,
-)
+from .metrics import ergotropy_series, metric_columns, stored_energy_series
 from .model import SystemParams, derive_detunings
 from .propagator import evolve
 from .states import AccountingMode, _coerce_mode
@@ -147,7 +140,10 @@ def time_grid(t_max: float = 20.0, dt: float = 0.01) -> np.ndarray:
         raise ValueError("t_max and dt must be finite")
     if t_max <= 0 or dt <= 0 or dt > t_max:
         raise ValueError("need t_max > 0, dt > 0 and dt <= t_max")
-    n = int(math.floor(t_max / dt + 1e-9))
+    steps = t_max / dt
+    if not math.isfinite(steps):
+        raise ValueError(f"t_max / dt = {t_max:g} / {dt:g} is not a finite number of grid points")
+    n = int(math.floor(steps + 1e-9))
     return np.arange(n + 1) * dt
 
 
@@ -155,10 +151,13 @@ def time_series(
     p: SystemParams,
     t_grid: Sequence[float] | np.ndarray,
     mode: AccountingMode | str = AccountingMode.PAPER,
-) -> list[MetricsSample]:
-    """One MetricsSample per grid point: evolve once, compute all metrics."""
-    mode = _coerce_mode(mode)
-    return [sample_metrics(s, p, mode) for s in evolve(p, t_grid)]
+) -> np.ndarray:
+    """(T, 6) table with rows (t, coherence, energy, ergotropy, purity, norm).
+
+    Evolves once and computes all metrics of the curve in one call.
+    """
+    traj = evolve(p, t_grid)
+    return np.column_stack((traj.times, metric_columns(traj.amplitudes, p.omega_q, mode)))
 
 
 def panel_sweep(
@@ -166,8 +165,8 @@ def panel_sweep(
     vary: VarySpec,
     t_grid: Sequence[float] | np.ndarray,
     mode: AccountingMode | str = AccountingMode.PAPER,
-) -> list[tuple[float, list[MetricsSample]]]:
-    """One independent time series per swept value, in the given order."""
+) -> list[tuple[float, np.ndarray]]:
+    """One independent `time_series` table per swept value, in the given order."""
     mode = _coerce_mode(mode)
     return [
         (v, time_series(apply_parameter(base, vary.parameter_name, v), t_grid, mode))
@@ -181,18 +180,13 @@ def max_ergotropy_grid(
     vary_y: VarySpec,
     t_grid: Sequence[float] | np.ndarray,
     mode: AccountingMode | str = AccountingMode.PAPER,
-    threads: int | None = None,
 ) -> GridResult:
     """Maximum ergotropy over the time grid for every (x, y) parameter pair.
 
-    Rows are indexed by y, columns by x.  With threads > 1 whole rows are
-    dispatched to a thread pool; cells are pure and merged by index, so the
-    numbers are bit-identical to the serial evaluation.
+    Rows are indexed by y, columns by x.
     """
     if vary_x.parameter_name == vary_y.parameter_name:
         raise ValueError("contour axes must vary two different parameters")
-    if threads is not None and threads < 1:
-        raise ValueError("threads must be >= 1")
     mode = _coerce_mode(mode)
     t = np.asarray(t_grid, dtype=float)
 
@@ -205,16 +199,9 @@ def max_ergotropy_grid(
         traj = evolve(p, t)
         return float(ergotropy_series(traj.amplitudes, p.omega_q, mode).max())
 
-    def row(yv: float) -> list[float]:
-        return [cell(xv, yv) for xv in vary_x.values]
-
-    if threads is not None and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(row, vary_y.values))
-    else:
-        rows = [row(yv) for yv in vary_y.values]
-
-    z = np.array(rows, dtype=float)
+    z = np.array(
+        [[cell(xv, yv) for xv in vary_x.values] for yv in vary_y.values], dtype=float
+    )
     step = float(t[1] - t[0]) if t.size > 1 else 0.0
     metadata = {
         "metric": "max_ergotropy",

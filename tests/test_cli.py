@@ -158,6 +158,17 @@ class TestDynamics:
             for g, w in zip(got, want):
                 assert g == pytest.approx(w, rel=1e-11, abs=1e-11)
 
+    @pytest.mark.parametrize("overflow, cause", [
+        (("--g_a", "1e200", "--t_max", "0.02"), "one-step exponential"),
+        (("--t_max", "1e300", "--dt", "1e-300"), "grid points"),
+    ])
+    def test_overflow_is_a_one_line_error(self, capsys, overflow, cause):
+        code, out, err = run(capsys, "dynamics", *overflow)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert cause in err
+
     def test_write_failure_exit_3(self, tmp_path, capsys):
         target = tmp_path / "no_such_dir" / "out.csv"
         code, _, err = run(capsys, "dynamics", "--t_max", "1", "--dt", "0.5",

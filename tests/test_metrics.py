@@ -2,7 +2,8 @@
 
 The permutation oracle: ergotropy = <H> - min over all 4! assignments of
 populations to energy levels.  Written independently of the package's
-sorted-spectrum construction.
+sorted-spectrum construction.  The closed-form columns are checked against
+the density-matrix routes (see `oracle_metrics` in conftest).
 """
 
 import itertools
@@ -10,24 +11,28 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from magbattery import (
+    METRIC_NAMES,
     AccountingMode,
     BatteryHamiltonian,
     DensityMatrix,
+    InconsistentStateError,
     SystemParams,
     battery_density,
     charger_density,
-    coherence_l1,
     ergotropy,
     ergotropy_series,
     evolve,
+    metric_columns,
     passive_state,
     purity,
     sample_metrics,
-    stored_energy,
     stored_energy_series,
 )
+
+from conftest import oracle_metrics, shell_amplitudes
 
 BELL_PEAK = (0.0, 0.0, 0.0, -1j / math.sqrt(2))
 MODES = (AccountingMode.PAPER, AccountingMode.TRACE_REPAIRED)
@@ -52,44 +57,49 @@ def random_psd_unit_trace(rng):
     return rho / np.trace(rho).real
 
 
+def coherence(c):
+    return float(metric_columns(c, 1.0)[METRIC_NAMES.index("coherence")])
+
+
 class TestCoherence:
     def test_initial(self):
-        assert coherence_l1((1, 0, 0, 0)) == 0.0
+        assert coherence((1, 0, 0, 0)) == 0.0
 
     def test_two_mode_superposition(self):
         s = 1 / math.sqrt(2)
-        assert coherence_l1((s, s, 0, 0)) == pytest.approx(1.0, abs=1e-12)
+        assert coherence((s, s, 0, 0)) == pytest.approx(1.0, abs=1e-12)
 
     def test_three_mode_superposition(self):
         s = 1 / math.sqrt(3)
-        assert coherence_l1((s, s, s, 0)) == pytest.approx(2.0, abs=1e-12)
+        assert coherence((s, s, s, 0)) == pytest.approx(2.0, abs=1e-12)
 
     def test_equals_charger_offdiagonal_l1(self, rng, draw_params):
         # the amplitude formula must reproduce the density-matrix definition
         for _ in range(5):
             traj = evolve(draw_params(rng), np.linspace(0, 10, 30))
-            for s in traj:
+            column = metric_columns(traj.amplitudes, 1.0)[:, METRIC_NAMES.index("coherence")]
+            for k, s in enumerate(traj):
                 rho = charger_density(s).matrix
                 l1 = np.sum(np.abs(rho - np.diag(np.diag(rho))))
-                assert coherence_l1(s) == pytest.approx(l1, abs=1e-12)
+                assert column[k] == pytest.approx(l1, abs=1e-12)
 
 
 class TestStoredEnergy:
     def test_uncharged(self):
         for mode in MODES:
-            assert stored_energy((1, 0, 0, 0), 1.0, mode) == 0.0
+            assert stored_energy_series((1, 0, 0, 0), 1.0, mode) == 0.0
 
     def test_bell_peak(self):
         for mode in MODES:
-            assert stored_energy(BELL_PEAK, 1.0, mode) == pytest.approx(1.0)
+            assert stored_energy_series(BELL_PEAK, 1.0, mode) == pytest.approx(1.0)
 
     def test_accounting_divergence(self):
         c = (0.5, 0, 0, 0)  # N = 0.25, battery empty
-        assert stored_energy(c, 1.0, "paper") == pytest.approx(0.75)
-        assert stored_energy(c, 1.0, "trace_repaired") == pytest.approx(0.0)
+        assert stored_energy_series(c, 1.0, "paper") == pytest.approx(0.75)
+        assert stored_energy_series(c, 1.0, "trace_repaired") == pytest.approx(0.0)
 
     def test_scales_with_omega_q(self):
-        assert stored_energy(BELL_PEAK, 2.5, "paper") == pytest.approx(2.5)
+        assert stored_energy_series(BELL_PEAK, 2.5, "paper") == pytest.approx(2.5)
 
 
 class TestPassiveState:
@@ -221,17 +231,22 @@ class TestSampleMetrics:
 
 
 class TestSeriesRoutes:
-    def test_match_scalar_routes(self, rng, draw_params):
-        p = draw_params(rng)
-        traj = evolve(p, np.linspace(0, 10, 60))
-        for mode in MODES:
-            es = stored_energy_series(traj.amplitudes, p.omega_q, mode)
-            gs = ergotropy_series(traj.amplitudes, p.omega_q, mode)
-            for k, s in enumerate(traj):
-                assert es[k] == pytest.approx(
-                    stored_energy(s, p.omega_q, mode), abs=1e-13)
-                m = sample_metrics(s, p, mode)
-                assert gs[k] == pytest.approx(m.ergotropy, abs=1e-12)
+    @settings(max_examples=300)
+    @given(c=shell_amplitudes(), omega_q=st.floats(0.5, 2.0), mode=st.sampled_from(MODES))
+    def test_match_scalar_routes(self, c, omega_q, mode):
+        # closed-form columns against the density-matrix oracles, per column
+        got = metric_columns(c, omega_q, mode)
+        np.testing.assert_allclose(got, oracle_metrics(c, omega_q, mode), rtol=0, atol=1e-12)
+        assert stored_energy_series(c, omega_q, mode) == got[METRIC_NAMES.index("energy")]
+        assert ergotropy_series(c, omega_q, mode) == got[METRIC_NAMES.index("ergotropy")]
+
+    def test_state_checks(self):
+        with pytest.raises(InconsistentStateError):
+            metric_columns(np.array([[1.0, 0, 0, 0], [1.1, 0, 0, 0]]), 1.0)
+        # N = 1 + 8e-10 passes the norm slack, but g' = 1 - 2s = -8e-10
+        overfull_battery = (0, 0, 0, math.sqrt(0.5 + 4e-10))
+        with pytest.raises(ValueError, match="positive semidefinite"):
+            metric_columns(overfull_battery, 1.0, "trace_repaired")
 
 
 class TestBatteryHamiltonian:

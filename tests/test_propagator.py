@@ -77,6 +77,11 @@ class TestMatrixExponential:
         with pytest.raises(ValueError):
             matrix_exponential(m)
 
+    def test_overflowing_norm_rejected(self):
+        # the infinity norm overflows although every entry is finite
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="too large"):
+            matrix_exponential(np.full((4, 4), 1e308))
+
     def test_nonsquare_rejected(self):
         with pytest.raises(ValueError):
             matrix_exponential(np.zeros((3, 4)))

@@ -4,17 +4,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
 
 from magbattery import (
     AccountingMode,
     InconsistentStateError,
     SystemParams,
     battery_density,
-    battery_density_series,
     charger_density,
     evolve,
     physical_norm,
 )
+
+from conftest import shell_amplitudes
 
 BELL_PEAK = (0.0, 0.0, 0.0, -1j / math.sqrt(2))  # full-transfer amplitudes
 MODES = (AccountingMode.PAPER, AccountingMode.TRACE_REPAIRED)
@@ -114,11 +116,13 @@ class TestInvariants:
             assert w[:2].max() <= 1e-12  # only the top eigenvalue may be nonzero
 
 
-class TestDensitySeries:
-    def test_matches_scalar_route(self, rng, draw_params):
-        traj = random_trajectory(rng, draw_params)
-        for mode in MODES:
-            batch = battery_density_series(traj.amplitudes, mode)
-            for k, s in enumerate(traj):
-                np.testing.assert_allclose(
-                    batch[k], battery_density(s, mode).matrix, rtol=0, atol=1e-15)
+class TestBatterySpectrum:
+    @given(c=shell_amplitudes())
+    def test_is_ground_shared_and_two_zeros(self, c):
+        # the premise of the closed-form metrics: spectrum {g', 2|C4|^2, 0, 0}
+        p = np.abs(c) ** 2
+        shared = 2.0 * p[3]
+        for mode, ground in (("paper", p[:3].sum()), ("trace_repaired", 1.0 - shared)):
+            got = np.linalg.eigvalsh(battery_density(c, mode).matrix)
+            np.testing.assert_allclose(got, np.sort([ground, shared, 0.0, 0.0]),
+                                       rtol=0, atol=1e-12)
