@@ -11,9 +11,8 @@ drives parameter sweeps; the `magbattery` CLI serializes everything to CSV.
 from .model import (
     SystemParams,
     Detunings,
-    FrameShifts,
     derive_detunings,
-    derive_frame_shifts,
+    frame_frequencies,
     build_evolution_matrix,
 )
 from .propagator import (
@@ -22,8 +21,6 @@ from .propagator import (
     Trajectory,
     physical_norm,
     matrix_exponential,
-    propagate,
-    z_to_c,
     evolve,
     oracle_integrate,
 )
@@ -64,16 +61,13 @@ __all__ = [
     "DEFAULT_INITIAL",
     "SystemParams",
     "Detunings",
-    "FrameShifts",
     "derive_detunings",
-    "derive_frame_shifts",
+    "frame_frequencies",
     "build_evolution_matrix",
     "AmplitudeState",
     "Trajectory",
     "physical_norm",
     "matrix_exponential",
-    "propagate",
-    "z_to_c",
     "evolve",
     "oracle_integrate",
     "AccountingMode",

@@ -12,10 +12,11 @@ amplitudes:
     C3  phonon excited      |gg> (x) |001>
     C4  one atom excited    (|eg> and |ge> share this amplitude) (x) |000>
 
-Moving to a rotating frame with one shift Delta_n per amplitude removes the
-explicit time dependence and leaves z'(t) = -i A z(t) with a constant 4x4
-matrix A built here.  Decay enters as -i*kappa/2 on the diagonal (conditional
-non-Hermitian evolution), so A is not Hermitian; it is also not symmetric:
+Rotating every amplitude at the atomic frequency omega_q removes the explicit
+time dependence and leaves z'(t) = -i A z(t) with a constant 4x4 matrix A
+built here, whose diagonal holds each mode's frequency relative to omega_q.
+Decay enters as -i*kappa/2 on the diagonal (conditional non-Hermitian
+evolution), so A is not Hermitian; it is also not symmetric:
 the photon->battery entry is 2*lam while battery->photon is lam, because C4
 stands for two degenerate atomic excitations at once.
 """
@@ -30,9 +31,8 @@ import numpy as np
 __all__ = [
     "SystemParams",
     "Detunings",
-    "FrameShifts",
     "derive_detunings",
-    "derive_frame_shifts",
+    "frame_frequencies",
     "build_evolution_matrix",
 ]
 
@@ -66,6 +66,8 @@ class SystemParams:
             value = getattr(self, name)
             if not np.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
+            # Python floats keep scalar arithmetic (the RK4 oracle) fast
+            object.__setattr__(self, name, float(value))
         for name in _COUPLING_FIELDS:
             if getattr(self, name) < 0:
                 raise ValueError(f"coupling {name} must be >= 0")
@@ -127,19 +129,6 @@ class Detunings:
     delta_3: float
 
 
-@dataclass(frozen=True)
-class FrameShifts:
-    """Rotating-frame shift applied to each of the four amplitudes."""
-
-    Delta_1: float
-    Delta_2: float
-    Delta_3: float
-    Delta_4: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.Delta_1, self.Delta_2, self.Delta_3, self.Delta_4])
-
-
 def derive_detunings(p: SystemParams) -> Detunings:
     """delta_1 = omega_b - omega_m, delta_2 = omega_a - omega_b, delta_3 = omega_q - omega_a."""
     return Detunings(
@@ -149,37 +138,26 @@ def derive_detunings(p: SystemParams) -> Detunings:
     )
 
 
-def derive_frame_shifts(d: Detunings) -> FrameShifts:
-    """Shifts that remove all oscillating factors from the amplitude equations.
+def frame_frequencies(p: SystemParams) -> np.ndarray:
+    """(omega_a, omega_b, omega_m, omega_q) - omega_q, one entry per amplitude.
 
-    With C_n = Z_n exp(-i Delta_n t), the coupling of C_j into C_k oscillates
-    as exp(i (omega_k - omega_j + Delta_k - Delta_j) t).  The phases cancel
-    on every link of the chain when the shifts satisfy the phase-matching
-    identities Delta_2 = Delta_1 + delta_2, Delta_3 = Delta_2 + delta_1 and
-    Delta_4 = Delta_1 - delta_3, which is what makes the rotated system
-    autonomous.  The overall additive gauge follows the common convention
-    Delta_1 = 2*delta_3 - delta_2.
+    In the frame that turns at omega_q, C_n = Z_n exp(+i f_n t) with f these
+    frequencies; they are also the real diagonal of the evolution matrix.
     """
-    return FrameShifts(
-        Delta_1=2.0 * d.delta_3 - d.delta_2,
-        Delta_2=2.0 * d.delta_3,
-        Delta_3=2.0 * d.delta_3 + d.delta_1,
-        Delta_4=d.delta_3 - d.delta_2,
-    )
+    return np.array([p.omega_a, p.omega_b, p.omega_m, p.omega_q]) - p.omega_q
 
 
 def build_evolution_matrix(p: SystemParams) -> np.ndarray:
     """Constant matrix A of the rotated amplitude equations z' = -i A z.
 
-    Basis order (Z1, Z2, Z3, Z4).  Diagonal: y_n = -(i*kappa_n/2 + Delta_n)
+    Basis order (Z1, Z2, Z3, Z4).  Diagonal: `frame_frequencies` - i*kappa_n/2
     with kappa = (kappa_a, kappa_b, kappa_m, gamma).  Couplings: photon-magnon
     g_a, magnon-phonon g_b, photon-battery 2*lam (forward) / lam (backward) —
     the factor 2 counts the two degenerate atomic target states.
     """
-    shifts = derive_frame_shifts(derive_detunings(p)).as_array()
     rates = np.array([p.kappa_a, p.kappa_b, p.kappa_m, p.gamma])
     a = np.zeros((4, 4), dtype=complex)
-    a[np.diag_indices(4)] = -(0.5j * rates + shifts)
+    a[np.diag_indices(4)] = frame_frequencies(p) - 0.5j * rates
     a[0, 1] = a[1, 0] = p.g_a
     a[1, 2] = a[2, 1] = p.g_b
     a[0, 3] = 2.0 * p.lam

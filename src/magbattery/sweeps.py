@@ -36,6 +36,10 @@ __all__ = [
 # among true ties.
 _PEAK_TIE_TOL = 1e-9
 
+# 500 times the 2001 points of the shipped configs; the (T, 4) trajectory of
+# a larger grid is refused before anything is allocated
+MAX_TIME_POINTS = 10**6
+
 PARAMETER_NAMES = (
     "lambda",
     "g_a",
@@ -144,6 +148,11 @@ def time_grid(t_max: float = 20.0, dt: float = 0.01) -> np.ndarray:
     if not math.isfinite(steps):
         raise ValueError(f"t_max / dt = {t_max:g} / {dt:g} is not a finite number of grid points")
     n = int(math.floor(steps + 1e-9))
+    if n + 1 > MAX_TIME_POINTS:
+        raise ValueError(
+            f"t_max / dt = {t_max:g} / {dt:g} gives {n + 1} time grid points, "
+            f"more than the limit of {MAX_TIME_POINTS}"
+        )
     return np.arange(n + 1) * dt
 
 

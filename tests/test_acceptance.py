@@ -151,7 +151,7 @@ def test_06_coherence_consistency():
         traj = evolve(p, t)
         columns = metric_columns(traj.amplitudes, p.omega_q)
         coherence = columns[:, METRIC_NAMES.index("coherence")]
-        for k, s in enumerate(traj):
+        for k, s in enumerate(traj.amplitudes):
             rho = charger_density(s).matrix
             l1 = float(np.sum(np.abs(rho - np.diag(np.diag(rho)))))
             worst = max(worst, abs(coherence[k] - l1))

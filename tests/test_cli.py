@@ -146,13 +146,13 @@ class TestDynamics:
 
     def test_round_trip_precision(self, capsys):
         # parsing the CSV back reproduces the in-memory numbers to 12 digits
-        from magbattery import SystemParams, sample_metrics, evolve, time_grid
+        from magbattery import AmplitudeState, SystemParams, sample_metrics, evolve, time_grid
         _, out, _ = run(capsys, "dynamics", "--delta_1", "1", "--delta_2", "1",
                         "--delta_3", "1", "--t_max", "2", "--dt", "0.25")
         p = SystemParams.from_detunings(1, 1, 1)
         traj = evolve(p, time_grid(2, 0.25))
-        for line, s in zip(out.splitlines()[1:], traj):
-            m = sample_metrics(s, p)
+        for line, t, c in zip(out.splitlines()[1:], traj.times, traj.amplitudes):
+            m = sample_metrics(AmplitudeState(t, c), p)
             want = (m.t, m.coherence, m.energy, m.ergotropy, m.purity, m.norm)
             got = [float(v) for v in line.split(",")]
             for g, w in zip(got, want):
@@ -160,7 +160,13 @@ class TestDynamics:
 
     @pytest.mark.parametrize("overflow, cause", [
         (("--g_a", "1e200", "--t_max", "0.02"), "one-step exponential"),
+        (("--g_a", "1e12"), "one-step exponential"),
+        (("--g_a", "1e20"), "one-step exponential"),
+        (("--g_a", "1e308"), "one-step exponential"),
         (("--t_max", "1e300", "--dt", "1e-300"), "grid points"),
+        # refused before the grid is allocated (1e15 and 1e8 points)
+        (("--t_max", "1e12", "--dt", "1e-3"), "grid points"),
+        (("--t_max", "1e7", "--dt", "0.1"), "grid points"),
     ])
     def test_overflow_is_a_one_line_error(self, capsys, overflow, cause):
         code, out, err = run(capsys, "dynamics", *overflow)

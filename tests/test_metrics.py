@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 from magbattery import (
     METRIC_NAMES,
     AccountingMode,
+    AmplitudeState,
     BatteryHamiltonian,
     DensityMatrix,
     InconsistentStateError,
@@ -78,7 +79,7 @@ class TestCoherence:
         for _ in range(5):
             traj = evolve(draw_params(rng), np.linspace(0, 10, 30))
             column = metric_columns(traj.amplitudes, 1.0)[:, METRIC_NAMES.index("coherence")]
-            for k, s in enumerate(traj):
+            for k, s in enumerate(traj.amplitudes):
                 rho = charger_density(s).matrix
                 l1 = np.sum(np.abs(rho - np.diag(np.diag(rho))))
                 assert column[k] == pytest.approx(l1, abs=1e-12)
@@ -192,13 +193,12 @@ class TestPurity:
 class TestSampleMetrics:
     def test_initial_point(self):
         traj = evolve(SystemParams(), [0.0, 1.0])
-        m = sample_metrics(traj[0], SystemParams())
+        m = sample_metrics(AmplitudeState(0.0, traj.amplitudes[0]), SystemParams())
         assert (m.coherence, m.energy, m.ergotropy) == (0.0, 0.0, 0.0)
         assert m.purity == pytest.approx(1.0, abs=1e-12)
         assert m.norm == pytest.approx(1.0, abs=1e-15)
 
     def test_bell_peak_point(self):
-        from magbattery import AmplitudeState
         a = AmplitudeState(1.0, np.array(BELL_PEAK))
         m = sample_metrics(a, SystemParams())
         assert m.coherence == pytest.approx(0.0, abs=1e-15)
@@ -211,8 +211,8 @@ class TestSampleMetrics:
             traj = evolve(draw_params(rng), np.linspace(0, 10, 40))
             p = draw_params(rng)
             for mode in MODES:
-                for s in traj:
-                    m = sample_metrics(s, p, mode)
+                for t, c in zip(traj.times, traj.amplitudes):
+                    m = sample_metrics(AmplitudeState(t, c), p, mode)
                     assert 0.0 <= m.ergotropy <= m.energy + 1e-10
                     assert 0.0 <= m.purity <= 1 + 1e-12
 
@@ -223,10 +223,10 @@ class TestSampleMetrics:
         traj = evolve(p, np.arange(0, 20.0 + 1e-9, 0.01))
         e = stored_energy_series(traj.amplitudes, p.omega_q)
         k = int(np.argmax(e))
-        rho = battery_density(traj[k]).matrix
+        rho = battery_density(traj.amplitudes[k]).matrix
         w = np.linalg.eigvalsh(rho)
         if w[:3].max() <= 1e-8:  # rank-1 within tolerance
-            m = sample_metrics(traj[k], p)
+            m = sample_metrics(AmplitudeState(traj.times[k], traj.amplitudes[k]), p)
             assert m.ergotropy == pytest.approx(m.energy, abs=1e-8)
 
 

@@ -1,4 +1,4 @@
-"""Parameter container, detuning/frame-shift arithmetic, evolution matrix."""
+"""Parameter container, detuning arithmetic, frame frequencies, evolution matrix."""
 
 import dataclasses
 
@@ -7,11 +7,10 @@ import pytest
 
 from magbattery import (
     Detunings,
-    FrameShifts,
     SystemParams,
     build_evolution_matrix,
     derive_detunings,
-    derive_frame_shifts,
+    frame_frequencies,
 )
 
 
@@ -42,6 +41,15 @@ class TestSystemParams:
         with pytest.raises(ValueError):
             SystemParams(omega_a=bad)
 
+    def test_numpy_scalars_stored_as_floats(self):
+        p = SystemParams(omega_a=np.float64(0.5), g_a=np.int64(2))
+        assert type(p.omega_a) is float and type(p.g_a) is float
+        assert (p.omega_a, p.g_a) == (0.5, 2.0)
+
+    def test_non_number_rejected(self):
+        with pytest.raises(TypeError):
+            SystemParams(g_a="1")
+
     def test_from_detunings_round_trip(self, rng):
         for _ in range(100):
             d = Detunings(*rng.uniform(-3, 3, 3))
@@ -71,35 +79,6 @@ class TestDeriveDetunings:
         assert derive_detunings(p) == Detunings(-1.0, 0.0, 0.0)
 
 
-class TestDeriveFrameShifts:
-    def test_resonant(self):
-        assert derive_frame_shifts(Detunings(0, 0, 0)) == FrameShifts(0, 0, 0, 0)
-
-    # The expected shifts follow from the identities Delta_2 = Delta_1 + d2,
-    # Delta_3 = Delta_2 + d1, Delta_4 = Delta_1 - d3 with the gauge
-    # Delta_1 = 2 d3 - d2.  Their sign is fixed independently of the frame
-    # algebra by test_propagator.py::TestShellHamiltonianOracle, which checks
-    # the populations against expm of the Hamiltonian built from the omegas.
-
-    def test_unit_detunings(self):
-        f = derive_frame_shifts(Detunings(1, 1, 1))
-        assert (f.Delta_1, f.Delta_2, f.Delta_3, f.Delta_4) == (1.0, 2.0, 3.0, 0.0)
-
-    def test_middle_detuning_only(self):
-        f = derive_frame_shifts(Detunings(0, 2, 0))
-        assert (f.Delta_1, f.Delta_2, f.Delta_3, f.Delta_4) == (-2.0, 0.0, 0.0, -2.0)
-
-    def test_phase_matching_identities(self, rng):
-        # Delta_2 = Delta_1 + d2, Delta_3 = Delta_2 + d1, Delta_4 = Delta_1 - d3
-        # for 1000 random draws (sign checked by TestShellHamiltonianOracle)
-        for _ in range(1000):
-            d = Detunings(*rng.uniform(-5, 5, 3))
-            f = derive_frame_shifts(d)
-            assert abs(f.Delta_2 - (f.Delta_1 + d.delta_2)) < 1e-12
-            assert abs(f.Delta_3 - (f.Delta_2 + d.delta_1)) < 1e-12
-            assert abs(f.Delta_4 - (f.Delta_1 - d.delta_3)) < 1e-12
-
-
 class TestEvolutionMatrix:
     def test_all_zero(self):
         p = SystemParams(omega_a=0, omega_b=0, omega_m=0, omega_q=0,
@@ -115,6 +94,12 @@ class TestEvolutionMatrix:
         expect[0, 3] = 2.0
         expect[3, 0] = 1.0
         np.testing.assert_allclose(a, expect, atol=0)
+
+    def test_diagonal_is_frame_frequencies(self):
+        # omegas 3, 2, 1 for photon, magnon, phonon and 4 for the atoms
+        p = SystemParams(omega_m=1, omega_b=2, omega_a=3, omega_q=4)
+        np.testing.assert_array_equal(frame_frequencies(p), [-1.0, -2.0, -3.0, 0.0])
+        np.testing.assert_array_equal(np.diag(build_evolution_matrix(p)), frame_frequencies(p))
 
     def test_decay_enters_diagonal(self):
         p = SystemParams.from_detunings(1, 1, 1, g_a=0, g_b=0, lam=0, kappa_a=2.0)
@@ -139,7 +124,6 @@ class TestEvolutionMatrix:
         for _ in range(200):
             p = draw_params(rng)
             a = build_evolution_matrix(p)
-            f = derive_frame_shifts(derive_detunings(p))
             rates = p.kappa_a + p.kappa_b + p.kappa_m + p.gamma
-            want = -np.sum(f.as_array()) - 0.5j * rates
+            want = np.sum(frame_frequencies(p)) - 0.5j * rates
             assert abs(np.trace(a) - want) < 1e-10

@@ -1,4 +1,4 @@
-"""Matrix exponential, frame transforms, trajectory generation, RK oracle.
+"""Matrix exponential, trajectory generation, RK oracle, shell-Hamiltonian oracle.
 
 The series-summation exponential oracle lives here, in the tests, so the
 production Pade route and the verification route stay independent.
@@ -11,17 +11,13 @@ import pytest
 
 from magbattery import (
     DEFAULT_INITIAL,
-    FrameShifts,
     SystemParams,
     build_evolution_matrix,
-    derive_detunings,
-    derive_frame_shifts,
     evolve,
+    frame_frequencies,
     matrix_exponential,
     oracle_integrate,
     physical_norm,
-    propagate,
-    z_to_c,
 )
 
 RABI = SystemParams(g_a=0.0, g_b=0.0, lam=1.0)  # resonant two-level reduction
@@ -35,6 +31,11 @@ def expm_series(m, terms=80):
         term = term @ m / k
         out = out + term
     return out
+
+
+def rotated(a, z0, t):
+    """exp(-i A t) z0: the rotated-frame solution for the constant matrix A."""
+    return matrix_exponential(-1j * t * a) @ np.asarray(z0, dtype=complex)
 
 
 class TestMatrixExponential:
@@ -86,24 +87,19 @@ class TestMatrixExponential:
         with pytest.raises(ValueError):
             matrix_exponential(np.zeros((3, 4)))
 
+    # properties of the rotated-frame solution exp(-i A t) z0
 
-class TestPropagate:
     def test_t_zero_identity(self, rng, draw_params):
         for _ in range(20):
             a = build_evolution_matrix(draw_params(rng))
             z0 = rng.normal(size=4) + 1j * rng.normal(size=4)
-            np.testing.assert_allclose(propagate(a, z0, 0.0), z0, atol=1e-15)
+            np.testing.assert_allclose(rotated(a, z0, 0.0), z0, atol=1e-15)
 
     def test_rabi_quarter_period(self):
         a = build_evolution_matrix(RABI)
-        z = propagate(a, DEFAULT_INITIAL, math.pi / (2 * math.sqrt(2)))
+        z = rotated(a, DEFAULT_INITIAL, math.pi / (2 * math.sqrt(2)))
         assert abs(z[0]) < 1e-8
         assert abs(z[3] - (-1j / math.sqrt(2))) < 1e-8
-
-    def test_negative_time_rejected(self):
-        a = build_evolution_matrix(RABI)
-        with pytest.raises(ValueError):
-            propagate(a, DEFAULT_INITIAL, -0.1)
 
     def test_linearity(self, rng, draw_params):
         for _ in range(50):
@@ -112,8 +108,8 @@ class TestPropagate:
             v = rng.normal(size=4) + 1j * rng.normal(size=4)
             al, be = rng.normal(size=2)
             t = rng.uniform(0, 5)
-            lhs = propagate(a, al * u + be * v, t)
-            rhs = al * propagate(a, u, t) + be * propagate(a, v, t)
+            lhs = rotated(a, al * u + be * v, t)
+            rhs = al * rotated(a, u, t) + be * rotated(a, v, t)
             np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
     def test_semigroup(self, rng, draw_params):
@@ -121,28 +117,9 @@ class TestPropagate:
             a = build_evolution_matrix(draw_params(rng))
             z = rng.normal(size=4) + 1j * rng.normal(size=4)
             s, t = rng.uniform(0, 3, 2)
-            lhs = propagate(a, z, s + t)
-            rhs = propagate(a, propagate(a, z, s), t)
+            lhs = rotated(a, z, s + t)
+            rhs = rotated(a, rotated(a, z, s), t)
             np.testing.assert_allclose(lhs, rhs, atol=1e-10)
-
-
-class TestZToC:
-    def test_t_zero(self, rng):
-        z = rng.normal(size=4) + 1j * rng.normal(size=4)
-        f = FrameShifts(1.0, -0.5, 2.0, 0.0)
-        np.testing.assert_array_equal(z_to_c(z, f, 0.0), z)
-
-    def test_unit_phase_rotation(self):
-        f = FrameShifts(1.0, 0.0, -1.0, 0.0)
-        c = z_to_c(np.ones(4, dtype=complex), f, math.pi)
-        np.testing.assert_allclose(c, [-1, 1, -1, 1], atol=1e-12)
-
-    def test_modulus_preserved(self, rng):
-        for _ in range(100):
-            z = rng.normal(size=4) + 1j * rng.normal(size=4)
-            f = FrameShifts(*rng.uniform(-4, 4, 4))
-            t = rng.uniform(0, 10)
-            np.testing.assert_allclose(np.abs(z_to_c(z, f, t)), np.abs(z), atol=1e-12)
 
 
 class TestEvolve:
@@ -165,33 +142,33 @@ class TestEvolve:
 
     def test_initial_sample_is_initial_condition(self):
         traj = evolve(SystemParams(), [0.0, 1.0])
-        np.testing.assert_array_equal(traj[0].c, DEFAULT_INITIAL)
-        assert traj[0].t == 0.0
+        np.testing.assert_array_equal(traj.amplitudes[0], DEFAULT_INITIAL)
+        assert traj.times[0] == 0.0
 
-    def test_uniform_fast_path_matches_pointwise(self, rng, draw_params):
-        # repeated-multiplication reuse on uniform grids vs the contract path
-        p = draw_params(rng)
+    @staticmethod
+    def pointwise(p, tk):
+        # one exponential straight from t = 0, rotated back at the frame frequencies
         a = build_evolution_matrix(p)
-        f = derive_frame_shifts(derive_detunings(p))
+        return rotated(a, DEFAULT_INITIAL, tk) * np.exp(1j * tk * frame_frequencies(p))
+
+    def test_uniform_grid_matches_pointwise(self, rng, draw_params):
+        # one reused step exponential on a uniform grid vs one exponential per point
+        p = draw_params(rng)
         t = np.arange(0, 5.0 + 1e-12, 0.05)
         traj = evolve(p, t)
         for k in (1, 37, 60, len(t) - 1):
-            want = z_to_c(propagate(a, DEFAULT_INITIAL, t[k]), f, t[k])
-            np.testing.assert_allclose(traj.amplitudes[k], want, atol=1e-11)
+            np.testing.assert_allclose(traj.amplitudes[k], self.pointwise(p, t[k]), atol=1e-11)
 
     def test_nonuniform_grid(self, rng, draw_params):
         p = draw_params(rng)
-        a = build_evolution_matrix(p)
-        f = derive_frame_shifts(derive_detunings(p))
         t = np.array([0.0, 0.3, 1.0, 2.5, 2.6])
         traj = evolve(p, t)
         for k, tk in enumerate(t):
-            want = z_to_c(propagate(a, DEFAULT_INITIAL, tk), f, tk)
-            np.testing.assert_allclose(traj.amplitudes[k], want, atol=1e-12)
+            np.testing.assert_allclose(traj.amplitudes[k], self.pointwise(p, tk), atol=1e-12)
 
     def test_initial_override(self):
         traj = evolve(SystemParams(), [0.0, 0.5], initial=(0, 1, 0, 0))
-        np.testing.assert_array_equal(traj[0].c, [0, 1, 0, 0])
+        np.testing.assert_array_equal(traj.amplitudes[0], [0, 1, 0, 0])
 
     @pytest.mark.parametrize("grid", [[], [1.0, 0.5], [0.0, 0.0, 1.0], [-1.0, 0.0]])
     def test_bad_grids_rejected(self, grid):
@@ -201,15 +178,22 @@ class TestEvolve:
     def test_trajectory_container(self):
         t = np.linspace(0, 1, 11)
         traj = evolve(SystemParams(), t)
-        assert len(traj) == 11
-        assert [s.t for s in traj] == list(t)
-        assert traj[3].norm == pytest.approx(physical_norm(traj.amplitudes[3]))
+        np.testing.assert_array_equal(traj.times, t)
+        assert traj.amplitudes.shape == (11, 4)
+        assert traj.norms()[3] == pytest.approx(physical_norm(traj.amplitudes[3]))
+
+    def test_step_exponential_needs_at_most_22_squarings(self):
+        # |A|_inf = g_a + 2 lam here, so dt |A|_inf is 2**21 (22 squarings),
+        # then 2**21 + 2 (23 squarings)
+        evolve(SystemParams(g_a=2.0**21 - 2.0), [0.0, 1.0])
+        with pytest.raises(ValueError, match=r"one-step exponential .* dt = 1:"):
+            evolve(SystemParams(g_a=2.0**21), [0.0, 1.0])
 
 
 class TestOracleIntegrate:
     def test_t_zero_exact(self):
         traj = oracle_integrate(SystemParams(), [0.0, 0.1])
-        np.testing.assert_array_equal(traj[0].c, DEFAULT_INITIAL)
+        np.testing.assert_array_equal(traj.amplitudes[0], DEFAULT_INITIAL)
 
     def test_rabi_closed_form(self):
         t = np.linspace(0, 3, 31)
@@ -272,10 +256,18 @@ class TestShellHamiltonianOracle:
             kappa_a=0.3, kappa_b=0.1, kappa_m=0.2, gamma=0.4),
     }
 
+    GRIDS = {
+        "uniform": np.linspace(0.0, 5.0, 11),
+        # a first step from t = 0 to t0 > 0, then steps that repeat (one
+        # reused exponential) and change (a fresh one)
+        "from_t0": np.array([0.7, 1.2, 1.7, 2.2, 2.5, 2.8, 3.1, 4.0]),
+    }
+
+    @pytest.mark.parametrize("grid", sorted(GRIDS))
     @pytest.mark.parametrize("name", sorted(CASES))
-    def test_both_routes(self, name):
+    def test_both_routes(self, name, grid):
         p = self.CASES[name]
-        t = np.linspace(0.0, 5.0, 11)
+        t = self.GRIDS[grid]
         want = shell_populations(p, t)
         for route in (evolve, oracle_integrate):
             got = np.abs(route(p, t).amplitudes) ** 2

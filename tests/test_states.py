@@ -79,7 +79,7 @@ class TestChargerDensity:
 
     def test_no_coherence_to_vacuum(self, rng, draw_params):
         traj = random_trajectory(rng, draw_params)
-        for s in traj:
+        for s in traj.amplitudes:
             rho = charger_density(s).matrix
             np.testing.assert_allclose(rho[3, :3], 0.0, atol=0)
             np.testing.assert_allclose(rho[:3, 3], 0.0, atol=0)
@@ -89,8 +89,8 @@ class TestInvariants:
     def test_hermitian_psd_and_traces(self, rng, draw_params):
         for _ in range(10):
             traj = random_trajectory(rng, draw_params)
-            for s in traj:
-                n = physical_norm(s.c)
+            for s in traj.amplitudes:
+                n = physical_norm(s)
                 for build in (battery_density, charger_density):
                     pap = build(s, "paper").matrix
                     rep = build(s, "trace_repaired").matrix
@@ -102,7 +102,7 @@ class TestInvariants:
 
     def test_modes_coincide_without_dissipation(self, rng):
         p = SystemParams.from_detunings(1, 1, 1)
-        for s in evolve(p, np.linspace(0, 10, 50)):
+        for s in evolve(p, np.linspace(0, 10, 50)).amplitudes:
             for build in (battery_density, charger_density):
                 np.testing.assert_allclose(
                     build(s, "paper").matrix,
@@ -110,7 +110,7 @@ class TestInvariants:
 
     def test_one_excitation_block_rank_one(self, rng, draw_params):
         traj = random_trajectory(rng, draw_params)
-        for s in traj:
+        for s in traj.amplitudes:
             block = charger_density(s).matrix[:3, :3]
             w = np.linalg.eigvalsh(block)
             assert w[:2].max() <= 1e-12  # only the top eigenvalue may be nonzero

@@ -262,5 +262,5 @@ class TestTimeSeries:
             table = time_series(p, t, mode)
             assert table.shape == (len(t), 6)
             np.testing.assert_array_equal(table[:, COLUMN["t"]], t)
-            want = [oracle_metrics(s.c, p.omega_q, mode) for s in traj]
+            want = [oracle_metrics(c, p.omega_q, mode) for c in traj.amplitudes]
             np.testing.assert_allclose(table[:, 1:], want, rtol=0, atol=1e-12)
