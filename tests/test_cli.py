@@ -160,10 +160,10 @@ class TestDynamics:
 
     @pytest.mark.parametrize("overflow, cause", [
         (("--g_a", "1e200", "--t_max", "0.02"), "one-step exponential"),
+        (("--t_max", "1e300", "--dt", "1e-300"), "grid points"),
         (("--g_a", "1e12"), "one-step exponential"),
         (("--g_a", "1e20"), "one-step exponential"),
         (("--g_a", "1e308"), "one-step exponential"),
-        (("--t_max", "1e300", "--dt", "1e-300"), "grid points"),
         # refused before the grid is allocated (1e15 and 1e8 points)
         (("--t_max", "1e12", "--dt", "1e-3"), "grid points"),
         (("--t_max", "1e7", "--dt", "0.1"), "grid points"),

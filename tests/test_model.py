@@ -79,6 +79,41 @@ class TestDeriveDetunings:
         assert derive_detunings(p) == Detunings(-1.0, 0.0, 0.0)
 
 
+class TestDeriveFrameShifts:
+    # The frame shifts are `frame_frequencies`: every amplitude rotates at
+    # omega_q, so f = (omega_a, omega_b, omega_m, omega_q) - omega_q, i.e.
+    # f_a = -d3, f_b = f_a - d2, f_m = f_b - d1, f_q = 0 for parameters built
+    # from detunings.  Their sign is fixed independently of the frame algebra
+    # by test_propagator.py::TestShellHamiltonianOracle, which checks the
+    # populations against expm of the Hamiltonian built from the omegas.
+
+    def test_resonant(self):
+        for omega_q in (0.0, 1.0, -2.5):
+            p = SystemParams.from_detunings(0, 0, 0, omega_q=omega_q)
+            np.testing.assert_array_equal(frame_frequencies(p), [0.0, 0.0, 0.0, 0.0])
+
+    def test_unit_detunings(self):
+        f = frame_frequencies(SystemParams.from_detunings(1, 1, 1))
+        np.testing.assert_array_equal(f, [-1.0, -2.0, -3.0, 0.0])
+
+    def test_middle_detuning_only(self):
+        f = frame_frequencies(SystemParams.from_detunings(0, 2, 0))
+        np.testing.assert_array_equal(f, [0.0, -2.0, -2.0, 0.0])
+
+    def test_phase_matching_identities(self, rng):
+        # f_b = f_a - d2, f_m = f_b - d1, f_q = f_a + d3 = 0 for 1000 random
+        # draws (sign checked by TestShellHamiltonianOracle)
+        for _ in range(1000):
+            d = Detunings(*rng.uniform(-5, 5, 3))
+            p = SystemParams.from_detunings(
+                d.delta_1, d.delta_2, d.delta_3, omega_q=rng.uniform(-5, 5))
+            f_a, f_b, f_m, f_q = frame_frequencies(p)
+            assert f_q == 0.0
+            assert abs(f_b - (f_a - d.delta_2)) < 1e-12
+            assert abs(f_m - (f_b - d.delta_1)) < 1e-12
+            assert abs(f_q - (f_a + d.delta_3)) < 1e-12
+
+
 class TestEvolutionMatrix:
     def test_all_zero(self):
         p = SystemParams(omega_a=0, omega_b=0, omega_m=0, omega_q=0,

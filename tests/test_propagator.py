@@ -87,7 +87,9 @@ class TestMatrixExponential:
         with pytest.raises(ValueError):
             matrix_exponential(np.zeros((3, 4)))
 
-    # properties of the rotated-frame solution exp(-i A t) z0
+
+class TestPropagate:
+    """Propagation in the rotated frame: z(t) = exp(-i A t) z0."""
 
     def test_t_zero_identity(self, rng, draw_params):
         for _ in range(20):
@@ -100,6 +102,11 @@ class TestMatrixExponential:
         z = rotated(a, DEFAULT_INITIAL, math.pi / (2 * math.sqrt(2)))
         assert abs(z[0]) < 1e-8
         assert abs(z[3] - (-1j / math.sqrt(2))) < 1e-8
+
+    def test_negative_time_rejected(self):
+        # the production propagator never runs backwards in time
+        with pytest.raises(ValueError, match="t >= 0"):
+            evolve(RABI, [-0.1])
 
     def test_linearity(self, rng, draw_params):
         for _ in range(50):
@@ -120,6 +127,36 @@ class TestMatrixExponential:
             lhs = rotated(a, z, s + t)
             rhs = rotated(a, rotated(a, z, s), t)
             np.testing.assert_allclose(lhs, rhs, atol=1e-10)
+
+
+class TestZToC:
+    """`evolve` turns rotated-frame Z into C-frame C_n = Z_n exp(+i f_n t)."""
+
+    def test_t_zero(self, rng, draw_params):
+        # no rotation at t = 0, whatever the frame frequencies
+        for _ in range(20):
+            z = rng.normal(size=4) + 1j * rng.normal(size=4)
+            traj = evolve(draw_params(rng), [0.0], initial=z)
+            np.testing.assert_array_equal(traj.amplitudes[0], z)
+
+    def test_unit_phase_rotation(self):
+        # uncoupled and lossless with f = (1, 0, -1, 0): Z(pi/2) = (-i, 1, i, 1),
+        # and the rotation back by exp(+i f pi/2) returns every C_n to 1
+        p = SystemParams(omega_a=5, omega_b=4, omega_m=3, omega_q=4, g_a=0, g_b=0, lam=0)
+        np.testing.assert_array_equal(frame_frequencies(p), [1.0, 0.0, -1.0, 0.0])
+        z = rotated(build_evolution_matrix(p), np.ones(4), math.pi / 2)
+        np.testing.assert_allclose(z, [-1j, 1, 1j, 1], atol=1e-12)
+        traj = evolve(p, [0.0, math.pi / 2], initial=np.ones(4))
+        np.testing.assert_allclose(traj.amplitudes[1], np.ones(4), atol=1e-12)
+
+    def test_modulus_preserved(self, rng, draw_params):
+        for _ in range(100):
+            p = draw_params(rng)
+            z0 = rng.normal(size=4) + 1j * rng.normal(size=4)
+            t = rng.uniform(0, 10)
+            c = evolve(p, [0.0, t], initial=z0).amplitudes[1]
+            z = rotated(build_evolution_matrix(p), z0, t)
+            np.testing.assert_allclose(np.abs(c), np.abs(z), atol=1e-12)
 
 
 class TestEvolve:
@@ -151,7 +188,7 @@ class TestEvolve:
         a = build_evolution_matrix(p)
         return rotated(a, DEFAULT_INITIAL, tk) * np.exp(1j * tk * frame_frequencies(p))
 
-    def test_uniform_grid_matches_pointwise(self, rng, draw_params):
+    def test_uniform_fast_path_matches_pointwise(self, rng, draw_params):
         # one reused step exponential on a uniform grid vs one exponential per point
         p = draw_params(rng)
         t = np.arange(0, 5.0 + 1e-12, 0.05)
@@ -256,22 +293,23 @@ class TestShellHamiltonianOracle:
             kappa_a=0.3, kappa_b=0.1, kappa_m=0.2, gamma=0.4),
     }
 
-    GRIDS = {
-        "uniform": np.linspace(0.0, 5.0, 11),
-        # a first step from t = 0 to t0 > 0, then steps that repeat (one
-        # reused exponential) and change (a fresh one)
-        "from_t0": np.array([0.7, 1.2, 1.7, 2.2, 2.5, 2.8, 3.1, 4.0]),
-    }
-
-    @pytest.mark.parametrize("grid", sorted(GRIDS))
-    @pytest.mark.parametrize("name", sorted(CASES))
-    def test_both_routes(self, name, grid):
-        p = self.CASES[name]
-        t = self.GRIDS[grid]
+    @staticmethod
+    def check_both_routes(p, t):
         want = shell_populations(p, t)
         for route in (evolve, oracle_integrate):
             got = np.abs(route(p, t).amplitudes) ** 2
             assert np.abs(got - want).max() <= 1e-10, route.__name__
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_both_routes(self, name):
+        self.check_both_routes(self.CASES[name], np.linspace(0.0, 5.0, 11))
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_both_routes_from_t0(self, name):
+        # a first step from t = 0 to t0 > 0, then steps that repeat (one
+        # reused exponential) and change (a fresh one)
+        t = np.array([0.7, 1.2, 1.7, 2.2, 2.5, 2.8, 3.1, 4.0])
+        self.check_both_routes(self.CASES[name], t)
 
     def test_random_draws(self, rng):
         # detunings of both signs, half the draws lossy, random initial shell state
