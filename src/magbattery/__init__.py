@@ -46,7 +46,7 @@ from .metrics import (
 from .sweeps import (
     VarySpec,
     GridResult,
-    apply_parameter,
+    apply_parameters,
     time_grid,
     time_series,
     panel_sweep,
@@ -87,7 +87,7 @@ __all__ = [
     "ergotropy_series",
     "VarySpec",
     "GridResult",
-    "apply_parameter",
+    "apply_parameters",
     "time_grid",
     "time_series",
     "panel_sweep",

@@ -18,10 +18,12 @@ import json
 import sys
 
 from .metrics import METRIC_NAMES
-from .model import SystemParams, derive_detunings
+from .model import SystemParams
 from .states import AccountingMode
 from .sweeps import (
+    PARAMETER_NAMES,
     VarySpec,
+    apply_parameters,
     max_ergotropy_grid,
     optimal_time_sweep,
     panel_sweep,
@@ -31,38 +33,16 @@ from .sweeps import (
 
 __all__ = ["main"]
 
-_PARAM_KEYS = (
-    "omega_a",
-    "omega_b",
-    "omega_m",
-    "omega_q",
-    "delta_1",
-    "delta_2",
-    "delta_3",
-    "g_a",
-    "g_b",
-    "lambda",
-    "kappa_a",
-    "kappa_b",
-    "kappa_m",
-    "gamma",
+_OMEGA_KEYS = ("omega_a", "omega_b", "omega_m", "omega_q")
+_VARY_SUFFIXES = ("values", "min", "max", "count")
+_SWEEP_KEYS = tuple(
+    key
+    for prefix in ("vary", "vary2")
+    for key in (prefix, *(f"{prefix}_{suffix}" for suffix in _VARY_SUFFIXES))
 )
-_TIME_KEYS = ("t_max", "dt")
-_SWEEP_KEYS = (
-    "vary",
-    "vary_values",
-    "vary_min",
-    "vary_max",
-    "vary_count",
-    "vary2",
-    "vary2_values",
-    "vary2_min",
-    "vary2_max",
-    "vary2_count",
-)
-_ALL_KEYS = frozenset(_PARAM_KEYS + _TIME_KEYS + _SWEEP_KEYS + ("mode",))
-
-_DELTA_KEYS = ("delta_1", "delta_2", "delta_3")
+_ALL_KEYS = frozenset(
+    _OMEGA_KEYS + PARAMETER_NAMES + ("t_max", "dt", "mode") + _SWEEP_KEYS
+) - {"kappa_all"}
 
 _DEFAULTS = {
     "omega_a": "1",
@@ -149,41 +129,15 @@ def _as_int(cfg: dict[str, str], key: str) -> int:
 
 def build_params(cfg: dict[str, str]) -> SystemParams:
     """SystemParams from resolved config; direct detunings beat the omegas."""
-    rates = {
-        "g_a": _as_float(cfg, "g_a"),
-        "g_b": _as_float(cfg, "g_b"),
-        "lam": _as_float(cfg, "lambda"),
-        "kappa_a": _as_float(cfg, "kappa_a"),
-        "kappa_b": _as_float(cfg, "kappa_b"),
-        "kappa_m": _as_float(cfg, "kappa_m"),
-        "gamma": _as_float(cfg, "gamma"),
-    }
-    from_omegas = SystemParams(
-        omega_a=_as_float(cfg, "omega_a"),
-        omega_b=_as_float(cfg, "omega_b"),
-        omega_m=_as_float(cfg, "omega_m"),
-        omega_q=_as_float(cfg, "omega_q"),
-        **rates,
-    )
-    if not any(key in cfg for key in _DELTA_KEYS):
-        return from_omegas
-    derived = derive_detunings(from_omegas)
-    deltas = {
-        key: (_as_float(cfg, key) if key in cfg else getattr(derived, key))
-        for key in _DELTA_KEYS
-    }
-    return SystemParams.from_detunings(
-        deltas["delta_1"],
-        deltas["delta_2"],
-        deltas["delta_3"],
-        omega_q=from_omegas.omega_q,
-        **rates,
+    omegas = SystemParams(**{key: _as_float(cfg, key) for key in _OMEGA_KEYS})
+    return apply_parameters(
+        omegas, {key: _as_float(cfg, key) for key in PARAMETER_NAMES if key in cfg}
     )
 
 
 def build_vary(cfg: dict[str, str], prefix: str) -> VarySpec | None:
     """VarySpec from `<prefix>` + `<prefix>_values` or `<prefix>_min/_max/_count`."""
-    spec_keys = [f"{prefix}_{suffix}" for suffix in ("values", "min", "max", "count")]
+    spec_keys = [f"{prefix}_{suffix}" for suffix in _VARY_SUFFIXES]
     if prefix not in cfg:
         given = [k for k in spec_keys if k in cfg]
         if given:

@@ -62,12 +62,12 @@ class SystemParams:
     gamma: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in dataclasses.asdict(self):
-            value = getattr(self, name)
+        for field in dataclasses.fields(self):
+            value = getattr(self, field.name)
             if not np.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
+                raise ValueError(f"{field.name} must be finite, got {value!r}")
             # Python floats keep scalar arithmetic (the RK4 oracle) fast
-            object.__setattr__(self, name, float(value))
+            object.__setattr__(self, field.name, float(value))
         for name in _COUPLING_FIELDS:
             if getattr(self, name) < 0:
                 raise ValueError(f"coupling {name} must be >= 0")

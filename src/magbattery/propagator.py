@@ -39,18 +39,19 @@ DEFAULT_INITIAL = (1.0 + 0.0j, 0.0j, 0.0j, 0.0j)
 # Largest dt * |A|_inf a step exponential may take: more would need over 22
 # squarings, and 2**22 * eps ~ 1e-9 is the whole norm-conservation budget.
 _MAX_STEP_NORM = 2.0**21
+# Rise of the physical norm left to roundoff: `evolve` refuses a larger rise
+# relative to the norm at t = 0, states and metrics a norm above 1 + this.
+_NORM_SLACK = 1e-9
 
 
-def physical_norm(c: Sequence[complex] | np.ndarray) -> float:
-    """Survival probability |C1|^2 + |C2|^2 + |C3|^2 + 2|C4|^2.
+def physical_norm(c: Sequence[complex] | np.ndarray) -> np.ndarray:
+    """Survival probability |C1|^2 + |C2|^2 + |C3|^2 + 2|C4|^2 of (..., 4) amplitudes.
 
     C4 is counted twice because it stands for both degenerate single-atom
     excitations.  Conserved without decay, non-increasing with decay.
     """
-    c = np.asarray(c)
-    return float(
-        abs(c[0]) ** 2 + abs(c[1]) ** 2 + abs(c[2]) ** 2 + 2.0 * abs(c[3]) ** 2
-    )
+    p = np.abs(np.asarray(c)) ** 2
+    return p[..., 0] + p[..., 1] + p[..., 2] + 2.0 * p[..., 3]
 
 
 @dataclass(frozen=True)
@@ -73,13 +74,7 @@ class Trajectory:
     amplitudes: np.ndarray
 
     def norms(self) -> np.ndarray:
-        c = self.amplitudes
-        return (
-            np.abs(c[:, 0]) ** 2
-            + np.abs(c[:, 1]) ** 2
-            + np.abs(c[:, 2]) ** 2
-            + 2.0 * np.abs(c[:, 3]) ** 2
-        )
+        return physical_norm(self.amplitudes)
 
 
 def matrix_exponential(m: np.ndarray) -> np.ndarray:
@@ -152,11 +147,12 @@ def evolve(
     In the frame that turns at omega_q the evolution matrix A is constant:
     Z(t_k) = exp(-i A h_k) Z(t_{k-1}) with h = diff(t, prepend=0), and a step
     within 1e-12 of the previous one reuses its exponential, so a uniform
-    grid costs one and its accumulated error stays around T*eps, far below
-    the 1e-9 norm-conservation budget.  C_n = Z_n exp(+i f_n t) with
-    f = `frame_frequencies`.  A step exponential that would need more than
-    22 squarings is refused.  `initial` (amplitudes at t=0) is an override
-    hook for testing only.
+    grid costs one.  C_n = Z_n exp(+i f_n t) with f = `frame_frequencies`.
+    Refused: a step exponential that would need more than 22 squarings, and
+    a trajectory whose physical norm rises more than 1e-9 (relative) above
+    its t = 0 value, as the roundoff of a step exponential with many
+    squarings does when T steps compound it.  `initial` (amplitudes at t=0)
+    is an override hook for testing only.
     """
     t = _validated_grid(t_grid)
     a = build_evolution_matrix(p)
@@ -169,12 +165,21 @@ def evolve(
         )
     z = np.empty((t.size, 4), dtype=complex)
     zk = _initial_vector(initial)
+    limit = float(physical_norm(zk)) * (1.0 + _NORM_SLACK)
     h_step, step = 0.0, np.eye(4)  # a zero first step costs no exponential
     for k, h in enumerate(steps.tolist()):
         if abs(h - h_step) > 1e-15 + 1e-12 * h_step:
             h_step, step = h, matrix_exponential(-1j * h * a)
         z[k] = zk = step @ zk
-    return Trajectory(times=t, amplitudes=z * np.exp(1j * t[:, None] * frame_frequencies(p)))
+    c = z * np.exp(1j * t[:, None] * frame_frequencies(p))
+    peak = float(physical_norm(c).max())
+    if not peak <= limit:
+        raise ValueError(
+            f"one-step exponential exp(-i A dt) lost precision over "
+            f"{np.count_nonzero(steps)} steps of dt = {dt:g}: the physical norm "
+            f"rose to {peak!r}, more than 1e-9 (relative) above its value at t = 0"
+        )
+    return Trajectory(times=t, amplitudes=c)
 
 
 def oracle_integrate(

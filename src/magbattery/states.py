@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .propagator import AmplitudeState, physical_norm
+from .propagator import _NORM_SLACK, AmplitudeState, physical_norm
 
 __all__ = [
     "AccountingMode",
@@ -34,8 +34,6 @@ __all__ = [
 
 BATTERY_BASIS = ("gg", "eg", "ge", "ee")
 CHARGER_BASIS = ("100", "010", "001", "000")
-
-_NORM_SLACK = 1e-9
 
 
 class AccountingMode(str, Enum):

@@ -9,7 +9,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -22,7 +22,7 @@ __all__ = [
     "PARAMETER_NAMES",
     "VarySpec",
     "GridResult",
-    "apply_parameter",
+    "apply_parameters",
     "time_grid",
     "time_series",
     "panel_sweep",
@@ -40,61 +40,46 @@ _PEAK_TIE_TOL = 1e-9
 # a larger grid is refused before anything is allocated
 MAX_TIME_POINTS = 10**6
 
-PARAMETER_NAMES = (
-    "lambda",
-    "g_a",
-    "g_b",
-    "delta_1",
-    "delta_2",
-    "delta_3",
-    "gamma",
-    "kappa_all",
-    "kappa_a",
-    "kappa_b",
-    "kappa_m",
-)
-
-_DIRECT_FIELDS = {
-    "lambda": "lam",
-    "g_a": "g_a",
-    "g_b": "g_b",
-    "gamma": "gamma",
-    "kappa_a": "kappa_a",
-    "kappa_b": "kappa_b",
-    "kappa_m": "kappa_m",
+# Every swept or configured parameter name and the SystemParams fields it
+# sets; the detunings (None) set the omegas through `from_detunings`.
+_FIELDS = {
+    "lambda": ("lam",),
+    "g_a": ("g_a",),
+    "g_b": ("g_b",),
+    "delta_1": None,
+    "delta_2": None,
+    "delta_3": None,
+    "gamma": ("gamma",),
+    "kappa_all": ("kappa_a", "kappa_b", "kappa_m"),
+    "kappa_a": ("kappa_a",),
+    "kappa_b": ("kappa_b",),
+    "kappa_m": ("kappa_m",),
 }
+PARAMETER_NAMES = tuple(_FIELDS)
 
-_DELTA_NAMES = ("delta_1", "delta_2", "delta_3")
 
+def apply_parameters(base: SystemParams, values: Mapping[str, float]) -> SystemParams:
+    """Return a copy of `base` with the named parameters substituted at once.
 
-def apply_parameter(base: SystemParams, name: str, value: float) -> SystemParams:
-    """Return a copy of `base` with one swept parameter substituted.
-
-    `kappa_all` sets the three field decay rates together; detunings are
-    substituted holding the other two detunings and omega_q fixed.
+    Direct fields and `kappa_all` (the three field decay rates together) go in
+    one replace, where a later name wins over an earlier one that sets the
+    same field.  The named detunings are substituted together, holding the
+    others and omega_q fixed.
     """
-    if name in _DIRECT_FIELDS:
-        return dataclasses.replace(base, **{_DIRECT_FIELDS[name]: value})
-    if name == "kappa_all":
-        return dataclasses.replace(base, kappa_a=value, kappa_b=value, kappa_m=value)
-    if name in _DELTA_NAMES:
-        d = derive_detunings(base)
-        deltas = dict(zip(_DELTA_NAMES, (d.delta_1, d.delta_2, d.delta_3)))
-        deltas[name] = value
-        return SystemParams.from_detunings(
-            deltas["delta_1"],
-            deltas["delta_2"],
-            deltas["delta_3"],
-            omega_q=base.omega_q,
-            g_a=base.g_a,
-            g_b=base.g_b,
-            lam=base.lam,
-            kappa_a=base.kappa_a,
-            kappa_b=base.kappa_b,
-            kappa_m=base.kappa_m,
-            gamma=base.gamma,
-        )
-    raise ValueError(f"unknown sweep parameter {name!r}")
+    fields: dict[str, float] = {}
+    deltas: dict[str, float] = {}
+    for name, value in values.items():
+        if name not in _FIELDS:
+            raise ValueError(f"unknown sweep parameter {name!r}")
+        if _FIELDS[name] is None:
+            deltas[name] = value
+        else:
+            fields.update(dict.fromkeys(_FIELDS[name], value))
+    p = dataclasses.replace(base, **fields) if fields else base
+    if not deltas:
+        return p
+    held = {k: v for k, v in vars(p).items() if k not in ("omega_a", "omega_b", "omega_m")}
+    return SystemParams.from_detunings(**{**vars(derive_detunings(p)), **deltas}, **held)
 
 
 @dataclass(frozen=True)
@@ -178,7 +163,7 @@ def panel_sweep(
     """One independent `time_series` table per swept value, in the given order."""
     mode = _coerce_mode(mode)
     return [
-        (v, time_series(apply_parameter(base, vary.parameter_name, v), t_grid, mode))
+        (v, time_series(apply_parameters(base, {vary.parameter_name: v}), t_grid, mode))
         for v in vary.values
     ]
 
@@ -200,11 +185,7 @@ def max_ergotropy_grid(
     t = np.asarray(t_grid, dtype=float)
 
     def cell(xv: float, yv: float) -> float:
-        p = apply_parameter(
-            apply_parameter(base, vary_y.parameter_name, yv),
-            vary_x.parameter_name,
-            xv,
-        )
+        p = apply_parameters(base, {vary_y.parameter_name: yv, vary_x.parameter_name: xv})
         traj = evolve(p, t)
         return float(ergotropy_series(traj.amplitudes, p.omega_q, mode).max())
 
@@ -259,7 +240,7 @@ def optimal_time_sweep(
     out = []
     for v in vary.values:
         tau, e_max = optimal_charging_time(
-            apply_parameter(base, vary.parameter_name, v), t_grid, mode
+            apply_parameters(base, {vary.parameter_name: v}), t_grid, mode
         )
         out.append((v, tau, e_max))
     return out

@@ -9,8 +9,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from magbattery.cli import main
+from magbattery import SystemParams
+from magbattery.cli import build_params, main
 
 
 def run(capsys, *argv):
@@ -96,6 +98,31 @@ dt = 0.5
                            "--omega_q", "4")
         assert direct == ladder
 
+    # at the default 100 examples, substituting the detunings one at a time
+    # passes too; its last-bit differences need more draws
+    @settings(max_examples=300)
+    @given(
+        omegas=st.tuples(*[st.floats(-10.0, 10.0)] * 4),
+        rates=st.tuples(*[st.floats(0.0, 5.0)] * 7),
+        deltas=st.dictionaries(st.sampled_from(("delta_1", "delta_2", "delta_3")),
+                               st.floats(-5.0, 5.0)),
+    )
+    def test_build_params_substitutes_detunings_together(self, omegas, rates, deltas):
+        # given detunings replace the ones the omegas imply, all in one step
+        om_a, om_b, om_m, om_q = omegas
+        rate_fields = dict(zip(("g_a", "g_b", "lam", "kappa_a", "kappa_b", "kappa_m", "gamma"),
+                               rates))
+        cfg = dict(zip(("omega_a", "omega_b", "omega_m", "omega_q", "g_a", "g_b", "lambda",
+                        "kappa_a", "kappa_b", "kappa_m", "gamma"), map(repr, omegas + rates)))
+        cfg.update({key: repr(value) for key, value in deltas.items()})
+        if deltas:
+            d = {"delta_1": om_b - om_m, "delta_2": om_a - om_b, "delta_3": om_q - om_a}
+            d.update(deltas)
+            want = SystemParams.from_detunings(**d, omega_q=om_q, **rate_fields)
+        else:
+            want = SystemParams(om_a, om_b, om_m, om_q, **rate_fields)
+        assert build_params(cfg) == want
+
     def test_unknown_subcommand(self, capsys):
         assert run(capsys, "frobnicate")[0] == 2
 
@@ -159,17 +186,21 @@ class TestDynamics:
                 assert g == pytest.approx(w, rel=1e-11, abs=1e-11)
 
     @pytest.mark.parametrize("overflow, cause", [
-        (("--g_a", "1e200", "--t_max", "0.02"), "one-step exponential"),
-        (("--t_max", "1e300", "--dt", "1e-300"), "grid points"),
-        (("--g_a", "1e12"), "one-step exponential"),
-        (("--g_a", "1e20"), "one-step exponential"),
-        (("--g_a", "1e308"), "one-step exponential"),
+        (("dynamics", "--g_a", "1e200", "--t_max", "0.02"), "one-step exponential"),
+        (("dynamics", "--t_max", "1e300", "--dt", "1e-300"), "grid points"),
+        (("dynamics", "--g_a", "1e12"), "one-step exponential"),
+        (("dynamics", "--g_a", "1e20"), "one-step exponential"),
+        (("dynamics", "--g_a", "1e308"), "one-step exponential"),
         # refused before the grid is allocated (1e15 and 1e8 points)
-        (("--t_max", "1e12", "--dt", "1e-3"), "grid points"),
-        (("--t_max", "1e7", "--dt", "0.1"), "grid points"),
+        (("dynamics", "--t_max", "1e12", "--dt", "1e-3"), "grid points"),
+        (("dynamics", "--t_max", "1e7", "--dt", "0.1"), "grid points"),
+        # each step passes, but the norm has risen over 1 + 1e-9 by t = 20
+        (("dynamics", "--g_a", "1e6"), "one-step exponential"),
+        (("dynamics", "--g_a", "1e8"), "one-step exponential"),
+        (("opt-time", "--vary", "g_a", "--vary_values", "1e6"), "one-step exponential"),
     ])
     def test_overflow_is_a_one_line_error(self, capsys, overflow, cause):
-        code, out, err = run(capsys, "dynamics", *overflow)
+        code, out, err = run(capsys, *overflow)
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1

@@ -8,6 +8,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from magbattery import (
     DEFAULT_INITIAL,
@@ -71,6 +72,29 @@ class TestMatrixExponential:
         got = matrix_exponential(m)
         half = matrix_exponential(m / 2)
         np.testing.assert_allclose(got, half @ half, atol=1e-9 * np.linalg.norm(got))
+
+    @settings(max_examples=300)
+    @given(
+        kappas=st.tuples(*[st.floats(0.0, 4.0)] * 4),
+        shift=st.sampled_from((0.0, 1e-8, -1e-8, 1e-4)),
+        g_b=st.one_of(st.just(0.0), st.floats(0.0, 2.0)),
+        lam=st.one_of(st.just(0.0), st.floats(0.0, 2.0)),
+        d1=st.floats(-2.0, 2.0),
+        d3=st.floats(-2.0, 2.0),
+        dt=st.floats(1e-3, 30.0),
+    )
+    def test_against_scipy_near_exceptional_points(self, kappas, shift, g_b, lam, d1, d3, dt):
+        # at delta_2 = 0 and g_a = |kappa_a - kappa_b| / 4 the photon-magnon
+        # block of A is defective (one eigenvalue, one eigenvector)
+        expm = pytest.importorskip("scipy.linalg").expm
+        ka, kb, km, gam = kappas
+        p = SystemParams.from_detunings(
+            d1, 0.0, d3, g_a=max(abs(ka - kb) / 4.0 + shift, 0.0), g_b=g_b, lam=lam,
+            kappa_a=ka, kappa_b=kb, kappa_m=km, gamma=gam)
+        m = -1j * dt * build_evolution_matrix(p)
+        want = expm(m)
+        err = np.linalg.norm(matrix_exponential(m) - want, 1) / np.linalg.norm(want, 1)
+        assert err <= 1e-12
 
     def test_nonfinite_rejected(self):
         m = np.zeros((4, 4), dtype=complex)

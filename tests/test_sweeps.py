@@ -17,7 +17,7 @@ from magbattery import (
     METRIC_NAMES,
     SystemParams,
     VarySpec,
-    apply_parameter,
+    apply_parameters,
     derive_detunings,
     evolve,
     max_ergotropy_grid,
@@ -39,20 +39,20 @@ COLUMN = {name: i for i, name in enumerate(("t",) + METRIC_NAMES)}
 
 class TestApplyParameter:
     def test_direct_fields(self):
-        p = apply_parameter(BASE, "g_a", 2.5)
+        p = apply_parameters(BASE, {"g_a": 2.5})
         assert p.g_a == 2.5 and p.g_b == BASE.g_b
 
     def test_lambda_alias(self):
-        assert apply_parameter(BASE, "lambda", 0.25).lam == 0.25
+        assert apply_parameters(BASE, {"lambda": 0.25}).lam == 0.25
 
     def test_kappa_all(self):
-        p = apply_parameter(BASE, "kappa_all", 0.3)
+        p = apply_parameters(BASE, {"kappa_all": 0.3})
         assert p.kappa_a == p.kappa_b == p.kappa_m == 0.3
         assert p.gamma == BASE.gamma
 
     @pytest.mark.parametrize("name,idx", [("delta_1", 0), ("delta_2", 1), ("delta_3", 2)])
     def test_detuning_substitution(self, name, idx):
-        p = apply_parameter(BASE, name, 4.0)
+        p = apply_parameters(BASE, {name: 4.0})
         d = derive_detunings(p)
         got = (d.delta_1, d.delta_2, d.delta_3)
         want = [1.0, 1.0, 1.0]
@@ -60,9 +60,15 @@ class TestApplyParameter:
         np.testing.assert_allclose(got, want, atol=1e-12)
         assert p.omega_q == BASE.omega_q
 
+    def test_later_name_wins(self):
+        p = apply_parameters(BASE, {"kappa_a": 0.1, "kappa_all": 0.3})
+        assert (p.kappa_a, p.kappa_b, p.kappa_m) == (0.3, 0.3, 0.3)
+        p = apply_parameters(BASE, {"kappa_all": 0.3, "kappa_a": 0.1})
+        assert (p.kappa_a, p.kappa_b, p.kappa_m) == (0.1, 0.3, 0.3)
+
     def test_unknown_name(self):
         with pytest.raises(ValueError):
-            apply_parameter(BASE, "g_c", 1.0)
+            apply_parameters(BASE, {"g_c": 1.0})
 
 
 class TestVarySpec:
@@ -129,7 +135,7 @@ class TestPanelSweep:
     def test_singleton_equals_time_series(self):
         t = time_grid(3, 0.1)
         (_, series), = panel_sweep(BASE, VarySpec("g_b", (1.7,)), t)
-        direct = time_series(apply_parameter(BASE, "g_b", 1.7), t)
+        direct = time_series(apply_parameters(BASE, {"g_b": 1.7}), t)
         np.testing.assert_array_equal(series, direct)
 
     def test_order_follows_vary(self):
@@ -166,7 +172,7 @@ class TestMaxErgotropyGrid:
                                VarySpec("g_b", (0.7, 1.3)), t)
         for i, gb in enumerate((0.7, 1.3)):
             for j, ga in enumerate((0.5, 2.0)):
-                p = apply_parameter(apply_parameter(BASE, "g_a", ga), "g_b", gb)
+                p = apply_parameters(BASE, {"g_a": ga, "g_b": gb})
                 single = max_ergotropy_grid(p, VarySpec("g_a", (ga,)),
                                             VarySpec("g_b", (gb,)), t)
                 assert g.z[i, j] == single.z[0, 0]
@@ -205,7 +211,7 @@ class TestOptimalChargingTime:
     def test_doubling_lambda_halves_tau(self):
         # horizons sized per lambda so each contains one principal peak
         tau1, _ = optimal_charging_time(RABI, time_grid(2.0, 0.01))
-        p2 = apply_parameter(RABI, "lambda", 2.0)
+        p2 = apply_parameters(RABI, {"lambda": 2.0})
         tau2, _ = optimal_charging_time(p2, time_grid(1.0, 0.01))
         assert abs(tau1 - 2 * tau2) <= 2 * 0.01
 
