@@ -138,29 +138,6 @@ def purity(rho: DensityMatrix) -> float:
     return float(np.trace(m @ m).real)
 
 
-def _shell(c) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """|C_n|, the field population g = |C1|^2 + |C2|^2 + |C3|^2 and s = |C4|^2."""
-    a = np.abs(np.asarray(c, dtype=complex))
-    p = a**2
-    return a, p[..., 0] + p[..., 1] + p[..., 2], p[..., 3]
-
-
-def _energy(g: np.ndarray, s: np.ndarray, omega_q: float, mode: AccountingMode) -> np.ndarray:
-    """Energy gained by the battery relative to the uncharged state.
-
-    paper:          omega_q * (1 - |C1|^2 - |C2|^2 - |C3|^2)
-    trace_repaired: 2 * omega_q * |C4|^2
-
-    The two expressions differ exactly by omega_q * (1 - N(t)): the paper form
-    books decayed weight as if it had charged the battery, the repaired form
-    books it back into |gg>.  Results within 1e-12 of zero report as 0.0
-    (propagator roundoff would otherwise print as spurious charge).
-    """
-    if mode is AccountingMode.PAPER:
-        return _snap(omega_q * (1.0 - g))
-    return _snap(2.0 * omega_q * s)
-
-
 def metric_columns(
     c: np.ndarray,
     omega_q: float,
@@ -174,21 +151,29 @@ def metric_columns(
     {g', 2s, 0, 0}, so:
 
     coherence = 2 (|C1 C2| + |C1 C3| + |C2 C3|)  (charger off-diagonal l1)
-    energy    = see `_energy`
+    energy    = omega_q (1 - g) in ``paper`` mode, which books the decayed
+                weight omega_q (1 - N) as charge; 2 omega_q s in ``trace_repaired``
     ergotropy = omega_q * max(0, 2s - g')       (passive-state gap)
     purity    = g'^2 + 4 s^2
-    norm      = g + 2s
+    norm      = N = g + 2s
 
-    Raises InconsistentStateError when the norm exceeds 1 + 1e-9 and
-    ValueError when g' is below -1e-12 (not a density matrix); smaller
-    negative g' is roundoff and clamps to 0.
+    Energies and ergotropies within 1e-12 of zero report as 0.0.  Raises
+    ValueError for omega_q < 0 (the excited level must lie above |gg>),
+    InconsistentStateError when the norm exceeds 1 + 1e-9 and ValueError when
+    g' is below -1e-12 (not a density matrix); smaller negative g' is roundoff
+    and clamps to 0.
     """
     mode = _coerce_mode(mode)
-    a, g, s = _shell(c)
+    if not omega_q >= 0.0:
+        raise ValueError(f"battery metrics need omega_q >= 0, got {omega_q!r}")
+    a = np.abs(np.asarray(c, dtype=complex))
+    p = a**2
+    g, s = p[..., 0] + p[..., 1] + p[..., 2], p[..., 3]
     norm = g + 2.0 * s
     if np.any(norm > 1.0 + _NORM_SLACK):
         raise InconsistentStateError(f"physical norm {norm.max()} exceeds 1")
-    ground = g if mode is AccountingMode.PAPER else 1.0 - 2.0 * s
+    paper = mode is AccountingMode.PAPER
+    ground = g if paper else 1.0 - 2.0 * s
     if np.any(ground < _POPULATION_FLOOR):
         raise ValueError(
             f"density matrix is not positive semidefinite (eigenvalue {ground.min()})"
@@ -198,7 +183,7 @@ def metric_columns(
     return np.stack(
         (
             2.0 * (a1 * a2 + a1 * a3 + a2 * a3),
-            _energy(g, s, omega_q, mode),
+            _snap(omega_q * (1.0 - g) if paper else 2.0 * omega_q * s),
             _snap(omega_q * np.maximum(2.0 * s - ground, 0.0)),
             ground**2 + 4.0 * s**2,
             norm,
@@ -221,13 +206,8 @@ def stored_energy_series(
     omega_q: float,
     mode: AccountingMode | str = AccountingMode.PAPER,
 ) -> np.ndarray:
-    """The energy column of `metric_columns` alone, for (..., 4) amplitudes.
-
-    Skips the other four columns and their state checks, which makes it the
-    cheap reduction for charging-time searches that need energy only.
-    """
-    _, g, s = _shell(c)
-    return _energy(g, s, omega_q, _coerce_mode(mode))
+    """The energy column of `metric_columns`, for (..., 4) amplitudes."""
+    return metric_columns(c, omega_q, mode)[..., METRIC_NAMES.index("energy")]
 
 
 def ergotropy_series(

@@ -83,35 +83,18 @@ class SystemParams:
         delta_3: float = 0.0,
         *,
         omega_q: float = 1.0,
-        g_a: float = 1.0,
-        g_b: float = 1.0,
-        lam: float = 1.0,
-        kappa_a: float = 0.0,
-        kappa_b: float = 0.0,
-        kappa_m: float = 0.0,
-        gamma: float = 0.0,
+        **rates: float,
     ) -> "SystemParams":
         """Build params from the three detunings instead of the four omegas.
 
         Only frequency differences enter the dynamics, so the absolute scale
         is gauged by omega_q (which also sets the energy unit of the battery).
+        `rates` are the coupling and decay fields, defaulting as in the class.
         """
         omega_a = omega_q - delta_3
         omega_b = omega_a - delta_2
         omega_m = omega_b - delta_1
-        return cls(
-            omega_a=omega_a,
-            omega_b=omega_b,
-            omega_m=omega_m,
-            omega_q=omega_q,
-            g_a=g_a,
-            g_b=g_b,
-            lam=lam,
-            kappa_a=kappa_a,
-            kappa_b=kappa_b,
-            kappa_m=kappa_m,
-            gamma=gamma,
-        )
+        return cls(omega_a=omega_a, omega_b=omega_b, omega_m=omega_m, omega_q=omega_q, **rates)
 
 
 @dataclass(frozen=True)

@@ -67,7 +67,7 @@ class Trajectory:
     """Amplitudes sampled on a strictly increasing time grid.
 
     `times` has shape (T,), `amplitudes` has shape (T, 4) with rows
-    (C1, C2, C3, C4).
+    (C1, C2, C3, C4), or (n, T, 4) for n parameter points evolved together.
     """
 
     times: np.ndarray
@@ -137,41 +137,46 @@ def _initial_vector(initial) -> np.ndarray:
 
 
 def evolve(
-    p: SystemParams,
+    p: SystemParams | Sequence[SystemParams],
     t_grid,
     *,
     initial: Sequence[complex] | None = None,
 ) -> Trajectory:
-    """Propagate the amplitudes over the grid via the constant-matrix route.
+    """Propagate one parameter point (amplitudes (T, 4)) or a sequence of n
+    points advancing together (amplitudes (n, T, 4)) over the grid.
 
-    In the frame that turns at omega_q the evolution matrix A is constant:
-    Z(t_k) = exp(-i A h_k) Z(t_{k-1}) with h = diff(t, prepend=0), and a step
-    within 1e-12 of the previous one reuses its exponential, so a uniform
-    grid costs one.  C_n = Z_n exp(+i f_n t) with f = `frame_frequencies`.
-    Refused: a step exponential that would need more than 22 squarings, and
-    a trajectory whose physical norm rises more than 1e-9 (relative) above
-    its t = 0 value, as the roundoff of a step exponential with many
-    squarings does when T steps compound it.  `initial` (amplitudes at t=0)
-    is an override hook for testing only.
+    In the frame that turns at omega_q each point's evolution matrix A is
+    constant: Z(t_k) = exp(-i A h_k) Z(t_{k-1}) with h = diff(t, prepend=0),
+    and a step within 1e-12 of the previous one reuses its exponentials, so a
+    uniform grid costs one per point.  C_n = Z_n exp(+i f_n t) with f =
+    `frame_frequencies`.  Refused for all points if one fails: a step
+    exponential that would need more than 22 squarings, and a physical norm
+    that rises more than 1e-9 (relative) above its t = 0 value, as the
+    roundoff of many squarings does when T steps compound it.  `initial`
+    (amplitudes at t=0, shared by all points) is a hook for testing only.
     """
     t = _validated_grid(t_grid)
-    a = build_evolution_matrix(p)
+    points = [p] if isinstance(p, SystemParams) else list(p)
+    if not points:
+        raise ValueError("evolve needs at least one parameter point")
+    a = np.array([build_evolution_matrix(q) for q in points])
     steps = np.diff(t, prepend=0.0)
     dt = float(steps.max())
-    if not dt * float(np.linalg.norm(a, np.inf)) <= _MAX_STEP_NORM:
+    if not dt * float(np.abs(a).sum(axis=-1).max()) <= _MAX_STEP_NORM:
         raise ValueError(
             f"one-step exponential exp(-i A dt) has no precision left for time step "
             f"dt = {dt:g}: dt times the evolution matrix norm exceeds 2**21"
         )
-    z = np.empty((t.size, 4), dtype=complex)
-    zk = _initial_vector(initial)
-    limit = float(physical_norm(zk)) * (1.0 + _NORM_SLACK)
+    z = np.empty((len(points), t.size, 4), dtype=complex)
+    zk = np.tile(_initial_vector(initial), (len(points), 1))
+    limit = float(physical_norm(zk[0])) * (1.0 + _NORM_SLACK)
     h_step, step = 0.0, np.eye(4)  # a zero first step costs no exponential
     for k, h in enumerate(steps.tolist()):
         if abs(h - h_step) > 1e-15 + 1e-12 * h_step:
-            h_step, step = h, matrix_exponential(-1j * h * a)
-        z[k] = zk = step @ zk
-    c = z * np.exp(1j * t[:, None] * frame_frequencies(p))
+            h_step, step = h, np.array([matrix_exponential(-1j * h * ak) for ak in a])
+        z[:, k] = zk = (step @ zk[..., None])[..., 0]
+    f = np.array([frame_frequencies(q) for q in points])
+    c = z * np.exp(1j * t[:, None] * f[:, None, :])
     peak = float(physical_norm(c).max())
     if not peak <= limit:
         raise ValueError(
@@ -179,7 +184,7 @@ def evolve(
             f"{np.count_nonzero(steps)} steps of dt = {dt:g}: the physical norm "
             f"rose to {peak!r}, more than 1e-9 (relative) above its value at t = 0"
         )
-    return Trajectory(times=t, amplitudes=c)
+    return Trajectory(times=t, amplitudes=c[0] if isinstance(p, SystemParams) else c)
 
 
 def oracle_integrate(

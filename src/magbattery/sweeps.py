@@ -7,13 +7,14 @@ inputs evaluated in order, so output never depends on scheduling.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .metrics import ergotropy_series, metric_columns, stored_energy_series
+from .metrics import METRIC_NAMES, metric_columns
 from .model import SystemParams, derive_detunings
 from .propagator import evolve
 from .states import AccountingMode, _coerce_mode
@@ -39,6 +40,12 @@ _PEAK_TIE_TOL = 1e-9
 # 500 times the 2001 points of the shipped configs; the (T, 4) trajectory of
 # a larger grid is refused before anything is allocated
 MAX_TIME_POINTS = 10**6
+# Over five times the 900 x 2001 of the shipped contour; a sweep with more
+# parameter points x time points is refused before its points are built
+MAX_SWEEP_SAMPLES = 10**7
+# Points x time points one `evolve` call advances together, which keeps its
+# (n, T, 4) trajectories at a few hundred kB
+_BLOCK_SAMPLES = 2**12
 
 # Every swept or configured parameter name and the SystemParams fields it
 # sets; the detunings (None) set the omegas through `from_detunings`.
@@ -75,11 +82,15 @@ def apply_parameters(base: SystemParams, values: Mapping[str, float]) -> SystemP
             deltas[name] = value
         else:
             fields.update(dict.fromkeys(_FIELDS[name], value))
-    p = dataclasses.replace(base, **fields) if fields else base
-    if not deltas:
-        return p
-    held = {k: v for k, v in vars(p).items() if k not in ("omega_a", "omega_b", "omega_m")}
-    return SystemParams.from_detunings(**{**vars(derive_detunings(p)), **deltas}, **held)
+    try:
+        p = dataclasses.replace(base, **fields) if fields else base
+        if not deltas:
+            return p
+        held = {k: v for k, v in vars(p).items() if k not in ("omega_a", "omega_b", "omega_m")}
+        return SystemParams.from_detunings(**{**vars(derive_detunings(p)), **deltas}, **held)
+    except ValueError as exc:  # SystemParams names its field: name the parameter given
+        given = {field: name for name in values if _FIELDS[name] for field in _FIELDS[name]}
+        raise ValueError(" ".join(given.get(w, w) for w in str(exc).split(" "))) from None
 
 
 @dataclass(frozen=True)
@@ -108,6 +119,9 @@ class VarySpec:
     ) -> "VarySpec":
         if count < 2:
             raise ValueError("linear range needs count >= 2")
+        if count > MAX_SWEEP_SAMPLES:
+            raise ValueError(f"{count} parameter points x time points is more than "
+                             f"the limit of {MAX_SWEEP_SAMPLES}")
         return cls(parameter_name, tuple(np.linspace(start, stop, count)))
 
 
@@ -141,17 +155,45 @@ def time_grid(t_max: float = 20.0, dt: float = 0.01) -> np.ndarray:
     return np.arange(n + 1) * dt
 
 
+def _evolve_points(base: SystemParams, axes: Sequence[VarySpec], t_grid, mode, reduce) -> list:
+    """`reduce(times, metric columns)` of each block of the axes' product, first axis outermost.
+
+    A block of about _BLOCK_SAMPLES points x time points is built when it
+    runs, in one `evolve`.  No swept name sets omega_q: all share the base's.
+    """
+    t = np.asarray(t_grid, dtype=float)
+    points = math.prod(len(axis.values) for axis in axes)
+    if points * t.size > MAX_SWEEP_SAMPLES:
+        raise ValueError(f"{points} parameter points x {t.size} time points = "
+                         f"{points * t.size}, more than the limit of {MAX_SWEEP_SAMPLES}")
+    names = [axis.parameter_name for axis in axes]
+    cells = itertools.product(*(axis.values for axis in axes))
+    out, per_block = [], max(1, _BLOCK_SAMPLES // max(t.size, 1))
+    while block := [apply_parameters(base, dict(zip(names, cell)))
+                    for cell in itertools.islice(cells, per_block)]:
+        traj = evolve(block, t)
+        out.extend(reduce(traj.times, metric_columns(traj.amplitudes, base.omega_q, mode)))
+    return out
+
+
+def _tables(t: np.ndarray, columns: np.ndarray) -> list[np.ndarray]:
+    return [np.column_stack((t, point)) for point in columns]
+
+
+def _energy_peaks(t: np.ndarray, columns: np.ndarray) -> Iterable[tuple[float, float]]:
+    """(tau, e_max) per point: the earliest grid time of the grid-maximal energy."""
+    e = columns[..., METRIC_NAMES.index("energy")]
+    idx = np.argmax(e >= e.max(axis=-1, keepdims=True) - _PEAK_TIE_TOL, axis=-1)
+    return zip(t[idx].tolist(), e[np.arange(idx.size), idx].tolist())
+
+
 def time_series(
     p: SystemParams,
     t_grid: Sequence[float] | np.ndarray,
     mode: AccountingMode | str = AccountingMode.PAPER,
 ) -> np.ndarray:
-    """(T, 6) table with rows (t, coherence, energy, ergotropy, purity, norm).
-
-    Evolves once and computes all metrics of the curve in one call.
-    """
-    traj = evolve(p, t_grid)
-    return np.column_stack((traj.times, metric_columns(traj.amplitudes, p.omega_q, mode)))
+    """(T, 6) table with rows (t, coherence, energy, ergotropy, purity, norm)."""
+    return _evolve_points(p, (), t_grid, mode, _tables)[0]
 
 
 def panel_sweep(
@@ -160,12 +202,8 @@ def panel_sweep(
     t_grid: Sequence[float] | np.ndarray,
     mode: AccountingMode | str = AccountingMode.PAPER,
 ) -> list[tuple[float, np.ndarray]]:
-    """One independent `time_series` table per swept value, in the given order."""
-    mode = _coerce_mode(mode)
-    return [
-        (v, time_series(apply_parameters(base, {vary.parameter_name: v}), t_grid, mode))
-        for v in vary.values
-    ]
+    """One `time_series` table per swept value, in the given order."""
+    return list(zip(vary.values, _evolve_points(base, (vary,), t_grid, mode, _tables)))
 
 
 def max_ergotropy_grid(
@@ -183,15 +221,9 @@ def max_ergotropy_grid(
         raise ValueError("contour axes must vary two different parameters")
     mode = _coerce_mode(mode)
     t = np.asarray(t_grid, dtype=float)
-
-    def cell(xv: float, yv: float) -> float:
-        p = apply_parameters(base, {vary_y.parameter_name: yv, vary_x.parameter_name: xv})
-        traj = evolve(p, t)
-        return float(ergotropy_series(traj.amplitudes, p.omega_q, mode).max())
-
-    z = np.array(
-        [[cell(xv, yv) for xv in vary_x.values] for yv in vary_y.values], dtype=float
-    )
+    erg = METRIC_NAMES.index("ergotropy")
+    z = _evolve_points(base, (vary_y, vary_x), t, mode, lambda _, m: m[..., erg].max(axis=-1))
+    z = np.reshape(z, (len(vary_y.values), len(vary_x.values)))
     step = float(t[1] - t[0]) if t.size > 1 else 0.0
     metadata = {
         "metric": "max_ergotropy",
@@ -222,11 +254,7 @@ def optimal_charging_time(
 
     Returns (tau, e_max) with e_max = E(tau); tau is always a grid member.
     """
-    mode = _coerce_mode(mode)
-    traj = evolve(p, t_grid)
-    e = stored_energy_series(traj.amplitudes, p.omega_q, mode)
-    idx = int(np.argmax(e >= float(e.max()) - _PEAK_TIE_TOL))
-    return float(traj.times[idx]), float(e[idx])
+    return _evolve_points(p, (), t_grid, mode, _energy_peaks)[0]
 
 
 def optimal_time_sweep(
@@ -236,11 +264,5 @@ def optimal_time_sweep(
     mode: AccountingMode | str = AccountingMode.PAPER,
 ) -> list[tuple[float, float, float]]:
     """(value, tau, e_max) per swept value, in the given order."""
-    mode = _coerce_mode(mode)
-    out = []
-    for v in vary.values:
-        tau, e_max = optimal_charging_time(
-            apply_parameters(base, {vary.parameter_name: v}), t_grid, mode
-        )
-        out.append((v, tau, e_max))
-    return out
+    peaks = _evolve_points(base, (vary,), t_grid, mode, _energy_peaks)
+    return [(v, tau, e_max) for v, (tau, e_max) in zip(vary.values, peaks)]

@@ -198,6 +198,12 @@ class TestDynamics:
         (("dynamics", "--g_a", "1e6"), "one-step exponential"),
         (("dynamics", "--g_a", "1e8"), "one-step exponential"),
         (("opt-time", "--vary", "g_a", "--vary_values", "1e6"), "one-step exponential"),
+        # refused at the cause, naming the key as typed
+        (("dynamics", "--omega_q", "-1", "--t_max", "1", "--dt", "0.5"), "omega_q >= 0"),
+        (("dynamics", "--lambda", "-1"), "coupling lambda must be >= 0"),
+        (("sweep", "--vary", "kappa_all", "--vary_values", "-1"), "rate kappa_all must be >= 0"),
+        (("opt-time", "--vary", "g_b", "--vary_min", "0", "--vary_max", "1",
+          "--vary_count", "1000000000000"), "parameter points x time points"),
     ])
     def test_overflow_is_a_one_line_error(self, capsys, overflow, cause):
         code, out, err = run(capsys, *overflow)

@@ -247,6 +247,21 @@ class TestSeriesRoutes:
         overfull_battery = (0, 0, 0, math.sqrt(0.5 + 4e-10))
         with pytest.raises(ValueError, match="positive semidefinite"):
             metric_columns(overfull_battery, 1.0, "trace_repaired")
+        # the energy view checks the state too: N = 1 + 2e-9
+        with pytest.raises(InconsistentStateError):
+            stored_energy_series((1.0, 0, 0, math.sqrt(1e-9)), 1.0)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_omega_q_sign(self, mode):
+        c = (0.5, 0.1, 0.1j, 0.6)
+        # below zero the closed form would contradict the passive-state oracle
+        assert ergotropy(battery_density(c, mode), BatteryHamiltonian(-1.0)) > 0.0
+        for route in (metric_columns, stored_energy_series, ergotropy_series):
+            with pytest.raises(ValueError, match="omega_q >= 0"):
+                route(c, -1.0, mode)
+        zero = metric_columns(c, 0.0, mode)
+        assert zero[METRIC_NAMES.index("energy")] == zero[METRIC_NAMES.index("ergotropy")] == 0.0
+        assert ergotropy(battery_density(c, mode), BatteryHamiltonian(0.0)) == 0.0
 
 
 class TestBatteryHamiltonian:

@@ -251,6 +251,39 @@ class TestEvolve:
             evolve(SystemParams(g_a=2.0**21), [0.0, 1.0])
 
 
+class TestBatchedEvolve:
+    """A sequence of points advances together; row i is `evolve` of point i."""
+
+    @pytest.mark.parametrize("grid", [
+        np.linspace(0.0, 5.0, 101),
+        np.array([0.0, 0.3, 1.0, 2.5, 2.6]),
+        np.array([0.7, 1.2, 1.7, 4.0]),
+    ], ids=["uniform", "nonuniform", "from_t0"])
+    @pytest.mark.parametrize("initial", [None, (0.6, 0.0, 0.8j, 0.0)])
+    def test_rows_match_single_points(self, rng, draw_params, grid, initial):
+        points = [draw_params(rng) for _ in range(6)]
+        batch = evolve(points, grid, initial=initial)
+        np.testing.assert_array_equal(batch.times, grid)
+        assert batch.amplitudes.shape == (6, len(grid), 4)
+        for row, p in zip(batch.amplitudes, points):
+            single = evolve(p, grid, initial=initial).amplitudes
+            np.testing.assert_allclose(row, single, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("bad, grid, cause", [
+        (SystemParams(g_a=2.0**21), [0.0, 1.0], r"no precision left .* dt = 1:"),
+        (SystemParams(g_a=1e6), np.arange(2001) * 0.01, "lost precision over 2000 steps"),
+    ], ids=["step_norm", "norm_rise"])
+    def test_one_bad_point_refuses_the_sequence(self, bad, grid, cause):
+        # the largest point's norm is what counts, not a sum over the points
+        evolve([SystemParams(), SystemParams(g_a=2.0**21 - 2.0)], [0.0, 1.0])
+        with pytest.raises(ValueError, match=cause):
+            evolve([SystemParams(), bad, SystemParams()], grid)
+
+    def test_empty_sequence_rejected(self):
+        with pytest.raises(ValueError, match="at least one parameter point"):
+            evolve([], [0.0, 1.0])
+
+
 class TestOracleIntegrate:
     def test_t_zero_exact(self):
         traj = oracle_integrate(SystemParams(), [0.0, 0.1])

@@ -28,6 +28,7 @@ from magbattery import (
     time_grid,
     time_series,
 )
+from magbattery.sweeps import _BLOCK_SAMPLES, MAX_SWEEP_SAMPLES
 
 from conftest import oracle_metrics
 
@@ -85,6 +86,10 @@ class TestVarySpec:
     def test_bad_values(self, bad):
         with pytest.raises(ValueError):
             VarySpec("g_a", bad)
+
+    def test_count_bounded_before_allocating(self):
+        with pytest.raises(ValueError, match="parameter points x time points"):
+            VarySpec.linspace("g_b", 0.0, 1.0, 10**12)
 
     def test_unknown_parameter(self):
         with pytest.raises(ValueError):
@@ -270,3 +275,47 @@ class TestTimeSeries:
             np.testing.assert_array_equal(table[:, COLUMN["t"]], t)
             want = [oracle_metrics(c, p.omega_q, mode) for c in traj.amplitudes]
             np.testing.assert_allclose(table[:, 1:], want, rtol=0, atol=1e-12)
+
+
+class TestBlocks:
+    """Sweeps run their points through `evolve` in blocks; each result equals its one-point run."""
+
+    T = time_grid(2, 0.01)
+
+    def test_blocks_are_spanned(self):
+        # the 45- and 50-point sweeps below take three blocks or more
+        assert 45 > 2 * (_BLOCK_SAMPLES // len(self.T))
+
+    def test_opt_time_equals_per_point(self):
+        vary = VarySpec.linspace("g_b", 0.1, 5.0, 50)
+        rows = optimal_time_sweep(BASE, vary, self.T, "trace_repaired")
+        assert [v for v, _, _ in rows] == list(vary.values)
+        for v, tau, emax in rows:
+            p = apply_parameters(BASE, {"g_b": v})
+            assert (tau, emax) == optimal_charging_time(p, self.T, "trace_repaired")
+
+    def test_contour_equals_single_cells(self):
+        xs, ys = VarySpec.linspace("g_a", 0.1, 3.0, 10), VarySpec.linspace("g_b", 0.1, 3.0, 5)
+        g = max_ergotropy_grid(BASE, xs, ys, self.T)
+        for i, gb in enumerate(ys.values):
+            for j, ga in enumerate(xs.values):
+                single = max_ergotropy_grid(BASE, VarySpec("g_a", (ga,)), VarySpec("g_b", (gb,)),
+                                            self.T)
+                assert g.z[i, j] == single.z[0, 0]
+
+    def test_panel_equals_time_series(self):
+        vary = VarySpec.linspace("gamma", 0.0, 1.0, 45)
+        for v, table in panel_sweep(BASE, vary, self.T):
+            np.testing.assert_array_equal(table, time_series(apply_parameters(BASE, {"gamma": v}),
+                                                             self.T))
+
+    @pytest.mark.parametrize("sweep", [
+        lambda vary, t: panel_sweep(BASE, vary, t),
+        lambda vary, t: optimal_time_sweep(BASE, vary, t),
+        lambda vary, t: max_ergotropy_grid(BASE, vary, VarySpec.linspace("g_b", 0, 1, 10**4), t),
+    ], ids=["panel", "opt_time", "contour"])
+    def test_size_bounded_before_points_are_built(self, sweep):
+        vary = VarySpec.linspace("g_a", 0.0, 1.0, 10**4)
+        t = time_grid(MAX_SWEEP_SAMPLES // 10**4, 1.0)  # one time point too many
+        with pytest.raises(ValueError, match="parameter points x 1001 time points"):
+            sweep(vary, t)
