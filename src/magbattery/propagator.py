@@ -14,8 +14,8 @@ frame algebra or in either integrator.
 
 from __future__ import annotations
 
+import itertools
 import math
-from cmath import exp as _cexp
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -42,6 +42,10 @@ _MAX_STEP_NORM = 2.0**21
 # Rise of the physical norm left to roundoff: `evolve` refuses a larger rise
 # relative to the norm at t = 0, states and metrics a norm above 1 + this.
 _NORM_SLACK = 1e-9
+# Substeps the RK4 oracle evaluates in one batch, and the most substeps of
+# one span whose maps it multiplies down to one matrix; a batch's arrays
+# then peak below 1 MB
+_ORACLE_PIECE = 512
 
 
 def physical_norm(c: Sequence[complex] | np.ndarray) -> np.ndarray:
@@ -199,8 +203,12 @@ def oracle_integrate(
     Integrates the amplitude ODEs with their explicit oscillating factors
     exp(+i (omega_k - omega_j) t), read off the omegas, left in place (no
     frame rotation), fixed substep <= max_step, landing exactly on every grid
-    point.  Deliberately shares no code with `evolve` beyond the parameter
-    container.
+    point.  The equations are linear, so one RK4 pass over the columns of the
+    identity gives the RK4 map of every substep of a batch at once.  Each
+    piece of at most `_ORACLE_PIECE` substeps of one span is multiplied down
+    pairwise, later maps on the left, to one matrix that advances the
+    amplitudes, so memory is O(piece + T).  Deliberately shares no code with
+    `evolve` beyond the parameter container.
     """
     t = _validated_grid(t_grid)
     if not 0.0 < max_step <= 1e-3:
@@ -213,44 +221,51 @@ def oracle_integrate(
     ga, gb, lam = p.g_a, p.g_b, p.lam
     ka2, kb2, km2, gq2 = 0.5 * p.kappa_a, 0.5 * p.kappa_b, 0.5 * p.kappa_m, 0.5 * p.gamma
 
-    def deriv(tt: float, x1: complex, x2: complex, x3: complex, x4: complex):
-        pa = _cexp(1j * w_ab * tt)  # photon over magnon
-        pb = _cexp(1j * w_bm * tt)  # magnon over phonon
-        pq = _cexp(1j * w_aq * tt)  # photon under atom
+    def deriv(tt: np.ndarray, x1, x2, x3, x4) -> np.ndarray:
+        pa = np.exp(1j * w_ab * tt)  # photon over magnon
+        pb = np.exp(1j * w_bm * tt)  # magnon over phonon
+        pq = np.exp(1j * w_aq * tt)  # photon under atom
         dx1 = -1j * (ga * pa * x2 + 2.0 * lam * pq * x4) - ka2 * x1
         dx2 = -1j * (ga * pa.conjugate() * x1 + gb * pb * x3) - kb2 * x2
         dx3 = -1j * gb * pb.conjugate() * x2 - km2 * x3
         dx4 = -1j * lam * pq.conjugate() * x1 - gq2 * x4
-        return dx1, dx2, dx3, dx4
+        return np.array((dx1, dx2, dx3, dx4))
+
+    def piece_maps(batch: list, width: int) -> np.ndarray:
+        # one row of `width` substeps t_prev + j h per piece; the padding
+        # substeps take h = 0, whose RK4 map is exactly the identity
+        t_prev, h, first, n = (np.array(col)[:, None] for col in list(zip(*batch))[1:])
+        i = np.arange(width)
+        tj = (t_prev + (first + i) * h).ravel()
+        h = np.where(i < n, h, 0.0).ravel()
+        h2, h6 = 0.5 * h, h / 6.0
+        x = np.eye(4)[:, :, None]  # component n of identity column c is x[n, c, 0]
+        a = deriv(tj, *x)
+        b = deriv(tj + h2, *(x + h2 * a))
+        f = deriv(tj + h2, *(x + h2 * b))
+        g = deriv(tj + h, *(x + h * f))
+        step = x + h6 * (a + 2.0 * (b + f) + g)  # entry (n, c) of substep j's map at [n, c, j]
+        maps = np.moveaxis(step, -1, 0).reshape(len(batch), width, 4, 4)
+        while maps.shape[1] > 1:
+            maps = maps[:, 1::2] @ maps[:, 0::2]
+        return maps[:, 0]
+
+    def pieces():
+        # the n substeps of every span as (grid index, t_prev, h, first j, count)
+        t_prev = 0.0
+        for k, tk in enumerate(t.tolist()):
+            span = tk - t_prev
+            if span > 0.0:
+                n = math.ceil(span / max_step)
+                for j in range(0, n, _ORACLE_PIECE):
+                    yield k, t_prev, span / n, j, min(n - j, _ORACLE_PIECE)
+            t_prev = tk
 
     out = np.empty((t.size, 4), dtype=complex)
-    c1, c2, c3, c4 = (complex(z0[0]), complex(z0[1]), complex(z0[2]), complex(z0[3]))
-    t_prev = 0.0
-    for k in range(t.size):
-        span = float(t[k]) - t_prev
-        if span > 0.0:
-            n = int(math.ceil(span / max_step))
-            h = span / n
-            h2 = 0.5 * h
-            h6 = h / 6.0
-            for j in range(n):
-                tj = t_prev + j * h
-                a1, a2, a3, a4 = deriv(tj, c1, c2, c3, c4)
-                b1, b2, b3, b4 = deriv(
-                    tj + h2, c1 + h2 * a1, c2 + h2 * a2, c3 + h2 * a3, c4 + h2 * a4
-                )
-                f1, f2, f3, f4 = deriv(
-                    tj + h2, c1 + h2 * b1, c2 + h2 * b2, c3 + h2 * b3, c4 + h2 * b4
-                )
-                g1, g2, g3, g4 = deriv(
-                    tj + h, c1 + h * f1, c2 + h * f2, c3 + h * f3, c4 + h * f4
-                )
-                c1 = c1 + h6 * (a1 + 2.0 * (b1 + f1) + g1)
-                c2 = c2 + h6 * (a2 + 2.0 * (b2 + f2) + g2)
-                c3 = c3 + h6 * (a3 + 2.0 * (b3 + f3) + g3)
-                c4 = c4 + h6 * (a4 + 2.0 * (b4 + f4) + g4)
-        out[k] = (c1, c2, c3, c4)
-        t_prev = float(t[k])
-
+    out[0] = z = z0
+    # consecutive pieces padded to one power-of-two width share a batch
+    for width, run in itertools.groupby(pieces(), key=lambda q: 1 << (q[-1] - 1).bit_length()):
+        while batch := list(itertools.islice(run, _ORACLE_PIECE // width)):
+            for (k, *_), m in zip(batch, piece_maps(batch, width)):
+                out[k] = z = m @ z
     return Trajectory(times=t, amplitudes=out)
-

@@ -37,6 +37,17 @@ CHARGER_BASIS = ("100", "010", "001", "000")
 
 
 class AccountingMode(str, Enum):
+    """How the weight 1 - N(t) lost to decay enters the reduced states.
+
+    ``trace_repaired`` is the Lindblad answer: with the jump operators
+    sqrt(kappa_a) a, sqrt(kappa_b) b, sqrt(kappa_m) m and sqrt(gamma) sigma_-
+    per atom, every jump ends in |gg, 000>, and the zero-temperature master
+    equation gives exactly these repaired matrices (checked against a 36x36
+    Liouvillian in the tests).  ``paper`` keeps the sub-normalized no-jump
+    matrices, so its stored energy omega_q (1 - g) books the decayed weight
+    as battery charge.  The default stays ``paper``.
+    """
+
     PAPER = "paper"
     TRACE_REPAIRED = "trace_repaired"
 

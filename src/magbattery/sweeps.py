@@ -84,13 +84,16 @@ def apply_parameters(base: SystemParams, values: Mapping[str, float]) -> SystemP
             fields.update(dict.fromkeys(_FIELDS[name], value))
     try:
         p = dataclasses.replace(base, **fields) if fields else base
-        if not deltas:
-            return p
-        held = {k: v for k, v in vars(p).items() if k not in ("omega_a", "omega_b", "omega_m")}
-        return SystemParams.from_detunings(**{**vars(derive_detunings(p)), **deltas}, **held)
     except ValueError as exc:  # SystemParams names its field: name the parameter given
         given = {field: name for name in values if _FIELDS[name] for field in _FIELDS[name]}
         raise ValueError(" ".join(given.get(w, w) for w in str(exc).split(" "))) from None
+    if not deltas:
+        return p
+    held = {k: v for k, v in vars(p).items() if k not in ("omega_a", "omega_b", "omega_m")}
+    try:
+        return SystemParams.from_detunings(**{**vars(derive_detunings(p)), **deltas}, **held)
+    except ValueError as exc:  # the detunings set the omegas together: name them all
+        raise ValueError(f"{', '.join(deltas)} out of range: {exc}") from None
 
 
 @dataclass(frozen=True)

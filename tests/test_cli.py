@@ -204,6 +204,8 @@ class TestDynamics:
         (("sweep", "--vary", "kappa_all", "--vary_values", "-1"), "rate kappa_all must be >= 0"),
         (("opt-time", "--vary", "g_b", "--vary_min", "0", "--vary_max", "1",
           "--vary_count", "1000000000000"), "parameter points x time points"),
+        (("dynamics", "--delta_1", "1e308", "--delta_2", "1e308"),
+         "delta_1, delta_2 out of range"),
     ])
     def test_overflow_is_a_one_line_error(self, capsys, overflow, cause):
         code, out, err = run(capsys, *overflow)

@@ -5,6 +5,8 @@ production Pade route and the verification route stay independent.
 """
 
 import math
+import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from magbattery import (
     evolve,
     frame_frequencies,
     matrix_exponential,
+    metric_columns,
     oracle_integrate,
     physical_norm,
 )
@@ -310,6 +313,68 @@ class TestOracleIntegrate:
         with pytest.raises(ValueError):
             oracle_integrate(SystemParams(), [0.0, 1.0], max_step=0.0)
 
+    @staticmethod
+    def rk4_steps(p, z, h, steps):
+        """Classical RK4 on one amplitude vector, C' = M(t) C, one step at a time."""
+        omegas = np.array([p.omega_a, p.omega_b, p.omega_m, p.omega_q])
+        coupling = np.zeros((4, 4))
+        coupling[0, 1] = coupling[1, 0] = p.g_a
+        coupling[1, 2] = coupling[2, 1] = p.g_b
+        coupling[0, 3], coupling[3, 0] = 2.0 * p.lam, p.lam
+        half_rates = 0.5 * np.array([p.kappa_a, p.kappa_b, p.kappa_m, p.gamma])
+
+        def m(tt):
+            phase = np.exp(1j * (omegas[:, None] - omegas[None, :]) * tt)
+            return -1j * coupling * phase - np.diag(half_rates)
+
+        z = np.asarray(z, dtype=complex)
+        for j in range(steps):
+            tj = j * h
+            k1 = m(tj) @ z
+            k2 = m(tj + h / 2) @ (z + h / 2 * k1)
+            k3 = m(tj + h / 2) @ (z + h / 2 * k2)
+            k4 = m(tj + h) @ (z + h * k3)
+            z = z + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        return z
+
+    @pytest.mark.parametrize("steps", [1, 2])
+    def test_one_and_two_substeps_are_plain_rk4(self, rng, draw_params, steps):
+        # pins the scheme, and with two substeps the order of the product
+        for _ in range(5):
+            p = draw_params(rng)
+            z0 = rng.normal(size=4) + 1j * rng.normal(size=4)
+            got = oracle_integrate(p, [0.0, steps * 1e-3], initial=z0).amplitudes[-1]
+            want = self.rk4_steps(p, z0, 1e-3, steps)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
+
+    def test_long_and_mixed_spans(self):
+        # a one-substep span, a span of several full pieces plus a partial
+        # one, then spans of 50, 250 and 200 substeps
+        p = TestShellHamiltonianOracle.CASES["lossy_mixed"]
+        t = np.array([0.0, 0.0005, 3.7, 3.75, 4.0, 4.2])
+        got = np.abs(oracle_integrate(p, t).amplitudes) ** 2
+        assert np.abs(got - shell_populations(p, t)).max() <= 1e-10
+
+    def test_memory_bounded_by_the_piece(self):
+        # 50 000 substeps in one span: a few pieces of maps at a time
+        tracemalloc.start()
+        try:
+            oracle_integrate(SystemParams(), [0.0, 50.0])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2e6
+
+    def test_shares_no_code_with_evolve(self):
+        names, codes = set(), [oracle_integrate.__code__]
+        while codes:
+            code = codes.pop()
+            names.update(code.co_names)
+            codes += [c for c in code.co_consts if isinstance(c, types.CodeType)]
+        assert "exp" in names  # the walk reached the nested derivative
+        shared = {"evolve", "matrix_exponential", "build_evolution_matrix", "frame_frequencies"}
+        assert not names & shared
+
 
 def shell_populations(p, t, initial=DEFAULT_INITIAL):
     """|C1|^2..|C4|^2 from scipy's expm of the five-level shell Hamiltonian.
@@ -385,3 +450,86 @@ class TestShellHamiltonianOracle:
             for route in routes:
                 got = np.abs(route(p, t, initial=c0).amplitudes) ** 2
                 assert np.abs(got - want).max() <= 1e-10, (k, route.__name__)
+
+
+def lindblad_metrics(p, t, initial=DEFAULT_INITIAL):
+    """The five metric columns from the zero-temperature Lindblad master equation.
+
+    Within at most one excitation the state space is the five-level shell
+    plus the ground state |gg, 000> (index 0), where every jump ends.  The
+    jump operators are sqrt(kappa_a) a, sqrt(kappa_b) b, sqrt(kappa_m) m and
+    sqrt(gamma) sigma_- once per atom; the 36x36 Liouvillian is propagated
+    with scipy's expm and the battery and charger states taken by partial
+    trace.  Nothing here uses the no-jump amplitudes.
+    """
+    expm = pytest.importorskip("scipy.linalg").expm
+    omegas = np.array([0.0, p.omega_a, p.omega_b, p.omega_m, p.omega_q, p.omega_q])
+    h = np.diag(omegas).astype(complex)
+    h[1, 2] = h[2, 1] = p.g_a
+    h[2, 3] = h[3, 2] = p.g_b
+    h[1, 4] = h[4, 1] = h[1, 5] = h[5, 1] = p.lam
+    eye = np.eye(6)
+    # row-major vec: vec(A rho B) = kron(A, B.T) vec(rho)
+    liouvillian = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
+    for level, rate in enumerate((p.kappa_a, p.kappa_b, p.kappa_m, p.gamma, p.gamma), 1):
+        jump = np.zeros((6, 6))
+        jump[0, level] = math.sqrt(rate)
+        loss = jump.T @ jump
+        liouvillian += np.kron(jump, jump.conj()) - 0.5 * (np.kron(loss, eye) + np.kron(eye, loss.T))
+    c0 = np.asarray(initial, dtype=complex)
+    psi0 = np.concatenate(([0.0], c0, c0[3:]))
+    rho0 = np.outer(psi0, psi0.conj()).ravel()
+    energies = np.array([-p.omega_q, 0.0, 0.0, p.omega_q])  # |gg>, |eg>, |ge>, |ee>
+    rows = []
+    for tt in t:
+        rho = (expm(tt * liouvillian) @ rho0).reshape(6, 6)
+        battery = np.zeros((4, 4), dtype=complex)
+        battery[0, 0] = np.trace(rho[:4, :4])  # atoms in |gg>, charger traced out
+        battery[1:3, 1:3] = rho[4:, 4:]
+        battery[0, 1:3], battery[1:3, 0] = rho[0, 4:], rho[4:, 0]
+        charger = np.zeros((4, 4), dtype=complex)  # |100>, |010>, |001>, |000>
+        charger[:3, :3] = rho[1:4, 1:4]
+        charger[3, 3] = rho[0, 0] + rho[4, 4] + rho[5, 5]
+        charger[:3, 3], charger[3, :3] = rho[1:4, 0], rho[0, 1:4]
+        energy = np.diag(battery).real @ energies
+        passive = np.sort(np.linalg.eigvalsh(battery))[::-1] @ np.sort(energies)
+        rows.append((
+            np.abs(charger - np.diag(np.diag(charger))).sum(),
+            energy + p.omega_q,
+            energy - passive,
+            np.real(np.trace(battery @ battery)),
+            1.0 - rho[0, 0].real,  # the weight that has not decayed
+        ))
+    return np.array(rows)
+
+
+class TestLindbladOracle:
+    """`trace_repaired` is the Lindblad answer; `paper` is not, once anything decays."""
+
+    T = np.linspace(0.0, 5.0, 11)
+
+    @staticmethod
+    def draw(rng, rates):
+        return SystemParams.from_detunings(
+            *rng.uniform(-2.0, 2.0, 3), omega_q=rng.uniform(0.5, 2.0),
+            g_a=rng.uniform(0.0, 2.0), g_b=rng.uniform(0.0, 2.0), lam=rng.uniform(0.0, 2.0),
+            kappa_a=rates[0], kappa_b=rates[1], kappa_m=rates[2], gamma=rates[3])
+
+    def test_trace_repaired_on_lossy_draws(self, rng):
+        for k in range(20):
+            p = self.draw(rng, rng.uniform(0.0, 1.0, 4))
+            c0 = rng.normal(size=4) + 1j * rng.normal(size=4)
+            c0 /= math.sqrt(physical_norm(c0))
+            want = lindblad_metrics(p, self.T, c0)
+            got = metric_columns(evolve(p, self.T, initial=c0).amplitudes, p.omega_q,
+                                 "trace_repaired")
+            assert np.abs(got - want).max() <= 1e-12, k
+
+    def test_both_modes_without_decay(self, rng):
+        for k in range(10):
+            p = self.draw(rng, np.zeros(4))
+            want = lindblad_metrics(p, self.T)
+            amplitudes = evolve(p, self.T).amplitudes
+            for mode in ("paper", "trace_repaired"):
+                got = metric_columns(amplitudes, p.omega_q, mode)
+                assert np.abs(got - want).max() <= 1e-12, (k, mode)
