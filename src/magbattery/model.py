@@ -66,7 +66,6 @@ class SystemParams:
             value = getattr(self, field.name)
             if not np.isfinite(value):
                 raise ValueError(f"{field.name} must be finite, got {value!r}")
-            # Python floats keep scalar arithmetic fast
             object.__setattr__(self, field.name, float(value))
         for name in _COUPLING_FIELDS:
             if getattr(self, name) < 0:

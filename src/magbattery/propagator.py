@@ -263,7 +263,9 @@ def oracle_integrate(
 
     out = np.empty((t.size, 4), dtype=complex)
     out[0] = z = z0
-    # consecutive pieces padded to one power-of-two width share a batch
+    # consecutive pieces padded to one power-of-two width share a batch: a
+    # dt = 0.01 grid has 10 substeps a span, and one array pass per span
+    # would be slower than a scalar loop
     for width, run in itertools.groupby(pieces(), key=lambda q: 1 << (q[-1] - 1).bit_length()):
         while batch := list(itertools.islice(run, _ORACLE_PIECE // width)):
             for (k, *_), m in zip(batch, piece_maps(batch, width)):
