@@ -173,7 +173,7 @@ def _resolve_mode(cfg: dict[str, str]) -> AccountingMode:
     try:
         return _MODES[cfg["mode"]]
     except KeyError:
-        raise ValueError(f"unknown mode {cfg['mode']!r}; expected 'paper' or 'repaired'") from None
+        raise ValueError(f"unknown mode {cfg['mode']!r}; expected one of {', '.join(_MODES)}") from None
 
 
 def _fmt(x: float) -> str:
@@ -289,7 +289,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text, allow_abbrev=False)
         p.add_argument("--config", metavar="PATH", help="flat key = value config file ('#' comments)")
         p.add_argument("--out", metavar="PATH", help="output CSV path (default: stdout)")
-        p.add_argument("--mode", choices=("paper", "repaired"), help="accounting of decayed weight (default: paper)")
+        p.add_argument("--mode", choices=tuple(_MODES), help="accounting of decayed weight (default: paper)")
         p.add_argument(
             "--threads",
             type=int,

@@ -93,30 +93,34 @@ def matrix_exponential(m: np.ndarray) -> np.ndarray:
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"square matrix required, got shape {m.shape}")
+    return _expm_stack(m[None])[0]
+
+
+def _expm_stack(m: np.ndarray) -> np.ndarray:
+    """`matrix_exponential` of each matrix of an (n, d, d) stack, each with
+    its own squaring count, so a matrix's result does not depend on the others."""
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix exponential argument has non-finite entries")
-
-    norm = float(np.linalg.norm(m, np.inf))
-    if not norm < 2.0**1022:  # the scaling 2**squarings below must stay finite
-        raise ValueError(f"matrix exponential argument is too large (infinity norm {norm:g})")
-    squarings = 0
-    if norm > 0.5:
-        squarings = int(math.ceil(math.log2(norm) + 1.0))
-        m = m / (2.0**squarings)
+    norm = np.abs(m).sum(axis=-1).max(axis=-1)
+    if not np.all(norm < 2.0**1022):  # the scaling 2**squarings below must stay finite
+        raise ValueError(f"matrix exponential argument is too large (infinity norm {norm.max():g})")
+    squarings = np.ceil(np.log2(np.maximum(norm, 0.5)) + 1.0).astype(int)  # 0 at norm <= 0.5
+    m = m / np.ldexp(1.0, squarings)[:, None, None]
 
     # [6/6] Pade coefficients c_k = c_{k-1} * (6-k+1) / (k * (12-k+1))
     c = [1.0]
     for k in range(1, 7):
         c.append(c[-1] * (7 - k) / (k * (13 - k)))
 
-    eye = np.eye(m.shape[0], dtype=complex)
+    eye = np.eye(m.shape[-1], dtype=complex)
     m2 = m @ m
     m4 = m2 @ m2
     odd = m @ (c[1] * eye + c[3] * m2 + c[5] * m4)
     even = c[0] * eye + c[2] * m2 + c[4] * m4 + c[6] * (m2 @ m4)
     f = np.linalg.solve(even - odd, even + odd)
-    for _ in range(squarings):
-        f = f @ f
+    for k in range(squarings.max()):
+        more = squarings > k
+        f[more] = f[more] @ f[more]
     return f
 
 
@@ -150,9 +154,12 @@ def evolve(
     points advancing together (amplitudes (n, T, 4)) over the grid.
 
     In the frame that turns at omega_q each point's evolution matrix A is
-    constant: Z(t_k) = exp(-i A h_k) Z(t_{k-1}) with h = diff(t, prepend=0),
-    and a step within 1e-12 of the previous one reuses its exponentials, so a
-    uniform grid costs one per point.  C_n = Z_n exp(+i f_n t) with f =
+    constant: Z(t_k) = exp(-i A h_k) Z(t_{k-1}) with h = diff(t, prepend=0).
+    Steps within 1e-12 (relative) of a run's first step h form one run, which
+    takes one stacked exponential S = exp(-i A h) and is filled by doubling,
+    Z_{k+j} = S^k Z_j for j < k, so a run of L steps costs ceil(log2 L)
+    batched matmuls and a uniform grid one exponential per point.
+    C_n = Z_n exp(+i f_n t) with f =
     `frame_frequencies`.  Refused for all points if one fails: a step
     exponential that would need more than 22 squarings, and a physical norm
     that rises more than 1e-9 (relative) above its t = 0 value, as the
@@ -171,14 +178,21 @@ def evolve(
             f"one-step exponential exp(-i A dt) has no precision left for time step "
             f"dt = {dt:g}: dt times the evolution matrix norm exceeds 2**21"
         )
-    z = np.empty((len(points), t.size, 4), dtype=complex)
-    zk = np.tile(_initial_vector(initial), (len(points), 1))
-    limit = float(physical_norm(zk[0])) * (1.0 + _NORM_SLACK)
-    h_step, step = 0.0, np.eye(4)  # a zero first step costs no exponential
+    z0 = _initial_vector(initial)
+    limit = float(physical_norm(z0)) * (1.0 + _NORM_SLACK)
+    runs = [(0, 0.0)]  # (first index, step) of each run; t[0] > 0 leaves the first empty
     for k, h in enumerate(steps.tolist()):
-        if abs(h - h_step) > 1e-15 + 1e-12 * h_step:
-            h_step, step = h, np.array([matrix_exponential(-1j * h * ak) for ak in a])
-        z[:, k] = zk = (step @ zk[..., None])[..., 0]
+        if abs(h - runs[-1][1]) > 1e-15 + 1e-12 * runs[-1][1]:
+            runs.append((k, h))
+    z = np.empty((len(points), t.size, 4), dtype=complex)
+    for (start, h), (end, _) in zip(runs, runs[1:] + [(t.size, 0.0)]):
+        power = _expm_stack(-1j * h * a) if h else np.eye(4)  # a zero first step costs none
+        z[:, start] = (power @ (z[:, start - 1] if start else z0)[..., None])[..., 0]
+        k = 1
+        while k < end - start:  # z[start + k + j] = S^k z[start + j] for j < k
+            m = min(k, end - start - k)
+            z[:, start + k:start + k + m] = z[:, start:start + m] @ power.swapaxes(-1, -2)
+            power, k = power @ power, 2 * k
     f = np.array([frame_frequencies(q) for q in points])
     c = z * np.exp(1j * t[:, None] * f[:, None, :])
     peak = float(physical_norm(c).max())

@@ -167,9 +167,17 @@ class TestDynamics:
         cfg = write_cfg(tmp_path, "mode = trace_repaired\ngamma = 0.5\n"
                                   "t_max = 3\ndt = 0.5\n")
         _, via_config, _ = run(capsys, "dynamics", "--config", cfg)
-        _, via_flag, _ = run(capsys, "dynamics", "--gamma", "0.5", "--t_max", "3",
-                             "--dt", "0.5", "--mode", "repaired")
-        assert via_config == via_flag
+        flags = ("dynamics", "--gamma", "0.5", "--t_max", "3", "--dt", "0.5", "--mode")
+        _, via_flag, _ = run(capsys, *flags, "repaired")
+        code, via_alias_flag, _ = run(capsys, *flags, "trace_repaired")
+        assert code == 0
+        assert via_config == via_flag == via_alias_flag
+
+    def test_unknown_mode_lists_the_flag_choices(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, "mode = bogus\n")
+        code, _, err = run(capsys, "dynamics", "--config", cfg)
+        assert code == 2
+        assert "expected one of paper, repaired, trace_repaired" in err
 
     def test_round_trip_precision(self, capsys):
         # parsing the CSV back reproduces the in-memory numbers to 12 digits

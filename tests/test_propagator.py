@@ -254,6 +254,12 @@ class TestEvolve:
             evolve(SystemParams(g_a=2.0**21), [0.0, 1.0])
 
 
+def run_grid(t0, lengths=(3, 1, 65, 2, 7, 64)):
+    """t0, then runs of equal steps of the given lengths, each run its own step."""
+    steps = np.repeat(0.01 * (1.0 + 0.37 * np.arange(len(lengths))), lengths)
+    return t0 + np.concatenate(([0.0], np.cumsum(steps)))
+
+
 class TestBatchedEvolve:
     """A sequence of points advances together; row i is `evolve` of point i."""
 
@@ -261,7 +267,9 @@ class TestBatchedEvolve:
         np.linspace(0.0, 5.0, 101),
         np.array([0.0, 0.3, 1.0, 2.5, 2.6]),
         np.array([0.7, 1.2, 1.7, 4.0]),
-    ], ids=["uniform", "nonuniform", "from_t0"])
+        run_grid(0.0),
+        np.arange(300) * 0.01,
+    ], ids=["uniform", "nonuniform", "from_t0", "runs", "arange"])
     @pytest.mark.parametrize("initial", [None, (0.6, 0.0, 0.8j, 0.0)])
     def test_rows_match_single_points(self, rng, draw_params, grid, initial):
         points = [draw_params(rng) for _ in range(6)]
@@ -285,6 +293,37 @@ class TestBatchedEvolve:
     def test_empty_sequence_rejected(self):
         with pytest.raises(ValueError, match="at least one parameter point"):
             evolve([], [0.0, 1.0])
+
+    @pytest.mark.parametrize("grid", [
+        np.linspace(0.0, 20.0, 2001),
+        np.arange(2001) * 0.01,  # steps that differ by ulps
+        run_grid(0.0),
+        run_grid(0.25),
+    ], ids=["uniform2001", "arange2001", "runs", "runs_from_t0"])
+    def test_runs_match_a_sequential_loop_and_scipy(self, rng, draw_params, grid):
+        # each run of equal steps is filled by doubling; the reference takes
+        # one exponential per step and one matvec at a time
+        expm = pytest.importorskip("scipy.linalg").expm
+        points = [draw_params(rng) for _ in range(2)]
+        batch = evolve(points, grid).amplitudes
+        for row, p in zip(batch, points):
+            a, f = build_evolution_matrix(p), frame_frequencies(p)
+            z, loop = np.array(DEFAULT_INITIAL, dtype=complex), []
+            for tk, h in zip(grid, np.diff(grid, prepend=0.0)):
+                z = matrix_exponential(-1j * h * a) @ z
+                loop.append(z * np.exp(1j * tk * f))
+            np.testing.assert_allclose(row, loop, rtol=0, atol=1e-12)
+            for k in (1, 2, 3, 4, 6, 7, 70, 71, 80, 142, len(grid) - 1):
+                want = expm(-1j * grid[k] * a) @ DEFAULT_INITIAL * np.exp(1j * grid[k] * f)
+                np.testing.assert_allclose(row[k], want, rtol=0, atol=1e-12)
+
+    def test_each_point_keeps_its_squaring_count(self):
+        # dt |A|_inf is 0.15 (no squaring) and 2**18 + 1 (20 squarings)
+        small, large = SystemParams(g_a=0.1, g_b=0.1, lam=0.1), SystemParams(g_a=2.0**19)
+        grid = [0.0, 0.5, 1.0, 1.5]
+        batch = evolve([small, large, small], grid).amplitudes
+        for row, p in zip(batch, (small, large, small)):
+            np.testing.assert_array_equal(row, evolve(p, grid).amplitudes)
 
 
 class TestOracleIntegrate:
