@@ -17,6 +17,8 @@ import hashlib
 import json
 import sys
 
+import numpy as np
+
 from .metrics import METRIC_NAMES
 from .model import SystemParams
 from .states import AccountingMode
@@ -68,6 +70,7 @@ _MODES = {
 }
 
 _DYNAMICS_HEADER = ",".join(("t",) + METRIC_NAMES)
+_DYNAMICS_ROW = ",".join(["%.12g"] * (1 + len(METRIC_NAMES)))
 
 
 def parse_config_file(path: str) -> dict[str, str]:
@@ -176,14 +179,6 @@ def _resolve_mode(cfg: dict[str, str]) -> AccountingMode:
         raise ValueError(f"unknown mode {cfg['mode']!r}; expected one of {', '.join(_MODES)}") from None
 
 
-def _fmt(x: float) -> str:
-    """Shortest locale-independent rendering within 12 significant digits."""
-    x = float(x)
-    if x == 0.0:
-        x = 0.0  # avoid '-0'
-    return format(x, ".12g")
-
-
 def _write_lines(out: str | None, lines: list[str]) -> None:
     text = "\n".join(lines) + "\n"
     if out is None:
@@ -198,15 +193,17 @@ def _config_digest(cfg: dict[str, str]) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def _metric_rows(prefix: list[str], table) -> list[str]:
-    return [",".join(prefix + [_fmt(v) for v in row]) for row in table.tolist()]
+def _rows(template: str, table) -> list[str]:
+    """`template` % row per table row; %.12g is the shortest locale-independent
+    rendering within 12 significant digits, and + 0.0 turns -0.0 into 0.0."""
+    return [template % tuple(row) for row in (np.asarray(table, dtype=float) + 0.0).tolist()]
 
 
 def run_dynamics(cfg: dict[str, str], out: str | None) -> int:
     params = build_params(cfg)
     times = time_grid(_as_float(cfg, "t_max"), _as_float(cfg, "dt"))
     table = time_series(params, times, _resolve_mode(cfg))
-    _write_lines(out, [_DYNAMICS_HEADER] + _metric_rows([], table))
+    _write_lines(out, [_DYNAMICS_HEADER] + _rows(_DYNAMICS_ROW, table))
     return 0
 
 
@@ -219,7 +216,7 @@ def run_sweep(cfg: dict[str, str], out: str | None) -> int:
     curves = panel_sweep(params, vary, times, _resolve_mode(cfg))
     lines = ["param_name,param_value," + _DYNAMICS_HEADER]
     for value, table in curves:
-        lines += _metric_rows([vary.parameter_name, _fmt(value)], table)
+        lines += _rows(f"{vary.parameter_name},{value + 0.0:.12g},{_DYNAMICS_ROW}", table)
     _write_lines(out, lines)
     return 0
 
@@ -234,15 +231,10 @@ def run_contour(cfg: dict[str, str], out: str | None) -> int:
     params = build_params(cfg)
     times = time_grid(_as_float(cfg, "t_max"), _as_float(cfg, "dt"))
     grid = max_ergotropy_grid(params, vary_x, vary_y, times, _resolve_mode(cfg))
-    lines = ["x_name,x,y_name,y,max_ergotropy"]
-    for i, yv in enumerate(grid.y_values):
-        for j, xv in enumerate(grid.x_values):
-            lines.append(
-                ",".join(
-                    [grid.x_name, _fmt(xv), grid.y_name, _fmt(yv), _fmt(grid.z[i, j])]
-                )
-            )
-    _write_lines(out, lines)
+    x, y = np.meshgrid(grid.x_values, grid.y_values)  # indexed [y, x] like grid.z
+    table = np.column_stack((x.ravel(), y.ravel(), grid.z.ravel()))
+    template = f"{grid.x_name},%.12g,{grid.y_name},%.12g,%.12g"
+    _write_lines(out, ["x_name,x,y_name,y,max_ergotropy"] + _rows(template, table))
     metadata = dict(grid.metadata)
     metadata["config_sha256"] = _config_digest(cfg)
     with open(out + ".meta.json", "w", encoding="utf-8", newline="") as fh:
@@ -257,10 +249,8 @@ def run_opt_time(cfg: dict[str, str], out: str | None) -> int:
     params = build_params(cfg)
     times = time_grid(_as_float(cfg, "t_max"), _as_float(cfg, "dt"))
     rows = optimal_time_sweep(params, vary, times, _resolve_mode(cfg))
-    lines = ["param_name,param_value,tau,e_max"]
-    for value, tau, e_max in rows:
-        lines.append(",".join([vary.parameter_name, _fmt(value), _fmt(tau), _fmt(e_max)]))
-    _write_lines(out, lines)
+    template = f"{vary.parameter_name},%.12g,%.12g,%.12g"
+    _write_lines(out, ["param_name,param_value,tau,e_max"] + _rows(template, rows))
     return 0
 
 

@@ -23,8 +23,9 @@ stands for two degenerate atomic excitations at once.
 
 from __future__ import annotations
 
-import dataclasses
+import math
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
@@ -38,6 +39,8 @@ __all__ = [
 
 _COUPLING_FIELDS = ("g_a", "g_b", "lam")
 _DECAY_FIELDS = ("kappa_a", "kappa_b", "kappa_m", "gamma")
+# every field in declaration order: the columns `evolution_matrices` slices
+_FIELD_NAMES = ("omega_a", "omega_b", "omega_m", "omega_q") + _COUPLING_FIELDS + _DECAY_FIELDS
 
 
 @dataclass(frozen=True)
@@ -62,11 +65,11 @@ class SystemParams:
     gamma: float = 0.0
 
     def __post_init__(self) -> None:
-        for field in dataclasses.fields(self):
-            value = getattr(self, field.name)
-            if not np.isfinite(value):
-                raise ValueError(f"{field.name} must be finite, got {value!r}")
-            object.__setattr__(self, field.name, float(value))
+        for name in _FIELD_NAMES:
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
+            object.__setattr__(self, name, float(value))
         for name in _COUPLING_FIELDS:
             if getattr(self, name) < 0:
                 raise ValueError(f"coupling {name} must be >= 0")
@@ -126,7 +129,7 @@ def frame_frequencies(p: SystemParams) -> np.ndarray:
     In the frame that turns at omega_q, C_n = Z_n exp(+i f_n t) with f these
     frequencies; they are also the real diagonal of the evolution matrix.
     """
-    return np.array([p.omega_a, p.omega_b, p.omega_m, p.omega_q]) - p.omega_q
+    return evolution_matrices([p])[1][0]
 
 
 def build_evolution_matrix(p: SystemParams) -> np.ndarray:
@@ -137,11 +140,18 @@ def build_evolution_matrix(p: SystemParams) -> np.ndarray:
     g_a, magnon-phonon g_b, photon-battery 2*lam (forward) / lam (backward) —
     the factor 2 counts the two degenerate atomic target states.
     """
-    rates = np.array([p.kappa_a, p.kappa_b, p.kappa_m, p.gamma])
-    a = np.zeros((4, 4), dtype=complex)
-    a[np.diag_indices(4)] = frame_frequencies(p) - 0.5j * rates
-    a[0, 1] = a[1, 0] = p.g_a
-    a[1, 2] = a[2, 1] = p.g_b
-    a[0, 3] = 2.0 * p.lam
-    a[3, 0] = p.lam
-    return a
+    return evolution_matrices([p])[0][0]
+
+
+def evolution_matrices(points: list[SystemParams]) -> tuple[np.ndarray, np.ndarray]:
+    """(n, 4, 4) `build_evolution_matrix` and (n, 4) `frame_frequencies` of n points at once."""
+    fields = np.array(list(map(attrgetter(*_FIELD_NAMES), points)), dtype=float)  # (n, 11)
+    omegas, (g_a, g_b, lam), rates = fields[:, :4], fields[:, 4:7].T, fields[:, 7:]
+    f = omegas - omegas[:, 3:]
+    a = np.zeros((len(fields), 4, 4), dtype=complex)
+    a[:, range(4), range(4)] = f - 0.5j * rates
+    a[:, 0, 1] = a[:, 1, 0] = g_a
+    a[:, 1, 2] = a[:, 2, 1] = g_b
+    a[:, 0, 3] = 2.0 * lam
+    a[:, 3, 0] = lam
+    return a, f

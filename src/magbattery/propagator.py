@@ -3,8 +3,9 @@
 Two independent routes are provided:
 
 * the production path `evolve`: in the frame that turns at omega_q the
-  evolution matrix is constant; chain its one-step exponentials along the
-  grid, then rotate back;
+  evolution matrix is constant; `rotating_amplitudes` chains its one-step
+  exponentials along the grid, and `evolve` rotates back (the sweeps take
+  the populations straight from the rotating frame);
 * the verification path `oracle_integrate`: classical RK4 directly on the
   amplitude equations with their explicit oscillating phase factors.
 
@@ -21,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import SystemParams, build_evolution_matrix, frame_frequencies
+from .model import SystemParams, evolution_matrices
 
 __all__ = [
     "AmplitudeState",
@@ -144,33 +145,24 @@ def _initial_vector(initial) -> np.ndarray:
     return z0
 
 
-def evolve(
-    p: SystemParams | Sequence[SystemParams],
-    t_grid,
-    *,
-    initial: Sequence[complex] | None = None,
-) -> Trajectory:
-    """Propagate one parameter point (amplitudes (T, 4)) or a sequence of n
-    points advancing together (amplitudes (n, T, 4)) over the grid.
+def rotating_amplitudes(points: list[SystemParams], t_grid, *,
+                        initial: Sequence[complex] | None = None) -> np.ndarray:
+    """(n, T, 4) amplitudes Z of n points in the frame that turns at omega_q.
 
-    In the frame that turns at omega_q each point's evolution matrix A is
-    constant: Z(t_k) = exp(-i A h_k) Z(t_{k-1}) with h = diff(t, prepend=0).
-    Steps within 1e-12 (relative) of a run's first step h form one run, which
-    takes one stacked exponential S = exp(-i A h) and is filled by doubling,
-    Z_{k+j} = S^k Z_j for j < k, so a run of L steps costs ceil(log2 L)
-    batched matmuls and a uniform grid one exponential per point.
-    C_n = Z_n exp(+i f_n t) with f =
-    `frame_frequencies`.  Refused for all points if one fails: a step
+    Each point's evolution matrix A is constant there: Z(t_k) = exp(-i A h_k)
+    Z(t_{k-1}) with h = diff(t, prepend=0).  Steps within 1e-12 (relative) of
+    a run's first step h form one run, which takes one stacked exponential
+    S = exp(-i A h) and is filled by doubling, Z_{k+j} = S^k Z_j for j < k, so
+    a run of L steps costs ceil(log2 L) batched matmuls and a uniform grid one
+    exponential per point.  Refused for all points if one fails: a step
     exponential that would need more than 22 squarings, and a physical norm
-    that rises more than 1e-9 (relative) above its t = 0 value, as the
-    roundoff of many squarings does when T steps compound it.  `initial`
-    (amplitudes at t=0, shared by all points) is a hook for testing only.
+    (|Z_n| = |C_n|) that rises more than 1e-9 (relative) above its t = 0
+    value, as the roundoff of many squarings does when T steps compound it.
     """
     t = _validated_grid(t_grid)
-    points = [p] if isinstance(p, SystemParams) else list(p)
     if not points:
         raise ValueError("evolve needs at least one parameter point")
-    a = np.array([build_evolution_matrix(q) for q in points])
+    a, _ = evolution_matrices(points)
     steps = np.diff(t, prepend=0.0)
     dt = float(steps.max())
     if not dt * float(np.abs(a).sum(axis=-1).max()) <= _MAX_STEP_NORM:
@@ -193,15 +185,32 @@ def evolve(
             m = min(k, end - start - k)
             z[:, start + k:start + k + m] = z[:, start:start + m] @ power.swapaxes(-1, -2)
             power, k = power @ power, 2 * k
-    f = np.array([frame_frequencies(q) for q in points])
-    c = z * np.exp(1j * t[:, None] * f[:, None, :])
-    peak = float(physical_norm(c).max())
+    peak = float(physical_norm(z).max())
     if not peak <= limit:
         raise ValueError(
             f"one-step exponential exp(-i A dt) lost precision over "
             f"{np.count_nonzero(steps)} steps of dt = {dt:g}: the physical norm "
             f"rose to {peak!r}, more than 1e-9 (relative) above its value at t = 0"
         )
+    return z
+
+
+def evolve(
+    p: SystemParams | Sequence[SystemParams],
+    t_grid,
+    *,
+    initial: Sequence[complex] | None = None,
+) -> Trajectory:
+    """Propagate one parameter point (amplitudes (T, 4)) or a sequence of n
+    points advancing together (amplitudes (n, T, 4)) over the grid: the
+    `rotating_amplitudes` Z, with their checks and refusals, rotated back to
+    C_n = Z_n exp(+i f_n t) with f = `frame_frequencies`.  `initial`
+    (amplitudes at t=0, shared by all points) is a hook for testing only.
+    """
+    points = [p] if isinstance(p, SystemParams) else list(p)
+    z = rotating_amplitudes(points, t_grid, initial=initial)
+    t, f = np.asarray(t_grid, dtype=float), evolution_matrices(points)[1]
+    c = z * np.exp(1j * t[:, None] * f[:, None, :])
     return Trajectory(times=t, amplitudes=c[0] if isinstance(p, SystemParams) else c)
 
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .metrics import METRIC_NAMES, metric_columns
 from .model import SystemParams, derive_detunings
-from .propagator import evolve
+from .propagator import rotating_amplitudes
 from .states import AccountingMode, _coerce_mode
 
 __all__ = [
@@ -43,8 +43,8 @@ MAX_TIME_POINTS = 10**6
 # Over five times the 900 x 2001 of the shipped contour; a sweep with more
 # parameter points x time points is refused before its points are built
 MAX_SWEEP_SAMPLES = 10**7
-# Points x time points one `evolve` call advances together, which keeps its
-# (n, T, 4) trajectories at a few hundred kB
+# Points x time points one `rotating_amplitudes` call advances together, which
+# keeps its (n, T, 4) trajectories at a few hundred kB
 _BLOCK_SAMPLES = 2**12
 
 # Every swept or configured parameter name and the SystemParams fields it
@@ -162,7 +162,8 @@ def _evolve_points(base: SystemParams, axes: Sequence[VarySpec], t_grid, mode, r
     """`reduce(times, metric columns)` of each block of the axes' product, first axis outermost.
 
     A block of about _BLOCK_SAMPLES points x time points is built when it
-    runs, in one `evolve`.  No swept name sets omega_q: all share the base's.
+    runs, in one `rotating_amplitudes`; the metrics read only |Z_n| = |C_n|,
+    so nothing rotates back.  No swept name sets omega_q: all share the base's.
     """
     t = np.asarray(t_grid, dtype=float)
     points = math.prod(len(axis.values) for axis in axes)
@@ -174,8 +175,8 @@ def _evolve_points(base: SystemParams, axes: Sequence[VarySpec], t_grid, mode, r
     out, per_block = [], max(1, _BLOCK_SAMPLES // max(t.size, 1))
     while block := [apply_parameters(base, dict(zip(names, cell)))
                     for cell in itertools.islice(cells, per_block)]:
-        traj = evolve(block, t)
-        out.extend(reduce(traj.times, metric_columns(traj.amplitudes, base.omega_q, mode)))
+        z = rotating_amplitudes(block, t)
+        out.extend(reduce(t, metric_columns(z, base.omega_q, mode)))
     return out
 
 

@@ -277,6 +277,26 @@ class TestSweep:
         assert code == 2
 
 
+class TestNumberFormat:
+    @pytest.mark.parametrize("argv", [
+        ("dynamics", "--gamma", "0.3"),
+        ("sweep", "--vary", "delta_1", "--vary_values", "-0,-1.5"),
+        ("opt-time", "--vary", "delta_1", "--vary_values", "-0,-1.5"),
+        ("contour", "--vary", "delta_1", "--vary_values", "-0,-1.5",
+         "--vary2", "g_b", "--vary2_values", "-0,0.7"),
+    ], ids=["dynamics", "sweep", "opt_time", "contour"])
+    def test_shortest_12_digit_rendering_without_negative_zero(self, tmp_path, capsys, argv):
+        # every number prints as format(x + 0.0, ".12g"), which reads "0" for -0.0
+        out_path = str(tmp_path / "out.csv")
+        code, _, _ = run(capsys, *argv, "--t_max", "3", "--dt", "0.1", "--out", out_path)
+        assert code == 0
+        with open(out_path, encoding="utf-8") as fh:
+            rows = fh.read().splitlines()[1:]
+        fields = [f for row in rows for f in row.split(",") if f[0] in "-0123456789"]
+        assert len(fields) >= 2 * len(rows)
+        assert all(f == format(float(f) + 0.0, ".12g") for f in fields)
+
+
 class TestContour:
     def test_single_cell(self, tmp_path, capsys):
         out = tmp_path / "c.csv"

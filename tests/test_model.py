@@ -12,6 +12,7 @@ from magbattery import (
     derive_detunings,
     frame_frequencies,
 )
+from magbattery.model import _FIELD_NAMES, evolution_matrices
 
 
 class TestSystemParams:
@@ -38,7 +39,7 @@ class TestSystemParams:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_nonfinite_rejected(self, bad):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=f"^omega_a must be finite, got {bad!r}$"):
             SystemParams(omega_a=bad)
 
     def test_numpy_scalars_stored_as_floats(self):
@@ -154,6 +155,29 @@ class TestEvolutionMatrix:
             a = build_evolution_matrix(draw_params(rng))
             off = a - np.diag(np.diag(a))
             assert np.all(off.imag == 0)
+
+    def test_stacked_build_equals_each_point(self, rng):
+        # detunings of both signs and a different omega_q per point: a row
+        # must take only its own point's fields
+        points = [SystemParams.from_detunings(*rng.uniform(-3, 3, 3), omega_q=rng.uniform(0, 3),
+                                              g_a=rng.uniform(0, 2), g_b=rng.uniform(0, 2),
+                                              lam=rng.uniform(0, 2), kappa_a=rng.uniform(0, 2),
+                                              kappa_b=rng.uniform(0, 2), kappa_m=rng.uniform(0, 2),
+                                              gamma=rng.uniform(0, 2)) for _ in range(7)]
+        assert _FIELD_NAMES == tuple(field.name for field in dataclasses.fields(SystemParams))
+        a, f = evolution_matrices(points)
+        assert a.shape == (7, 4, 4) and f.shape == (7, 4)
+        for p, a_p, f_p in zip(points, a, f):
+            np.testing.assert_array_equal(a_p, build_evolution_matrix(p))
+            np.testing.assert_array_equal(f_p, frame_frequencies(p))
+            # the one-point formulas, written out
+            want_f = np.array([p.omega_a, p.omega_b, p.omega_m, p.omega_q]) - p.omega_q
+            want = np.diag(want_f - 0.5j * np.array([p.kappa_a, p.kappa_b, p.kappa_m, p.gamma]))
+            want[0, 1] = want[1, 0] = p.g_a
+            want[1, 2] = want[2, 1] = p.g_b
+            want[0, 3], want[3, 0] = 2.0 * p.lam, p.lam
+            np.testing.assert_array_equal(f_p, want_f)
+            np.testing.assert_array_equal(a_p, want)
 
     def test_trace(self, rng, draw_params):
         for _ in range(200):

@@ -412,7 +412,8 @@ class TestOracleIntegrate:
             names.update(code.co_names)
             codes += [c for c in code.co_consts if isinstance(c, types.CodeType)]
         assert "exp" in names  # the walk reached the nested derivative
-        shared = {"evolve", "matrix_exponential", "build_evolution_matrix", "frame_frequencies"}
+        shared = {"evolve", "rotating_amplitudes", "matrix_exponential", "evolution_matrices",
+                  "build_evolution_matrix", "frame_frequencies"}
         assert not names & shared
 
 

@@ -9,6 +9,7 @@ and say so inline.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from magbattery import (
     derive_detunings,
     evolve,
     max_ergotropy_grid,
+    metric_columns,
     optimal_charging_time,
     optimal_time_sweep,
     panel_sweep,
@@ -308,6 +310,32 @@ class TestBlocks:
         for v, table in panel_sweep(BASE, vary, self.T):
             np.testing.assert_array_equal(table, time_series(apply_parameters(BASE, {"gamma": v}),
                                                              self.T))
+
+    @pytest.mark.parametrize("mode", ["paper", "trace_repaired"])
+    @pytest.mark.parametrize("name, low, high", [("delta_1", -2.0, 2.0), ("g_b", 0.0, 3.0)])
+    def test_panel_equals_the_c_frame_route(self, rng, draw_params, name, low, high, mode):
+        # sweeps reduce the rotating-frame amplitudes; a delta_1 block holds
+        # points with different frame frequencies
+        base = draw_params(rng)
+        vary = VarySpec(name, tuple(rng.uniform(low, high, 25)))
+        assert len(vary.values) > _BLOCK_SAMPLES // len(self.T)
+        for v, table in panel_sweep(base, vary, self.T, mode):
+            p = apply_parameters(base, {name: v})
+            want = metric_columns(evolve(p, self.T).amplitudes, p.omega_q, mode)
+            np.testing.assert_array_equal(table[:, 0], self.T)
+            np.testing.assert_allclose(table[:, 1:], want, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("g_a, t, cause", [
+        (1e12, time_grid(2, 0.01), re.escape(
+            "one-step exponential exp(-i A dt) has no precision left for time step dt = 0.01: "
+            "dt times the evolution matrix norm exceeds 2**21")),
+        (1e6, time_grid(20, 0.01), re.escape(
+            "one-step exponential exp(-i A dt) lost precision over 2000 steps of dt = 0.01: "
+            "the physical norm rose to ") + r"\S+, more than 1e-9 \(relative\) above its value at t = 0"),
+    ], ids=["step_norm", "norm_rise"])
+    def test_refusals_reach_the_sweep(self, g_a, t, cause):
+        with pytest.raises(ValueError, match=f"^{cause}$"):
+            panel_sweep(BASE, VarySpec("g_a", (1.0, g_a, 2.0)), t)
 
     @pytest.mark.parametrize("sweep", [
         lambda vary, t: panel_sweep(BASE, vary, t),
