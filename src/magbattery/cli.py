@@ -25,6 +25,7 @@ from .states import AccountingMode
 from .sweeps import (
     PARAMETER_NAMES,
     VarySpec,
+    _check_size,
     apply_parameters,
     max_ergotropy_grid,
     optimal_time_sweep,
@@ -138,8 +139,9 @@ def build_params(cfg: dict[str, str]) -> SystemParams:
     )
 
 
-def build_vary(cfg: dict[str, str], prefix: str) -> VarySpec | None:
-    """VarySpec from `<prefix>` + `<prefix>_values` or `<prefix>_min/_max/_count`."""
+def build_vary(cfg: dict[str, str], prefix: str, time_points: int | None = None) -> VarySpec | None:
+    """VarySpec from `<prefix>` + `<prefix>_values` or `<prefix>_min/_max/_count`; a range
+    too large for a sweep of `time_points` is refused before its values are built."""
     spec_keys = [f"{prefix}_{suffix}" for suffix in _VARY_SUFFIXES]
     if prefix not in cfg:
         given = [k for k in spec_keys if k in cfg]
@@ -166,9 +168,10 @@ def build_vary(cfg: dict[str, str], prefix: str) -> VarySpec | None:
         missing = [key for key in (min_key, max_key, count_key) if key not in cfg]
         if missing:
             raise ValueError(f"incomplete range: missing {', '.join(missing)}")
-        return VarySpec.linspace(
-            name, _as_float(cfg, min_key), _as_float(cfg, max_key), _as_int(cfg, count_key)
-        )
+        count = _as_int(cfg, count_key)
+        for size in (None, time_points):  # the count alone first, as `VarySpec.linspace` checks it
+            _check_size(count, size)
+        return VarySpec.linspace(name, _as_float(cfg, min_key), _as_float(cfg, max_key), count)
     raise ValueError(f"{prefix} = {name} given without {values_key} or a {min_key}/{max_key}/{count_key} range")
 
 
@@ -208,11 +211,11 @@ def run_dynamics(cfg: dict[str, str], out: str | None) -> int:
 
 
 def run_sweep(cfg: dict[str, str], out: str | None) -> int:
-    vary = build_vary(cfg, "vary")
+    times = time_grid(_as_float(cfg, "t_max"), _as_float(cfg, "dt"))
+    vary = build_vary(cfg, "vary", times.size)
     if vary is None:
         raise ValueError("sweep needs a swept parameter (config key 'vary')")
     params = build_params(cfg)
-    times = time_grid(_as_float(cfg, "t_max"), _as_float(cfg, "dt"))
     curves = panel_sweep(params, vary, times, _resolve_mode(cfg))
     lines = ["param_name,param_value," + _DYNAMICS_HEADER]
     for value, table in curves:
@@ -222,14 +225,14 @@ def run_sweep(cfg: dict[str, str], out: str | None) -> int:
 
 
 def run_contour(cfg: dict[str, str], out: str | None) -> int:
-    vary_x = build_vary(cfg, "vary")
-    vary_y = build_vary(cfg, "vary2")
+    times = time_grid(_as_float(cfg, "t_max"), _as_float(cfg, "dt"))
+    vary_x = build_vary(cfg, "vary", times.size)
+    vary_y = build_vary(cfg, "vary2", times.size)
     if vary_x is None or vary_y is None:
         raise ValueError("contour needs two swept parameters (config keys 'vary' and 'vary2')")
     if out is None:
         raise ValueError("contour needs --out (a sidecar metadata file accompanies the CSV)")
     params = build_params(cfg)
-    times = time_grid(_as_float(cfg, "t_max"), _as_float(cfg, "dt"))
     grid = max_ergotropy_grid(params, vary_x, vary_y, times, _resolve_mode(cfg))
     x, y = np.meshgrid(grid.x_values, grid.y_values)  # indexed [y, x] like grid.z
     table = np.column_stack((x.ravel(), y.ravel(), grid.z.ravel()))
@@ -243,11 +246,11 @@ def run_contour(cfg: dict[str, str], out: str | None) -> int:
 
 
 def run_opt_time(cfg: dict[str, str], out: str | None) -> int:
-    vary = build_vary(cfg, "vary")
+    times = time_grid(_as_float(cfg, "t_max"), _as_float(cfg, "dt"))
+    vary = build_vary(cfg, "vary", times.size)
     if vary is None:
         raise ValueError("opt-time needs a swept parameter (config key 'vary')")
     params = build_params(cfg)
-    times = time_grid(_as_float(cfg, "t_max"), _as_float(cfg, "dt"))
     rows = optimal_time_sweep(params, vary, times, _resolve_mode(cfg))
     template = f"{vary.parameter_name},%.12g,%.12g,%.12g"
     _write_lines(out, ["param_name,param_value,tau,e_max"] + _rows(template, rows))

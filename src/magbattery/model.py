@@ -93,10 +93,14 @@ class SystemParams:
         is gauged by omega_q (which also sets the energy unit of the battery).
         `rates` are the coupling and decay fields, defaulting as in the class.
         """
-        omega_a = omega_q - delta_3
-        omega_b = omega_a - delta_2
-        omega_m = omega_b - delta_1
-        return cls(omega_a=omega_a, omega_b=omega_b, omega_m=omega_m, omega_q=omega_q, **rates)
+        return cls(*_omegas(delta_1, delta_2, delta_3, omega_q), omega_q, **rates)
+
+
+def _omegas(delta_1, delta_2, delta_3, omega_q):
+    """(omega_a, omega_b, omega_m) the detunings set below omega_q, of floats or arrays alike."""
+    omega_a = omega_q - delta_3
+    omega_b = omega_a - delta_2
+    return omega_a, omega_b, omega_b - delta_1
 
 
 @dataclass(frozen=True)
@@ -129,7 +133,7 @@ def frame_frequencies(p: SystemParams) -> np.ndarray:
     In the frame that turns at omega_q, C_n = Z_n exp(+i f_n t) with f these
     frequencies; they are also the real diagonal of the evolution matrix.
     """
-    return evolution_matrices([p])[1][0]
+    return evolution_matrices(_field_array([p]))[1][0]
 
 
 def build_evolution_matrix(p: SystemParams) -> np.ndarray:
@@ -140,12 +144,16 @@ def build_evolution_matrix(p: SystemParams) -> np.ndarray:
     g_a, magnon-phonon g_b, photon-battery 2*lam (forward) / lam (backward) —
     the factor 2 counts the two degenerate atomic target states.
     """
-    return evolution_matrices([p])[0][0]
+    return evolution_matrices(_field_array([p]))[0][0]
 
 
-def evolution_matrices(points: list[SystemParams]) -> tuple[np.ndarray, np.ndarray]:
-    """(n, 4, 4) `build_evolution_matrix` and (n, 4) `frame_frequencies` of n points at once."""
-    fields = np.array(list(map(attrgetter(*_FIELD_NAMES), points)), dtype=float)  # (n, 11)
+def _field_array(points: list[SystemParams]) -> np.ndarray:
+    """(n, 11) fields of n points, one column per `_FIELD_NAMES` entry."""
+    return np.array(list(map(attrgetter(*_FIELD_NAMES), points)), dtype=float)
+
+
+def evolution_matrices(fields: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(n, 4, 4) `build_evolution_matrix` and (n, 4) `frame_frequencies` of an (n, 11) `_field_array`."""
     omegas, (g_a, g_b, lam), rates = fields[:, :4], fields[:, 4:7].T, fields[:, 7:]
     f = omegas - omegas[:, 3:]
     a = np.zeros((len(fields), 4, 4), dtype=complex)

@@ -18,11 +18,11 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .model import SystemParams, evolution_matrices
+from .model import SystemParams, _field_array, evolution_matrices
 
 __all__ = [
     "AmplitudeState",
@@ -145,54 +145,57 @@ def _initial_vector(initial) -> np.ndarray:
     return z0
 
 
-def rotating_amplitudes(points: list[SystemParams], t_grid, *,
-                        initial: Sequence[complex] | None = None) -> np.ndarray:
-    """(n, T, 4) amplitudes Z of n points in the frame that turns at omega_q.
+def rotating_amplitudes(blocks: Iterable[np.ndarray], t_grid, *,
+                        initial: Sequence[complex] | None = None) -> Iterator[np.ndarray]:
+    """(n, T, 4) amplitudes Z, in the frame that turns at omega_q, of each block
+    of n points, given as their (n, 11) `model._field_array`, in turn.
 
     Each point's evolution matrix A is constant there: Z(t_k) = exp(-i A h_k)
     Z(t_{k-1}) with h = diff(t, prepend=0).  Steps within 1e-12 (relative) of
     a run's first step h form one run, which takes one stacked exponential
     S = exp(-i A h) and is filled by doubling, Z_{k+j} = S^k Z_j for j < k, so
     a run of L steps costs ceil(log2 L) batched matmuls and a uniform grid one
-    exponential per point.  Refused for all points if one fails: a step
-    exponential that would need more than 22 squarings, and a physical norm
-    (|Z_n| = |C_n|) that rises more than 1e-9 (relative) above its t = 0
-    value, as the roundoff of many squarings does when T steps compound it.
+    exponential per point.  The grid is checked and split once for all blocks.
+    A block is refused if one point fails: a step exponential that would need
+    more than 22 squarings, and a physical norm (|Z_n| = |C_n|) that rises
+    more than 1e-9 (relative) above its t = 0 value, as the roundoff of many
+    squarings does when T steps compound it.
     """
     t = _validated_grid(t_grid)
-    if not points:
-        raise ValueError("evolve needs at least one parameter point")
-    a, _ = evolution_matrices(points)
     steps = np.diff(t, prepend=0.0)
     dt = float(steps.max())
-    if not dt * float(np.abs(a).sum(axis=-1).max()) <= _MAX_STEP_NORM:
-        raise ValueError(
-            f"one-step exponential exp(-i A dt) has no precision left for time step "
-            f"dt = {dt:g}: dt times the evolution matrix norm exceeds 2**21"
-        )
     z0 = _initial_vector(initial)
     limit = float(physical_norm(z0)) * (1.0 + _NORM_SLACK)
     runs = [(0, 0.0)]  # (first index, step) of each run; t[0] > 0 leaves the first empty
     for k, h in enumerate(steps.tolist()):
         if abs(h - runs[-1][1]) > 1e-15 + 1e-12 * runs[-1][1]:
             runs.append((k, h))
-    z = np.empty((len(points), t.size, 4), dtype=complex)
-    for (start, h), (end, _) in zip(runs, runs[1:] + [(t.size, 0.0)]):
-        power = _expm_stack(-1j * h * a) if h else np.eye(4)  # a zero first step costs none
-        z[:, start] = (power @ (z[:, start - 1] if start else z0)[..., None])[..., 0]
-        k = 1
-        while k < end - start:  # z[start + k + j] = S^k z[start + j] for j < k
-            m = min(k, end - start - k)
-            z[:, start + k:start + k + m] = z[:, start:start + m] @ power.swapaxes(-1, -2)
-            power, k = power @ power, 2 * k
-    peak = float(physical_norm(z).max())
-    if not peak <= limit:
-        raise ValueError(
-            f"one-step exponential exp(-i A dt) lost precision over "
-            f"{np.count_nonzero(steps)} steps of dt = {dt:g}: the physical norm "
-            f"rose to {peak!r}, more than 1e-9 (relative) above its value at t = 0"
-        )
-    return z
+    for fields in blocks:
+        if not len(fields):
+            raise ValueError("evolve needs at least one parameter point")
+        a, _ = evolution_matrices(fields)
+        if not dt * float(np.abs(a).sum(axis=-1).max()) <= _MAX_STEP_NORM:
+            raise ValueError(
+                f"one-step exponential exp(-i A dt) has no precision left for time step "
+                f"dt = {dt:g}: dt times the evolution matrix norm exceeds 2**21"
+            )
+        z = np.empty((len(a), t.size, 4), dtype=complex)
+        for (start, h), (end, _) in zip(runs, runs[1:] + [(t.size, 0.0)]):
+            power = _expm_stack(-1j * h * a) if h else np.eye(4)  # a zero first step costs none
+            z[:, start] = (power @ (z[:, start - 1] if start else z0)[..., None])[..., 0]
+            k = 1
+            while k < end - start:  # z[start + k + j] = S^k z[start + j] for j < k
+                m = min(k, end - start - k)
+                z[:, start + k:start + k + m] = z[:, start:start + m] @ power.swapaxes(-1, -2)
+                power, k = power @ power, 2 * k
+        peak = float(physical_norm(z).max())
+        if not peak <= limit:
+            raise ValueError(
+                f"one-step exponential exp(-i A dt) lost precision over "
+                f"{np.count_nonzero(steps)} steps of dt = {dt:g}: the physical norm "
+                f"rose to {peak!r}, more than 1e-9 (relative) above its value at t = 0"
+            )
+        yield z
 
 
 def evolve(
@@ -203,13 +206,13 @@ def evolve(
 ) -> Trajectory:
     """Propagate one parameter point (amplitudes (T, 4)) or a sequence of n
     points advancing together (amplitudes (n, T, 4)) over the grid: the
-    `rotating_amplitudes` Z, with their checks and refusals, rotated back to
-    C_n = Z_n exp(+i f_n t) with f = `frame_frequencies`.  `initial`
-    (amplitudes at t=0, shared by all points) is a hook for testing only.
+    `rotating_amplitudes` Z of their one block, with its checks and refusals,
+    rotated back to C_n = Z_n exp(+i f_n t) with f = `frame_frequencies`.
+    `initial` (amplitudes at t=0, shared by all points) is a hook for testing only.
     """
-    points = [p] if isinstance(p, SystemParams) else list(p)
-    z = rotating_amplitudes(points, t_grid, initial=initial)
-    t, f = np.asarray(t_grid, dtype=float), evolution_matrices(points)[1]
+    fields = _field_array([p] if isinstance(p, SystemParams) else p)
+    z, = rotating_amplitudes([fields], t_grid, initial=initial)
+    t, f = np.asarray(t_grid, dtype=float), evolution_matrices(fields)[1]
     c = z * np.exp(1j * t[:, None] * f[:, None, :])
     return Trajectory(times=t, amplitudes=c[0] if isinstance(p, SystemParams) else c)
 

@@ -15,7 +15,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .metrics import METRIC_NAMES, metric_columns
-from .model import SystemParams, derive_detunings
+from .model import _FIELD_NAMES, SystemParams, _field_array, _omegas, derive_detunings
 from .propagator import rotating_amplitudes
 from .states import AccountingMode, _coerce_mode
 
@@ -48,14 +48,14 @@ MAX_SWEEP_SAMPLES = 10**7
 _BLOCK_SAMPLES = 2**12
 
 # Every swept or configured parameter name and the SystemParams fields it
-# sets; the detunings (None) set the omegas through `from_detunings`.
+# sets; the detunings (none) set the omegas as `from_detunings` does.
 _FIELDS = {
     "lambda": ("lam",),
     "g_a": ("g_a",),
     "g_b": ("g_b",),
-    "delta_1": None,
-    "delta_2": None,
-    "delta_3": None,
+    "delta_1": (),
+    "delta_2": (),
+    "delta_3": (),
     "gamma": ("gamma",),
     "kappa_all": ("kappa_a", "kappa_b", "kappa_m"),
     "kappa_a": ("kappa_a",),
@@ -65,35 +65,46 @@ _FIELDS = {
 PARAMETER_NAMES = tuple(_FIELDS)
 
 
-def apply_parameters(base: SystemParams, values: Mapping[str, float]) -> SystemParams:
-    """Return a copy of `base` with the named parameters substituted at once.
+def _substitute(base: SystemParams, names: Sequence[str], cells: np.ndarray) -> np.ndarray:
+    """(n, 11) `model._field_array` of `base` with `names` set to each row of the
+    (n, len(names)) `cells`, a later name over an earlier one that sets the same
+    field; the named detunings go in together, the others and omega_q held."""
+    fields = np.repeat(_field_array([base]), len(cells), axis=0)
+    for name, column in zip(names, cells.T):
+        fields[:, [_FIELD_NAMES.index(field) for field in _FIELDS[name]]] = column[:, None]
+    if deltas := {name: column for name, column in zip(names, cells.T) if not _FIELDS[name]}:
+        deltas = {**vars(derive_detunings(base)), **deltas}  # set as `from_detunings` sets them
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused as not finite
+            fields[:, :3] = np.column_stack(_omegas(**deltas, omega_q=fields[:, 3]))
+    return fields
 
-    Direct fields and `kappa_all` (the three field decay rates together) go in
-    one replace, where a later name wins over an earlier one that sets the
-    same field.  The named detunings are substituted together, holding the
-    others and omega_q fixed.
-    """
-    fields: dict[str, float] = {}
-    deltas: dict[str, float] = {}
-    for name, value in values.items():
-        if name not in _FIELDS:
-            raise ValueError(f"unknown sweep parameter {name!r}")
-        if _FIELDS[name] is None:
-            deltas[name] = value
-        else:
-            fields.update(dict.fromkeys(_FIELDS[name], value))
+
+def apply_parameters(base: SystemParams, values: Mapping[str, float]) -> SystemParams:
+    """Return a copy of `base` with the named parameters substituted at once: the
+    one-point view of a sweep block's substitution.  Direct fields and
+    `kappa_all` (the three field decay rates together) are checked before the
+    omegas the named detunings set, and errors name the parameter as given."""
+    if unknown := [name for name in values if name not in _FIELDS]:
+        raise ValueError(f"unknown sweep parameter {unknown[0]!r}")
+    list(map(math.isfinite, values.values()))  # a non-number raises TypeError, as in SystemParams
+    row = _substitute(base, list(values), np.array([list(values.values())], dtype=float))[0].tolist()
     try:
-        p = dataclasses.replace(base, **fields) if fields else base
+        dataclasses.replace(base, **dict(zip(_FIELD_NAMES[4:], row[4:])))
     except ValueError as exc:  # SystemParams names its field: name the parameter given
-        given = {field: name for name in values if _FIELDS[name] for field in _FIELDS[name]}
+        given = {field: name for name in values for field in _FIELDS[name]}
         raise ValueError(" ".join(given.get(w, w) for w in str(exc).split(" "))) from None
-    if not deltas:
-        return p
-    held = {k: v for k, v in vars(p).items() if k not in ("omega_a", "omega_b", "omega_m")}
     try:
-        return SystemParams.from_detunings(**{**vars(derive_detunings(p)), **deltas}, **held)
+        return SystemParams(*row)
     except ValueError as exc:  # the detunings set the omegas together: name them all
-        raise ValueError(f"{', '.join(deltas)} out of range: {exc}") from None
+        raise ValueError(f"{', '.join(n for n in values if not _FIELDS[n])} out of range: {exc}") from None
+
+
+def _check_size(points: int, time_points: int | None = None) -> None:
+    """Refuse more than MAX_SWEEP_SAMPLES parameter points x time points (without a grid, points)."""
+    samples = points * (1 if time_points is None else time_points)
+    if samples > MAX_SWEEP_SAMPLES:
+        size = "time points is" if time_points is None else f"{time_points} time points = {samples},"
+        raise ValueError(f"{points} parameter points x {size} more than the limit of {MAX_SWEEP_SAMPLES}")
 
 
 @dataclass(frozen=True)
@@ -122,9 +133,7 @@ class VarySpec:
     ) -> "VarySpec":
         if count < 2:
             raise ValueError("linear range needs count >= 2")
-        if count > MAX_SWEEP_SAMPLES:
-            raise ValueError(f"{count} parameter points x time points is more than "
-                             f"the limit of {MAX_SWEEP_SAMPLES}")
+        _check_size(count)
         return cls(parameter_name, tuple(np.linspace(start, stop, count)))
 
 
@@ -161,23 +170,25 @@ def time_grid(t_max: float = 20.0, dt: float = 0.01) -> np.ndarray:
 def _evolve_points(base: SystemParams, axes: Sequence[VarySpec], t_grid, mode, reduce) -> list:
     """`reduce(times, metric columns)` of each block of the axes' product, first axis outermost.
 
-    A block of about _BLOCK_SAMPLES points x time points is built when it
-    runs, in one `rotating_amplitudes`; the metrics read only |Z_n| = |C_n|,
-    so nothing rotates back.  No swept name sets omega_q: all share the base's.
+    A block of about _BLOCK_SAMPLES points x time points is one (n, 11) field
+    array, built and checked when `rotating_amplitudes` asks for it; the metrics
+    read only |Z_n| = |C_n|.  No swept name sets omega_q: all share the base's.
     """
     t = np.asarray(t_grid, dtype=float)
-    points = math.prod(len(axis.values) for axis in axes)
-    if points * t.size > MAX_SWEEP_SAMPLES:
-        raise ValueError(f"{points} parameter points x {t.size} time points = "
-                         f"{points * t.size}, more than the limit of {MAX_SWEEP_SAMPLES}")
-    names = [axis.parameter_name for axis in axes]
+    _check_size(math.prod(len(axis.values) for axis in axes), t.size)
+    names, per_block = [axis.parameter_name for axis in axes], max(1, _BLOCK_SAMPLES // max(t.size, 1))
     cells = itertools.product(*(axis.values for axis in axes))
-    out, per_block = [], max(1, _BLOCK_SAMPLES // max(t.size, 1))
-    while block := [apply_parameters(base, dict(zip(names, cell)))
-                    for cell in itertools.islice(cells, per_block)]:
-        z = rotating_amplitudes(block, t)
-        out.extend(reduce(t, metric_columns(z, base.omega_q, mode)))
-    return out
+
+    def blocks():
+        while block := list(itertools.islice(cells, per_block)):
+            fields = _substitute(base, names, np.array(block))
+            bad = ~np.isfinite(fields).all(axis=1) | (fields[:, 4:] < 0).any(axis=1)
+            if bad.any():  # the first bad cell raises what the one-point view raises
+                apply_parameters(base, dict(zip(names, block[bad.argmax()])))
+            yield fields
+
+    return [out for z in rotating_amplitudes(blocks(), t)
+            for out in reduce(t, metric_columns(z, base.omega_q, mode))]
 
 
 def _tables(t: np.ndarray, columns: np.ndarray) -> list[np.ndarray]:

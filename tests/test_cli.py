@@ -6,6 +6,7 @@ observable without spawning interpreters.
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -221,6 +222,24 @@ class TestDynamics:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert cause in err
+
+    @pytest.mark.parametrize("command", [
+        ("opt-time",), ("sweep",), ("contour", "--vary2", "g_b", "--vary2_values", "1")])
+    def test_range_refused_before_its_values_are_built(self, tmp_path, capsys, command):
+        # 10^7 values x 3 time points: the sweep's own refusal, before 10^7 floats exist
+        argv = (*command, "--vary", "g_a", "--vary_min", "0", "--vary_max", "1",
+                "--vary_count", "10000000", "--t_max", "1", "--dt", "0.5",
+                "--out", str(tmp_path / "out.csv"))
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, *argv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (2, "")
+        assert err == ("error: 10000000 parameter points x 3 time points = 30000000, "
+                       "more than the limit of 10000000\n")
+        assert peak < 50 * 2**20
 
     def test_write_failure_exit_3(self, tmp_path, capsys):
         target = tmp_path / "no_such_dir" / "out.csv"

@@ -12,7 +12,7 @@ from magbattery import (
     derive_detunings,
     frame_frequencies,
 )
-from magbattery.model import _FIELD_NAMES, evolution_matrices
+from magbattery.model import _FIELD_NAMES, _field_array, evolution_matrices
 
 
 class TestSystemParams:
@@ -165,7 +165,7 @@ class TestEvolutionMatrix:
                                               kappa_b=rng.uniform(0, 2), kappa_m=rng.uniform(0, 2),
                                               gamma=rng.uniform(0, 2)) for _ in range(7)]
         assert _FIELD_NAMES == tuple(field.name for field in dataclasses.fields(SystemParams))
-        a, f = evolution_matrices(points)
+        a, f = evolution_matrices(_field_array(points))
         assert a.shape == (7, 4, 4) and f.shape == (7, 4)
         for p, a_p, f_p in zip(points, a, f):
             np.testing.assert_array_equal(a_p, build_evolution_matrix(p))

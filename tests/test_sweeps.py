@@ -8,8 +8,10 @@ at the 1e-4 level and silently reorder).  Anchor tests pick such horizons
 and say so inline.
 """
 
+import dataclasses
 import math
 import re
+from operator import attrgetter
 
 import numpy as np
 import pytest
@@ -30,7 +32,9 @@ from magbattery import (
     time_grid,
     time_series,
 )
-from magbattery.sweeps import _BLOCK_SAMPLES, MAX_SWEEP_SAMPLES
+from magbattery import propagator, sweeps
+from magbattery.model import _FIELD_NAMES
+from magbattery.sweeps import _BLOCK_SAMPLES, MAX_SWEEP_SAMPLES, PARAMETER_NAMES
 
 from conftest import oracle_metrics
 
@@ -38,6 +42,16 @@ RABI = SystemParams(g_a=0.0, g_b=0.0, lam=1.0)
 BASE = SystemParams.from_detunings(1.0, 1.0, 1.0)
 # time_series column of each name
 COLUMN = {name: i for i, name in enumerate(("t",) + METRIC_NAMES)}
+# 201 time points: sweeps over it take 20 parameter points a block
+T_BLOCKS = time_grid(2, 0.01)
+
+
+def record_blocks(monkeypatch) -> list:
+    """Collects each (n, 11) field array a sweep hands the kernel, in order."""
+    seen, kernel = [], sweeps.rotating_amplitudes
+    monkeypatch.setattr(sweeps, "rotating_amplitudes",
+                        lambda blocks, t, **kw: kernel((seen.append(b) or b for b in blocks), t, **kw))
+    return seen
 
 
 class TestApplyParameter:
@@ -72,6 +86,76 @@ class TestApplyParameter:
     def test_unknown_name(self):
         with pytest.raises(ValueError):
             apply_parameters(BASE, {"g_c": 1.0})
+
+    @pytest.mark.parametrize("name", ["g_a", "kappa_all", "delta_1"])
+    @pytest.mark.parametrize("value", ["1", None, 1j])
+    def test_non_number_rejected(self, name, value):
+        with pytest.raises(TypeError):
+            apply_parameters(BASE, {name: value})
+
+
+def written_out(base: SystemParams, cell: dict) -> SystemParams:
+    """`cell` substituted without the block path: the direct fields by one
+    `dataclasses.replace`, then the named detunings together by `from_detunings`."""
+    fields = {"lambda": ("lam",), "kappa_all": ("kappa_a", "kappa_b", "kappa_m")}
+    direct, deltas = {}, {}
+    for name, value in cell.items():
+        if name.startswith("delta_"):
+            deltas[name] = value
+        else:
+            direct.update(dict.fromkeys(fields.get(name, (name,)), value))
+    p = dataclasses.replace(base, **direct)
+    if not deltas:
+        return p
+    held = {k: v for k, v in vars(p).items() if k not in ("omega_a", "omega_b", "omega_m")}
+    return SystemParams.from_detunings(**{**vars(derive_detunings(p)), **deltas}, **held)
+
+
+class TestBlockFields:
+    """A sweep block's (n, 11) field array is the one-point substitution of each cell, bit for bit."""
+
+    T = T_BLOCKS
+
+    @staticmethod
+    def lossy_base(rng) -> SystemParams:
+        return SystemParams.from_detunings(*rng.uniform(-2, 2, 3), omega_q=rng.uniform(0.3, 3),
+                                           g_a=rng.uniform(0, 2), g_b=rng.uniform(0, 2),
+                                           lam=rng.uniform(0, 2), kappa_a=rng.uniform(0, 2),
+                                           kappa_b=rng.uniform(0, 2), kappa_m=rng.uniform(0, 2),
+                                           gamma=rng.uniform(0, 2))
+
+    @staticmethod
+    def values(rng, name: str, count: int) -> VarySpec:
+        low, high = (-3.0, 3.0) if name.startswith("delta_") else (0.0, 2.0)
+        return VarySpec(name, tuple(rng.uniform(low, high, count)))
+
+    def assert_blocks_substitute(self, base, seen, cells):
+        assert len(seen) >= 3
+        got = np.concatenate(seen)
+        want = np.array([attrgetter(*_FIELD_NAMES)(apply_parameters(base, cell)) for cell in cells])
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+        want = np.array([attrgetter(*_FIELD_NAMES)(written_out(base, cell)) for cell in cells])
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("name", PARAMETER_NAMES)
+    def test_one_axis(self, monkeypatch, rng, name):
+        base, vary = self.lossy_base(rng), self.values(rng, name, 50)
+        assert base.omega_q != 1.0 and min(base.kappa_a, base.gamma) > 0
+        seen = record_blocks(monkeypatch)
+        optimal_time_sweep(base, vary, self.T)
+        self.assert_blocks_substitute(base, seen, [{name: v} for v in vary.values])
+
+    @pytest.mark.parametrize("x, y", [
+        ("delta_1", "delta_2"), ("delta_3", "delta_1"), ("delta_2", "g_b"), ("lambda", "delta_3"),
+        ("kappa_a", "kappa_all"), ("kappa_all", "kappa_a"), ("kappa_all", "gamma"),
+    ])
+    def test_two_axes(self, monkeypatch, rng, x, y):
+        # cells run over y outermost, so a later x sets a field over y (kappa_a over kappa_all)
+        base, xs, ys = self.lossy_base(rng), self.values(rng, x, 8), self.values(rng, y, 7)
+        seen = record_blocks(monkeypatch)
+        max_ergotropy_grid(base, xs, ys, self.T)
+        self.assert_blocks_substitute(base, seen, [{y: vy, x: vx} for vy in ys.values
+                                                   for vx in xs.values])
 
 
 class TestVarySpec:
@@ -336,6 +420,71 @@ class TestBlocks:
     def test_refusals_reach_the_sweep(self, g_a, t, cause):
         with pytest.raises(ValueError, match=f"^{cause}$"):
             panel_sweep(BASE, VarySpec("g_a", (1.0, g_a, 2.0)), t)
+
+    @pytest.mark.parametrize("sweep, blocks, message", [
+        (lambda: panel_sweep(BASE, VarySpec("lambda", (1.0,) * 47 + (-1.0, 2.0)), T_BLOCKS),
+         2, "coupling lambda must be >= 0"),
+        (lambda: optimal_time_sweep(BASE, VarySpec("kappa_all", (0.1,) * 47 + (-1.0,)), T_BLOCKS),
+         2, "decay rate kappa_all must be >= 0"),
+        # one grid point takes no step, so the finite 1e308 cells before the
+        # last one pass the kernel: 9000 cells, 4096 a block
+        (lambda: max_ergotropy_grid(BASE, VarySpec("delta_1", tuple(range(99)) + (1e308,)),
+                                    VarySpec("delta_2", tuple(range(89)) + (1e308,)), [0.0]),
+         2, "delta_2, delta_1 out of range: omega_m must be finite, got -inf"),
+        # on a real grid the first block, whose row holds delta_1 = 1e308, is
+        # refused by the kernel before the overflowing cell is reached
+        (lambda: max_ergotropy_grid(BASE, VarySpec("delta_1", tuple(range(9)) + (1e308,)),
+                                    VarySpec("delta_2", tuple(range(5)) + (1e308,)), T_BLOCKS),
+         1, "one-step exponential exp(-i A dt) has no precision left for time step dt = 0.01: "
+            "dt times the evolution matrix norm exceeds 2**21"),
+    ], ids=["lambda", "kappa_all", "detunings", "detunings_after_a_refusal"])
+    def test_bad_cell_of_a_later_block(self, monkeypatch, sweep, blocks, message):
+        # the error is what the parameters of the first bad point alone raise,
+        # after the blocks before it were handed to the kernel
+        seen = record_blocks(monkeypatch)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            sweep()
+        assert len(seen) == blocks
+
+    def test_fields_built_without_params_and_grid_checked_once(self, monkeypatch):
+        built, grids = [], []
+        post_init, check = SystemParams.__post_init__, propagator._validated_grid
+        monkeypatch.setattr(SystemParams, "__post_init__", lambda p: built.append(p) or post_init(p))
+        monkeypatch.setattr(propagator, "_validated_grid", lambda t: grids.append(t) or check(t))
+        seen = record_blocks(monkeypatch)
+        rows = optimal_time_sweep(BASE, VarySpec.linspace("g_b", 0.1, 5.0, 50), self.T)
+        assert len(rows) == 50 and len(seen) >= 3
+        assert len(built) <= 1 and len(grids) == 1
+
+    # t0 > 0, a run of equal steps, single steps and a second run: every block
+    # shares the runs the kernel split once
+    GRID = 0.05 + np.concatenate(([0.0], np.cumsum(np.r_[np.full(60, 0.01),
+                                                        np.linspace(0.011, 0.03, 40),
+                                                        np.full(80, 0.02)])))
+
+    def test_non_uniform_grid_opt_time_equals_per_point(self, monkeypatch):
+        vary = VarySpec.linspace("g_b", 0.1, 5.0, 50)
+        seen = record_blocks(monkeypatch)
+        rows = optimal_time_sweep(BASE, vary, self.GRID, "trace_repaired")
+        assert len(seen) >= 3
+        for v, tau, emax in rows:
+            p = apply_parameters(BASE, {"g_b": v})
+            assert (tau, emax) == optimal_charging_time(p, self.GRID, "trace_repaired")
+
+    def test_non_uniform_grid_contour_equals_single_cells(self):
+        xs, ys = VarySpec.linspace("g_a", 0.1, 3.0, 10), VarySpec.linspace("delta_1", -2.0, 2.0, 5)
+        g = max_ergotropy_grid(BASE, xs, ys, self.GRID)
+        for i, d1 in enumerate(ys.values):
+            for j, ga in enumerate(xs.values):
+                single = max_ergotropy_grid(BASE, VarySpec("g_a", (ga,)), VarySpec("delta_1", (d1,)),
+                                            self.GRID)
+                assert g.z[i, j] == single.z[0, 0]
+
+    def test_non_uniform_grid_panel_equals_time_series(self):
+        vary = VarySpec.linspace("gamma", 0.0, 1.0, 45)
+        for v, table in panel_sweep(BASE, vary, self.GRID):
+            np.testing.assert_array_equal(table, time_series(apply_parameters(BASE, {"gamma": v}),
+                                                             self.GRID))
 
     @pytest.mark.parametrize("sweep", [
         lambda vary, t: panel_sweep(BASE, vary, t),
