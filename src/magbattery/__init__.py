@@ -3,9 +3,10 @@
 A photon-magnon-phonon chain (the charger) feeds a pair of two-level atoms
 (the battery) under conditional non-Hermitian dynamics.  The package
 propagates the four closed amplitudes, computes coherence / stored energy /
-ergotropy / purity in closed form from their populations (reduced density
-matrices and the general ergotropy construction are kept as oracles), and
-drives parameter sweeps; the `magbattery` CLI serializes everything to CSV.
+ergotropy / purity in closed form from their populations, and drives
+parameter sweeps; the `magbattery` CLI serializes everything to CSV.  No
+density matrix is built at run time: the reduced states and the general
+ergotropy construction are test oracles, in the test suite's `oracles.py`.
 """
 
 from .model import (
@@ -24,20 +25,10 @@ from .propagator import (
     evolve,
     oracle_integrate,
 )
-from .states import (
-    AccountingMode,
-    DensityMatrix,
-    InconsistentStateError,
-    battery_density,
-    charger_density,
-)
+from .states import AccountingMode, InconsistentStateError
 from .metrics import (
     METRIC_NAMES,
-    BatteryHamiltonian,
     MetricsSample,
-    passive_state,
-    ergotropy,
-    purity,
     metric_columns,
     sample_metrics,
     stored_energy_series,
@@ -71,16 +62,9 @@ __all__ = [
     "evolve",
     "oracle_integrate",
     "AccountingMode",
-    "DensityMatrix",
     "InconsistentStateError",
-    "battery_density",
-    "charger_density",
     "METRIC_NAMES",
-    "BatteryHamiltonian",
     "MetricsSample",
-    "passive_state",
-    "ergotropy",
-    "purity",
     "metric_columns",
     "sample_metrics",
     "stored_energy_series",

@@ -16,6 +16,7 @@ import argparse
 import hashlib
 import json
 import sys
+from typing import Callable
 
 import numpy as np
 
@@ -139,9 +140,10 @@ def build_params(cfg: dict[str, str]) -> SystemParams:
     )
 
 
-def build_vary(cfg: dict[str, str], prefix: str, time_points: int | None = None) -> VarySpec | None:
-    """VarySpec from `<prefix>` + `<prefix>_values` or `<prefix>_min/_max/_count`; a range
-    too large for a sweep of `time_points` is refused before its values are built."""
+def _read_vary(cfg: dict[str, str], prefix: str) -> tuple[int, Callable[[], VarySpec]] | None:
+    """Value count of `<prefix>` + `<prefix>_values` or `<prefix>_min/_max/_count`
+    and a callable that builds its VarySpec, or None without `<prefix>`; a range
+    is counted without building its values, so a sweep can refuse its size first."""
     spec_keys = [f"{prefix}_{suffix}" for suffix in _VARY_SUFFIXES]
     if prefix not in cfg:
         given = [k for k in spec_keys if k in cfg]
@@ -163,16 +165,29 @@ def build_vary(cfg: dict[str, str], prefix: str, time_points: int | None = None)
             parsed = tuple(float(item) for item in values)
         except ValueError:
             raise ValueError(f"config key {values_key!r}: not a number list: {cfg[values_key]!r}") from None
-        return VarySpec(name, parsed)
+        return len(parsed), lambda: VarySpec(name, parsed)
     if has_range:
         missing = [key for key in (min_key, max_key, count_key) if key not in cfg]
         if missing:
             raise ValueError(f"incomplete range: missing {', '.join(missing)}")
         count = _as_int(cfg, count_key)
-        for size in (None, time_points):  # the count alone first, as `VarySpec.linspace` checks it
-            _check_size(count, size)
-        return VarySpec.linspace(name, _as_float(cfg, min_key), _as_float(cfg, max_key), count)
+        if count < 2:  # before any product of counts is taken
+            raise ValueError("linear range needs count >= 2")
+        _check_size(count)  # the count alone first, as `VarySpec.linspace` checks it
+        return count, lambda: VarySpec.linspace(
+            name, _as_float(cfg, min_key), _as_float(cfg, max_key), count)
     raise ValueError(f"{prefix} = {name} given without {values_key} or a {min_key}/{max_key}/{count_key} range")
+
+
+def build_vary(cfg: dict[str, str], prefix: str, time_points: int | None = None) -> VarySpec | None:
+    """VarySpec of `<prefix>` (see `_read_vary`); a sweep of its values over
+    `time_points` that is too large is refused before the values are built."""
+    axis = _read_vary(cfg, prefix)
+    if axis is None:
+        return None
+    count, build = axis
+    _check_size(count, time_points)
+    return build()
 
 
 def _resolve_mode(cfg: dict[str, str]) -> AccountingMode:
@@ -226,12 +241,14 @@ def run_sweep(cfg: dict[str, str], out: str | None) -> int:
 
 def run_contour(cfg: dict[str, str], out: str | None) -> int:
     times = time_grid(_as_float(cfg, "t_max"), _as_float(cfg, "dt"))
-    vary_x = build_vary(cfg, "vary", times.size)
-    vary_y = build_vary(cfg, "vary2", times.size)
-    if vary_x is None or vary_y is None:
+    axes = [_read_vary(cfg, prefix) for prefix in ("vary", "vary2")]
+    if None in axes:
         raise ValueError("contour needs two swept parameters (config keys 'vary' and 'vary2')")
+    (count_x, build_x), (count_y, build_y) = axes
+    _check_size(count_x * count_y, times.size)  # the whole grid, before either axis is built
     if out is None:
         raise ValueError("contour needs --out (a sidecar metadata file accompanies the CSV)")
+    vary_x, vary_y = build_x(), build_y()
     params = build_params(cfg)
     grid = max_ergotropy_grid(params, vary_x, vary_y, times, _resolve_mode(cfg))
     x, y = np.meshgrid(grid.x_values, grid.y_values)  # indexed [y, x] like grid.z

@@ -4,15 +4,11 @@ In the single-excitation shell the battery state always has the spectrum
 {g', 2|C4|^2, 0, 0}, so every reported metric is a closed-form function of
 the four populations |C_n|^2.  `metric_columns` computes all five of them for
 a whole (..., 4) amplitude array; `sample_metrics`, `ergotropy_series` and
-`stored_energy_series` are views on it.
-
-The general density-matrix routes (`passive_state`, `ergotropy`, `purity`)
-follow the passive-state construction: populations sorted descending against
-energy levels sorted ascending give the least-energetic state reachable by
-unitaries, and the work gap to it is the extractable energy.  The package
-keeps them as the oracles the closed form is tested against.  In ``paper``
-accounting the sub-normalized battery matrix enters these formulas as-is;
-``trace_repaired`` first books the decayed weight into |gg>.
+`stored_energy_series` are views on it.  No density matrix is formed and no
+eigensolver runs: the general passive-state construction the closed form
+follows lives with the tests, as its oracle.  In ``paper`` accounting the
+sub-normalized battery populations enter as-is; ``trace_repaired`` first
+books the decayed weight into |gg>.
 """
 
 from __future__ import annotations
@@ -22,23 +18,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import SystemParams
-from .propagator import AmplitudeState
-from .states import (
-    AccountingMode,
-    BATTERY_BASIS,
-    DensityMatrix,
-    InconsistentStateError,
-    _NORM_SLACK,
-    _coerce_mode,
-)
+from .propagator import _NORM_SLACK, AmplitudeState
+from .states import AccountingMode, InconsistentStateError, _coerce_mode
 
 __all__ = [
     "METRIC_NAMES",
-    "BatteryHamiltonian",
     "MetricsSample",
-    "passive_state",
-    "ergotropy",
-    "purity",
     "metric_columns",
     "sample_metrics",
     "stored_energy_series",
@@ -48,7 +33,6 @@ __all__ = [
 # column order of `metric_columns`, as printed by the CLI after `t`
 METRIC_NAMES = ("coherence", "energy", "ergotropy", "purity", "norm")
 
-_HERMITICITY_TOL = 1e-10
 _POPULATION_FLOOR = -1e-12
 # reported energies/ergotropies within this of zero collapse to exactly 0.0,
 # so states that analytically cannot charge print as true zeros
@@ -57,30 +41,6 @@ _ZERO_SNAP = 1e-12
 
 def _snap(value: np.ndarray | float) -> np.ndarray:
     return np.where(np.abs(value) <= _ZERO_SNAP, 0.0, value)
-
-
-@dataclass(frozen=True)
-class BatteryHamiltonian:
-    """Two-atom battery Hamiltonian, diagonal in (|gg>, |eg>, |ge>, |ee>).
-
-    Each atom contributes +-omega_q/2, so the spectrum is
-    (-omega_q, 0, 0, +omega_q): symmetric about zero with a degenerate
-    single-excitation shell.
-    """
-
-    omega_q: float = 1.0
-
-    @property
-    def eigenvalues(self) -> np.ndarray:
-        return np.array([-self.omega_q, 0.0, 0.0, self.omega_q])
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return np.diag(self.eigenvalues).astype(complex)
-
-    @property
-    def basis(self) -> tuple[str, ...]:
-        return BATTERY_BASIS
 
 
 @dataclass(frozen=True)
@@ -93,49 +53,6 @@ class MetricsSample:
     ergotropy: float
     purity: float
     norm: float
-
-
-def passive_state(rho: DensityMatrix, h: BatteryHamiltonian) -> DensityMatrix:
-    """Least-energetic state with the spectrum of rho, diagonal in H.
-
-    Populations are sorted descending (stable, ties by original index) and
-    assigned to energy levels sorted ascending.  Assignments among degenerate
-    levels all give the same energy, so the result is deterministic and
-    unique in energy.
-    """
-    m = np.asarray(rho.matrix, dtype=complex)
-    if float(np.max(np.abs(m - m.conj().T))) > _HERMITICITY_TOL:
-        raise ValueError("density matrix is not Hermitian")
-    pops = np.linalg.eigvalsh(m)
-    if np.any(pops < _POPULATION_FLOOR):
-        raise ValueError(
-            f"density matrix is not positive semidefinite (eigenvalue {pops.min()})"
-        )
-    pops = np.where(pops < 0.0, 0.0, pops)
-    pop_order = np.argsort(-pops, kind="stable")
-    energies = h.eigenvalues
-    level_order = np.argsort(energies, kind="stable")
-    diag = np.zeros(len(energies))
-    diag[level_order] = pops[pop_order]
-    return DensityMatrix(matrix=np.diag(diag).astype(complex), basis=rho.basis)
-
-
-def ergotropy(rho: DensityMatrix, h: BatteryHamiltonian) -> float:
-    """Maximum unitarily extractable work: Tr(rho H) - Tr(eta H).
-
-    eta is the passive state of rho; results within 1e-12 of zero report as
-    0.0, absorbing the floating-point residue of the two traces.
-    """
-    eta = passive_state(rho, h)
-    hm = h.matrix
-    w = float(np.trace(rho.matrix @ hm).real) - float(np.trace(eta.matrix @ hm).real)
-    return float(_snap(w)) if w > 0.0 else 0.0
-
-
-def purity(rho: DensityMatrix) -> float:
-    """Tr(rho^2), real part (imaginary residue below 1e-12 discarded)."""
-    m = np.asarray(rho.matrix, dtype=complex)
-    return float(np.trace(m @ m).real)
 
 
 def metric_columns(

@@ -11,15 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import settings, strategies as st
 
-from magbattery import (
-    BatteryHamiltonian,
-    SystemParams,
-    battery_density,
-    charger_density,
-    ergotropy,
-    evolve,
-    purity,
-)
+from magbattery import SystemParams, evolve
 
 # property tests replay the same examples on every run, like the seeded rng
 settings.register_profile("seeded", derandomize=True, database=None, deadline=None)
@@ -48,26 +40,6 @@ def _draw_params(rng, rate_high=2.0):
         d1, d2, d3,
         g_a=ga, g_b=gb, lam=lam,
         kappa_a=ka, kappa_b=kb, kappa_m=km, gamma=gam,
-    )
-
-
-def oracle_metrics(c, omega_q, mode):
-    """(coherence, energy, ergotropy, purity, norm) through the density matrices.
-
-    Coherence is the off-diagonal l1 of the charger state; energy is
-    Tr(rho H) above the uncharged |gg> level; ergotropy and purity use the
-    general passive-state and Tr(rho^2) routes; the norm is the paper-mode
-    battery trace.  None of it uses the package's closed-form columns.
-    """
-    h = BatteryHamiltonian(omega_q)
-    rho = battery_density(c, mode)
-    field = charger_density(c, mode).matrix
-    return (
-        float(np.sum(np.abs(field - np.diag(np.diag(field))))),
-        float(np.trace(rho.matrix @ h.matrix).real) + omega_q,
-        ergotropy(rho, h),
-        purity(rho),
-        battery_density(c, "paper").trace,
     )
 
 

@@ -21,12 +21,8 @@ import pytest
 from magbattery import (
     METRIC_NAMES,
     AccountingMode,
-    BatteryHamiltonian,
-    DensityMatrix,
     SystemParams,
     VarySpec,
-    charger_density,
-    ergotropy,
     ergotropy_series,
     evolve,
     max_ergotropy_grid,
@@ -40,6 +36,7 @@ from magbattery import (
 from magbattery.cli import main as cli_main
 
 from conftest import _draw_params, record_verdict
+from oracles import BatteryHamiltonian, DensityMatrix, charger_density, ergotropy
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 MODES = (AccountingMode.PAPER, AccountingMode.TRACE_REPAIRED)

@@ -241,6 +241,24 @@ class TestDynamics:
                        "more than the limit of 10000000\n")
         assert peak < 50 * 2**20
 
+    def test_contour_refused_before_either_range_is_built(self, tmp_path, capsys):
+        # each axis passes the limit alone and over the grid, their product does not
+        argv = ("contour", "--vary", "g_a", "--vary_min", "0", "--vary_max", "1",
+                "--vary_count", "4000000", "--vary2", "g_b", "--vary2_min", "0",
+                "--vary2_max", "1", "--vary2_count", "2", "--t_max", "1", "--dt", "1",
+                "--out", str(tmp_path / "out.csv"))
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, *argv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (2, "")
+        assert err == ("error: 8000000 parameter points x 2 time points = 16000000, "
+                       "more than the limit of 10000000\n")
+        assert peak < 2 * 2**20  # 4 * 10^6 range values alone would take over 30 MB
+        assert not (tmp_path / "out.csv").exists()
+
     def test_write_failure_exit_3(self, tmp_path, capsys):
         target = tmp_path / "no_such_dir" / "out.csv"
         code, _, err = run(capsys, "dynamics", "--t_max", "1", "--dt", "0.5",

@@ -3,7 +3,7 @@
 The permutation oracle: ergotropy = <H> - min over all 4! assignments of
 populations to energy levels.  Written independently of the package's
 sorted-spectrum construction.  The closed-form columns are checked against
-the density-matrix routes (see `oracle_metrics` in conftest).
+the density-matrix routes (see `oracle_metrics` in oracles).
 """
 
 import itertools
@@ -17,23 +17,26 @@ from magbattery import (
     METRIC_NAMES,
     AccountingMode,
     AmplitudeState,
-    BatteryHamiltonian,
-    DensityMatrix,
     InconsistentStateError,
     SystemParams,
-    battery_density,
-    charger_density,
-    ergotropy,
     ergotropy_series,
     evolve,
     metric_columns,
-    passive_state,
-    purity,
     sample_metrics,
     stored_energy_series,
 )
 
-from conftest import oracle_metrics, shell_amplitudes
+from conftest import shell_amplitudes
+from oracles import (
+    BatteryHamiltonian,
+    DensityMatrix,
+    battery_density,
+    charger_density,
+    ergotropy,
+    oracle_metrics,
+    passive_state,
+    purity,
+)
 
 BELL_PEAK = (0.0, 0.0, 0.0, -1j / math.sqrt(2))
 MODES = (AccountingMode.PAPER, AccountingMode.TRACE_REPAIRED)

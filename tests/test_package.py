@@ -1,0 +1,75 @@
+"""Package surface and runtime dependencies.
+
+The density-matrix and eigensolver routes are test oracles (`oracles.py`
+beside these tests); the package exports and defines none of them, and a CLI
+run imports numpy but no test-only library.
+"""
+
+import importlib
+import json
+import os
+import pkgutil
+import subprocess
+import sys
+from pathlib import Path
+
+import magbattery
+
+PACKAGE_DIR = Path(magbattery.__file__).resolve().parent
+TESTS_DIR = Path(__file__).resolve().parent
+CONFIG_DIR = TESTS_DIR.parent / "configs"
+
+EXPORTS = {
+    "DEFAULT_INITIAL", "SystemParams", "Detunings", "derive_detunings",
+    "frame_frequencies", "build_evolution_matrix", "AmplitudeState", "Trajectory",
+    "physical_norm", "matrix_exponential", "evolve", "oracle_integrate",
+    "AccountingMode", "InconsistentStateError", "METRIC_NAMES", "MetricsSample",
+    "metric_columns", "sample_metrics", "stored_energy_series", "ergotropy_series",
+    "VarySpec", "GridResult", "apply_parameters", "time_grid", "time_series",
+    "panel_sweep", "max_ergotropy_grid", "optimal_charging_time",
+    "optimal_time_sweep", "__version__",
+}
+ORACLE_NAMES = ("DensityMatrix", "battery_density", "charger_density",
+                "BatteryHamiltonian", "passive_state", "ergotropy", "purity")
+
+
+def test_exports_are_pinned_and_resolve():
+    assert len(magbattery.__all__) == len(EXPORTS) == 30
+    assert set(magbattery.__all__) == EXPORTS
+    for name in magbattery.__all__:
+        getattr(magbattery, name)
+
+
+def test_no_module_defines_an_oracle():
+    modules = [importlib.import_module(f"magbattery.{info.name}")
+               for info in pkgutil.iter_modules([str(PACKAGE_DIR)])]
+    assert {m.__name__ for m in modules} >= {"magbattery.metrics", "magbattery.states"}
+    for module in [magbattery, *modules]:
+        assert not set(ORACLE_NAMES) & set(vars(module)), module.__name__
+
+
+def test_no_eigensolver_in_the_package():
+    for path in sorted(PACKAGE_DIR.rglob("*.py")):
+        assert "eigvalsh" not in path.read_text(encoding="utf-8"), path.name
+
+
+def test_cli_run_imports_no_test_only_library(tmp_path):
+    # the tests directory is on the path, as under pytest, so an import of the
+    # oracles from the package would succeed here rather than go unseen
+    path = os.pathsep.join((str(PACKAGE_DIR.parent), str(TESTS_DIR)))
+    script = (
+        "import json, sys\n"
+        "from magbattery.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "print(json.dumps([code, sorted(m for m in ('scipy', 'mpmath', 'hypothesis',"
+        " 'oracles', 'numpy') if m in sys.modules)]))\n"
+    )
+    out = tmp_path / "dynamics.csv"
+    result = subprocess.run(
+        [sys.executable, "-c", script, "dynamics",
+         "--config", str(CONFIG_DIR / "dynamics_resonant.cfg"), "--out", str(out)],
+        env={**os.environ, "PYTHONPATH": path}, cwd=tmp_path,
+        capture_output=True, text=True, check=True,
+    )
+    assert json.loads(result.stdout) == [0, ["numpy"]]
+    assert out.read_text(encoding="utf-8").startswith("t,coherence,energy,ergotropy,purity,norm\n")

@@ -24,6 +24,8 @@ from magbattery import (
     physical_norm,
 )
 
+from oracles import lindblad_metrics
+
 RABI = SystemParams(g_a=0.0, g_b=0.0, lam=1.0)  # resonant two-level reduction
 
 
@@ -491,57 +493,6 @@ class TestShellHamiltonianOracle:
             for route in routes:
                 got = np.abs(route(p, t, initial=c0).amplitudes) ** 2
                 assert np.abs(got - want).max() <= 1e-10, (k, route.__name__)
-
-
-def lindblad_metrics(p, t, initial=DEFAULT_INITIAL):
-    """The five metric columns from the zero-temperature Lindblad master equation.
-
-    Within at most one excitation the state space is the five-level shell
-    plus the ground state |gg, 000> (index 0), where every jump ends.  The
-    jump operators are sqrt(kappa_a) a, sqrt(kappa_b) b, sqrt(kappa_m) m and
-    sqrt(gamma) sigma_- once per atom; the 36x36 Liouvillian is propagated
-    with scipy's expm and the battery and charger states taken by partial
-    trace.  Nothing here uses the no-jump amplitudes.
-    """
-    expm = pytest.importorskip("scipy.linalg").expm
-    omegas = np.array([0.0, p.omega_a, p.omega_b, p.omega_m, p.omega_q, p.omega_q])
-    h = np.diag(omegas).astype(complex)
-    h[1, 2] = h[2, 1] = p.g_a
-    h[2, 3] = h[3, 2] = p.g_b
-    h[1, 4] = h[4, 1] = h[1, 5] = h[5, 1] = p.lam
-    eye = np.eye(6)
-    # row-major vec: vec(A rho B) = kron(A, B.T) vec(rho)
-    liouvillian = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
-    for level, rate in enumerate((p.kappa_a, p.kappa_b, p.kappa_m, p.gamma, p.gamma), 1):
-        jump = np.zeros((6, 6))
-        jump[0, level] = math.sqrt(rate)
-        loss = jump.T @ jump
-        liouvillian += np.kron(jump, jump.conj()) - 0.5 * (np.kron(loss, eye) + np.kron(eye, loss.T))
-    c0 = np.asarray(initial, dtype=complex)
-    psi0 = np.concatenate(([0.0], c0, c0[3:]))
-    rho0 = np.outer(psi0, psi0.conj()).ravel()
-    energies = np.array([-p.omega_q, 0.0, 0.0, p.omega_q])  # |gg>, |eg>, |ge>, |ee>
-    rows = []
-    for tt in t:
-        rho = (expm(tt * liouvillian) @ rho0).reshape(6, 6)
-        battery = np.zeros((4, 4), dtype=complex)
-        battery[0, 0] = np.trace(rho[:4, :4])  # atoms in |gg>, charger traced out
-        battery[1:3, 1:3] = rho[4:, 4:]
-        battery[0, 1:3], battery[1:3, 0] = rho[0, 4:], rho[4:, 0]
-        charger = np.zeros((4, 4), dtype=complex)  # |100>, |010>, |001>, |000>
-        charger[:3, :3] = rho[1:4, 1:4]
-        charger[3, 3] = rho[0, 0] + rho[4, 4] + rho[5, 5]
-        charger[:3, 3], charger[3, :3] = rho[1:4, 0], rho[0, 1:4]
-        energy = np.diag(battery).real @ energies
-        passive = np.sort(np.linalg.eigvalsh(battery))[::-1] @ np.sort(energies)
-        rows.append((
-            np.abs(charger - np.diag(np.diag(charger))).sum(),
-            energy + p.omega_q,
-            energy - passive,
-            np.real(np.trace(battery @ battery)),
-            1.0 - rho[0, 0].real,  # the weight that has not decayed
-        ))
-    return np.array(rows)
 
 
 class TestLindbladOracle:

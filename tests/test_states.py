@@ -1,4 +1,4 @@
-"""Reduced density matrices of battery and charger, both accounting modes."""
+"""Reduced density matrices of battery and charger (the `oracles` module), both accounting modes."""
 
 import math
 
@@ -10,13 +10,12 @@ from magbattery import (
     AccountingMode,
     InconsistentStateError,
     SystemParams,
-    battery_density,
-    charger_density,
     evolve,
     physical_norm,
 )
 
 from conftest import shell_amplitudes
+from oracles import battery_density, charger_density
 
 BELL_PEAK = (0.0, 0.0, 0.0, -1j / math.sqrt(2))  # full-transfer amplitudes
 MODES = (AccountingMode.PAPER, AccountingMode.TRACE_REPAIRED)

@@ -36,7 +36,7 @@ from magbattery import propagator, sweeps
 from magbattery.model import _FIELD_NAMES
 from magbattery.sweeps import _BLOCK_SAMPLES, MAX_SWEEP_SAMPLES, PARAMETER_NAMES
 
-from conftest import oracle_metrics
+from oracles import oracle_metrics
 
 RABI = SystemParams(g_a=0.0, g_b=0.0, lam=1.0)
 BASE = SystemParams.from_detunings(1.0, 1.0, 1.0)
