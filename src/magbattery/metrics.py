@@ -2,13 +2,14 @@
 
 In the single-excitation shell the battery state always has the spectrum
 {g', 2|C4|^2, 0, 0}, so every reported metric is a closed-form function of
-the four populations |C_n|^2.  `metric_columns` computes all five of them for
-a whole (..., 4) amplitude array; `sample_metrics`, `ergotropy_series` and
-`stored_energy_series` are views on it.  No density matrix is formed and no
-eigensolver runs: the general passive-state construction the closed form
-follows lives with the tests, as its oracle.  In ``paper`` accounting the
-sub-normalized battery populations enter as-is; ``trace_repaired`` first
-books the decayed weight into |gg>.
+the populations, all but coherence of g = |C1|^2 + |C2|^2 + |C3|^2 and
+s = |C4|^2 alone.  `_columns` computes the metrics named to it from g and s;
+`metric_columns` is its all-columns view on (..., 4) amplitudes,
+`sample_metrics` and the two `_series` its one-row and one-name views.  No
+density matrix is formed and no eigensolver runs: the general passive-state
+construction the closed form follows lives with the tests, as its oracle.
+In ``paper`` accounting the sub-normalized battery populations enter as-is;
+``trace_repaired`` first books the decayed weight into |gg>.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import SystemParams
-from .propagator import _NORM_SLACK, AmplitudeState
+from .propagator import _NORM_SLACK, AmplitudeState, _population_sums
 from .states import AccountingMode, InconsistentStateError, _coerce_mode
 
 __all__ = [
@@ -60,53 +61,54 @@ def metric_columns(
     omega_q: float,
     mode: AccountingMode | str = AccountingMode.PAPER,
 ) -> np.ndarray:
-    """All five figures of merit of (..., 4) amplitudes as a (..., 5) array.
+    """All five `_columns` of (..., 4) amplitudes as a (..., 5) array, in METRIC_NAMES order."""
+    c = np.asarray(c, dtype=complex)
+    return np.stack(_columns(*_population_sums(c), omega_q, mode, METRIC_NAMES, c), axis=-1)
 
-    Columns follow METRIC_NAMES.  With g = |C1|^2 + |C2|^2 + |C3|^2,
-    s = |C4|^2 and the battery ground population g' (g in ``paper`` mode,
-    1 - 2s in ``trace_repaired`` mode), the battery spectrum is
-    {g', 2s, 0, 0}, so:
 
-    coherence = 2 (|C1 C2| + |C1 C3| + |C2 C3|)  (charger off-diagonal l1)
+def _columns(g: np.ndarray, s: np.ndarray, omega_q: float, mode: AccountingMode | str,
+             names: tuple[str, ...], amplitudes: np.ndarray | None = None) -> tuple[np.ndarray, ...]:
+    """The named figures of merit, one array each in the order of `names`.
+
+    With g = |C1|^2 + |C2|^2 + |C3|^2, s = |C4|^2 and the battery ground
+    population g' (g in ``paper`` mode, 1 - 2s in ``trace_repaired`` mode),
+    the battery spectrum is {g', 2s, 0, 0}, so:
+
+    coherence = 2 (|C1 C2| + |C1 C3| + |C2 C3|)  (charger off-diagonal l1;
+                the one column that reads the (..., 4) `amplitudes`)
     energy    = omega_q (1 - g) in ``paper`` mode, which books the decayed
                 weight omega_q (1 - N) as charge; 2 omega_q s in ``trace_repaired``
     ergotropy = omega_q * max(0, 2s - g')       (passive-state gap)
     purity    = g'^2 + 4 s^2
     norm      = N = g + 2s
 
-    Energies and ergotropies within 1e-12 of zero report as 0.0.  Raises
-    ValueError for omega_q < 0 (the excited level must lie above |gg>),
-    InconsistentStateError when the norm exceeds 1 + 1e-9 and ValueError when
-    g' is below -1e-12 (not a density matrix); smaller negative g' is roundoff
-    and clamps to 0.
+    Energies and ergotropies within 1e-12 of zero report as 0.0.  Whatever
+    the selection, raises ValueError for omega_q < 0 (the excited level must
+    lie above |gg>), InconsistentStateError when the norm exceeds 1 + 1e-9
+    and ValueError when g' is below -1e-12 (not a density matrix); smaller
+    negative g' is roundoff and clamps to 0.
     """
     mode = _coerce_mode(mode)
     if not omega_q >= 0.0:
         raise ValueError(f"battery metrics need omega_q >= 0, got {omega_q!r}")
-    a = np.abs(np.asarray(c, dtype=complex))
-    p = a**2
-    g, s = p[..., 0] + p[..., 1] + p[..., 2], p[..., 3]
     norm = g + 2.0 * s
     if np.any(norm > 1.0 + _NORM_SLACK):
         raise InconsistentStateError(f"physical norm {norm.max()} exceeds 1")
     paper = mode is AccountingMode.PAPER
     ground = g if paper else 1.0 - 2.0 * s
     if np.any(ground < _POPULATION_FLOOR):
-        raise ValueError(
-            f"density matrix is not positive semidefinite (eigenvalue {ground.min()})"
-        )
+        raise ValueError(f"density matrix is not positive semidefinite (eigenvalue {ground.min()})")
     ground = np.maximum(ground, 0.0)
-    a1, a2, a3 = a[..., 0], a[..., 1], a[..., 2]
-    return np.stack(
-        (
-            2.0 * (a1 * a2 + a1 * a3 + a2 * a3),
-            _snap(omega_q * (1.0 - g) if paper else 2.0 * omega_q * s),
-            _snap(omega_q * np.maximum(2.0 * s - ground, 0.0)),
-            ground**2 + 4.0 * s**2,
-            norm,
-        ),
-        axis=-1,
-    )
+    if "coherence" in names:
+        a1, a2, a3, _ = np.moveaxis(np.abs(amplitudes), -1, 0)  # faster than |Z1..3| alone
+    formulas = {
+        "coherence": lambda: 2.0 * (a1 * a2 + a1 * a3 + a2 * a3),
+        "energy": lambda: _snap(omega_q * (1.0 - g) if paper else 2.0 * omega_q * s),
+        "ergotropy": lambda: _snap(omega_q * np.maximum(2.0 * s - ground, 0.0)),
+        "purity": lambda: ground**2 + 4.0 * s**2,
+        "norm": lambda: norm,
+    }
+    return tuple(formulas[name]() for name in names)
 
 
 def sample_metrics(
@@ -124,7 +126,7 @@ def stored_energy_series(
     mode: AccountingMode | str = AccountingMode.PAPER,
 ) -> np.ndarray:
     """The energy column of `metric_columns`, for (..., 4) amplitudes."""
-    return metric_columns(c, omega_q, mode)[..., METRIC_NAMES.index("energy")]
+    return _columns(*_population_sums(c), omega_q, mode, ("energy",))[0]
 
 
 def ergotropy_series(
@@ -133,4 +135,4 @@ def ergotropy_series(
     mode: AccountingMode | str = AccountingMode.PAPER,
 ) -> np.ndarray:
     """The ergotropy column of `metric_columns`, for (..., 4) amplitudes."""
-    return metric_columns(c, omega_q, mode)[..., METRIC_NAMES.index("ergotropy")]
+    return _columns(*_population_sums(c), omega_q, mode, ("ergotropy",))[0]

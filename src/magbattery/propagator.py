@@ -55,8 +55,17 @@ def physical_norm(c: Sequence[complex] | np.ndarray) -> np.ndarray:
     C4 is counted twice because it stands for both degenerate single-atom
     excitations.  Conserved without decay, non-increasing with decay.
     """
-    p = np.abs(np.asarray(c)) ** 2
-    return p[..., 0] + p[..., 1] + p[..., 2] + 2.0 * p[..., 3]
+    g, s = _population_sums(c)
+    return g + 2.0 * s
+
+
+def _population_sums(z) -> tuple[np.ndarray, np.ndarray]:
+    """g = |Z1|^2 + |Z2|^2 + |Z3|^2 and s = |Z4|^2 of (..., 4) amplitudes, one pass each."""
+    v = np.ascontiguousarray(z, dtype=complex).view(float)
+    if v.shape[-1] != 8:
+        raise ValueError(f"amplitudes need 4 components in their last axis, got shape {np.shape(z)}")
+    field, atom = v[..., :6], v[..., 6:]
+    return np.einsum("...i,...i->...", field, field), np.einsum("...i,...i->...", atom, atom)
 
 
 @dataclass(frozen=True)
@@ -146,20 +155,22 @@ def _initial_vector(initial) -> np.ndarray:
 
 
 def rotating_amplitudes(blocks: Iterable[np.ndarray], t_grid, *,
-                        initial: Sequence[complex] | None = None) -> Iterator[np.ndarray]:
+                        initial: Sequence[complex] | None = None) -> Iterator[tuple[np.ndarray, ...]]:
     """(n, T, 4) amplitudes Z, in the frame that turns at omega_q, of each block
-    of n points, given as their (n, 11) `model._field_array`, in turn.
+    of n points, given as their (n, 11) `model._field_array`, in turn, with
+    their (n, T) population sums g = |Z1|^2 + |Z2|^2 + |Z3|^2 and s = |Z4|^2.
 
     Each point's evolution matrix A is constant there: Z(t_k) = exp(-i A h_k)
     Z(t_{k-1}) with h = diff(t, prepend=0).  Steps within 1e-12 (relative) of
     a run's first step h form one run, which takes one stacked exponential
     S = exp(-i A h) and is filled by doubling, Z_{k+j} = S^k Z_j for j < k, so
-    a run of L steps costs ceil(log2 L) batched matmuls and a uniform grid one
-    exponential per point.  The grid is checked and split once for all blocks.
+    a run of L steps costs ceil(log2 L) batched fills and one squaring fewer,
+    and a uniform grid one exponential per point.  The grid is checked and
+    split once for all blocks.
     A block is refused if one point fails: a step exponential that would need
     more than 22 squarings, and a physical norm (|Z_n| = |C_n|) that rises
     more than 1e-9 (relative) above its t = 0 value, as the roundoff of many
-    squarings does when T steps compound it.
+    squarings does when T steps compound it; the check reads g + 2s.
     """
     t = _validated_grid(t_grid)
     steps = np.diff(t, prepend=0.0)
@@ -187,15 +198,16 @@ def rotating_amplitudes(blocks: Iterable[np.ndarray], t_grid, *,
             while k < end - start:  # z[start + k + j] = S^k z[start + j] for j < k
                 m = min(k, end - start - k)
                 z[:, start + k:start + k + m] = z[:, start:start + m] @ power.swapaxes(-1, -2)
-                power, k = power @ power, 2 * k
-        peak = float(physical_norm(z).max())
+                power, k = (power @ power if 2 * k < end - start else power), 2 * k
+        g, s = _population_sums(z)
+        peak = float((g + 2.0 * s).max())
         if not peak <= limit:
             raise ValueError(
                 f"one-step exponential exp(-i A dt) lost precision over "
                 f"{np.count_nonzero(steps)} steps of dt = {dt:g}: the physical norm "
                 f"rose to {peak!r}, more than 1e-9 (relative) above its value at t = 0"
             )
-        yield z
+        yield z, g, s
 
 
 def evolve(
@@ -211,7 +223,7 @@ def evolve(
     `initial` (amplitudes at t=0, shared by all points) is a hook for testing only.
     """
     fields = _field_array([p] if isinstance(p, SystemParams) else p)
-    z, = rotating_amplitudes([fields], t_grid, initial=initial)
+    (z, _, _), = rotating_amplitudes([fields], t_grid, initial=initial)
     t, f = np.asarray(t_grid, dtype=float), evolution_matrices(fields)[1]
     c = z * np.exp(1j * t[:, None] * f[:, None, :])
     return Trajectory(times=t, amplitudes=c[0] if isinstance(p, SystemParams) else c)

@@ -14,7 +14,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .metrics import METRIC_NAMES, metric_columns
+from .metrics import METRIC_NAMES, _columns
 from .model import _FIELD_NAMES, SystemParams, _field_array, _omegas, derive_detunings
 from .propagator import rotating_amplitudes
 from .states import AccountingMode, _coerce_mode
@@ -167,12 +167,14 @@ def time_grid(t_max: float = 20.0, dt: float = 0.01) -> np.ndarray:
     return np.arange(n + 1) * dt
 
 
-def _evolve_points(base: SystemParams, axes: Sequence[VarySpec], t_grid, mode, reduce) -> list:
-    """`reduce(times, metric columns)` of each block of the axes' product, first axis outermost.
+def _evolve_points(base: SystemParams, axes: Sequence[VarySpec], t_grid, mode, metrics, reduce) -> list:
+    """`reduce(times, *columns)` of each block of the axes' product, first axis
+    outermost, with one (n, T) column per name in `metrics`.
 
     A block of about _BLOCK_SAMPLES points x time points is one (n, 11) field
     array, built and checked when `rotating_amplitudes` asks for it; the metrics
-    read only |Z_n| = |C_n|.  No swept name sets omega_q: all share the base's.
+    read only the kernel's population sums and, for coherence, |Z_n| = |C_n|.
+    No swept name sets omega_q: all share the base's.
     """
     t = np.asarray(t_grid, dtype=float)
     _check_size(math.prod(len(axis.values) for axis in axes), t.size)
@@ -187,17 +189,16 @@ def _evolve_points(base: SystemParams, axes: Sequence[VarySpec], t_grid, mode, r
                 apply_parameters(base, dict(zip(names, block[bad.argmax()])))
             yield fields
 
-    return [out for z in rotating_amplitudes(blocks(), t)
-            for out in reduce(t, metric_columns(z, base.omega_q, mode))]
+    return [out for z, g, s in rotating_amplitudes(blocks(), t)
+            for out in reduce(t, *_columns(g, s, base.omega_q, mode, metrics, z))]
 
 
-def _tables(t: np.ndarray, columns: np.ndarray) -> list[np.ndarray]:
-    return [np.column_stack((t, point)) for point in columns]
+def _tables(t: np.ndarray, *columns: np.ndarray) -> list[np.ndarray]:
+    return [np.column_stack((t, point)) for point in np.stack(columns, axis=-1)]
 
 
-def _energy_peaks(t: np.ndarray, columns: np.ndarray) -> Iterable[tuple[float, float]]:
+def _energy_peaks(t: np.ndarray, e: np.ndarray) -> Iterable[tuple[float, float]]:
     """(tau, e_max) per point: the earliest grid time of the grid-maximal energy."""
-    e = columns[..., METRIC_NAMES.index("energy")]
     idx = np.argmax(e >= e.max(axis=-1, keepdims=True) - _PEAK_TIE_TOL, axis=-1)
     return zip(t[idx].tolist(), e[np.arange(idx.size), idx].tolist())
 
@@ -208,7 +209,7 @@ def time_series(
     mode: AccountingMode | str = AccountingMode.PAPER,
 ) -> np.ndarray:
     """(T, 6) table with rows (t, coherence, energy, ergotropy, purity, norm)."""
-    return _evolve_points(p, (), t_grid, mode, _tables)[0]
+    return _evolve_points(p, (), t_grid, mode, METRIC_NAMES, _tables)[0]
 
 
 def panel_sweep(
@@ -218,7 +219,7 @@ def panel_sweep(
     mode: AccountingMode | str = AccountingMode.PAPER,
 ) -> list[tuple[float, np.ndarray]]:
     """One `time_series` table per swept value, in the given order."""
-    return list(zip(vary.values, _evolve_points(base, (vary,), t_grid, mode, _tables)))
+    return list(zip(vary.values, _evolve_points(base, (vary,), t_grid, mode, METRIC_NAMES, _tables)))
 
 
 def max_ergotropy_grid(
@@ -236,8 +237,7 @@ def max_ergotropy_grid(
         raise ValueError("contour axes must vary two different parameters")
     mode = _coerce_mode(mode)
     t = np.asarray(t_grid, dtype=float)
-    erg = METRIC_NAMES.index("ergotropy")
-    z = _evolve_points(base, (vary_y, vary_x), t, mode, lambda _, m: m[..., erg].max(axis=-1))
+    z = _evolve_points(base, (vary_y, vary_x), t, mode, ("ergotropy",), lambda _, e: e.max(axis=-1))
     z = np.reshape(z, (len(vary_y.values), len(vary_x.values)))
     step = float(t[1] - t[0]) if t.size > 1 else 0.0
     metadata = {
@@ -269,7 +269,7 @@ def optimal_charging_time(
 
     Returns (tau, e_max) with e_max = E(tau); tau is always a grid member.
     """
-    return _evolve_points(p, (), t_grid, mode, _energy_peaks)[0]
+    return _evolve_points(p, (), t_grid, mode, ("energy",), _energy_peaks)[0]
 
 
 def optimal_time_sweep(
@@ -279,5 +279,5 @@ def optimal_time_sweep(
     mode: AccountingMode | str = AccountingMode.PAPER,
 ) -> list[tuple[float, float, float]]:
     """(value, tau, e_max) per swept value, in the given order."""
-    peaks = _evolve_points(base, (vary,), t_grid, mode, _energy_peaks)
+    peaks = _evolve_points(base, (vary,), t_grid, mode, ("energy",), _energy_peaks)
     return [(v, tau, e_max) for v, (tau, e_max) in zip(vary.values, peaks)]

@@ -26,6 +26,9 @@ from magbattery import (
     stored_energy_series,
 )
 
+from magbattery.metrics import _columns
+from magbattery.propagator import _population_sums
+
 from conftest import shell_amplitudes
 from oracles import (
     BatteryHamiltonian,
@@ -265,6 +268,61 @@ class TestSeriesRoutes:
         zero = metric_columns(c, 0.0, mode)
         assert zero[METRIC_NAMES.index("energy")] == zero[METRIC_NAMES.index("ergotropy")] == 0.0
         assert ergotropy(battery_density(c, mode), BatteryHamiltonian(0.0)) == 0.0
+
+
+def selected(c, omega_q, mode, names):
+    c = np.asarray(c, dtype=complex)
+    return dict(zip(names, _columns(*_population_sums(c), omega_q, mode, names, c)))
+
+
+# the selections the sweeps make: opt-time, contour, and panel/time_series
+SELECTIONS = (("energy",), ("ergotropy",), METRIC_NAMES)
+
+
+class TestColumnSelection:
+    @settings(max_examples=100)
+    @given(c=st.lists(shell_amplitudes(), min_size=1, max_size=4).map(np.array),
+           omega_q=st.floats(0.0, 2.0), mode=st.sampled_from(MODES))
+    def test_equals_the_all_columns_view(self, c, omega_q, mode):
+        want = metric_columns(c, omega_q, mode)
+        for names in SELECTIONS:
+            got = selected(c, omega_q, mode, names)
+            assert list(got) == list(names)
+            for name, column in got.items():
+                np.testing.assert_array_equal(column, want[..., METRIC_NAMES.index(name)])
+
+    @pytest.mark.parametrize("names", SELECTIONS, ids=lambda names: "+".join(names))
+    @pytest.mark.parametrize("c, omega_q, mode, error, message", [
+        ((0.5, 0.1, 0.1j, 0.6), -1.0, "paper", ValueError, "omega_q >= 0"),
+        ((0.5, 0.1, 0.1j, 0.6), -1e-300, "trace_repaired", ValueError, "omega_q >= 0"),
+        ([(1.0, 0, 0, 0), (1.1, 0, 0, 0)], 1.0, "paper", InconsistentStateError, "exceeds 1"),
+        ((1.0, 0, 0, math.sqrt(1e-9)), 1.0, "trace_repaired", InconsistentStateError, "exceeds 1"),
+        # N = 1 + 8e-10 passes the norm slack, but g' = 1 - 2s = -8e-10
+        ((0, 0, 0, math.sqrt(0.5 + 4e-10)), 1.0, "trace_repaired", ValueError, "positive semidefinite"),
+    ], ids=["omega_q", "omega_q_tiny", "norm", "norm_slack", "ground"])
+    def test_guards_act_on_every_selection(self, names, c, omega_q, mode, error, message):
+        with pytest.raises(error, match=message):
+            selected(c, omega_q, mode, names)
+
+    @pytest.mark.parametrize("names", SELECTIONS, ids=lambda names: "+".join(names))
+    def test_snap_and_clamp_on_every_selection(self, names):
+        tiny, over = math.sqrt(2.5e-13), math.sqrt(0.5 + 2e-13)
+        s_over = float(_population_sums(np.array([0, 0, 0, over]))[1])
+        cases = [
+            # paper energy 1 - g = 5e-13 snaps to 0
+            ((math.sqrt(1.0 - 5e-13), 0, 0, 0), "paper", {"energy": 0.0, "ergotropy": 0.0}),
+            # paper ergotropy 2s - g = 5e-13 snaps to 0
+            ((0, 0, 0, tiny), "paper", {"energy": 1.0, "ergotropy": 0.0}),
+            # trace_repaired energy 2s = 5e-13 snaps to 0
+            ((0, 0, 0, tiny), "trace_repaired", {"energy": 0.0, "ergotropy": 0.0}),
+            # g' = 1 - 2s = -4e-13 is roundoff: it clamps to 0, so the ergotropy is 2s
+            ((0, 0, 0, over), "trace_repaired", {"energy": 2.0 * s_over, "ergotropy": 2.0 * s_over,
+                                                 "purity": 4.0 * s_over**2}),
+        ]
+        for c, mode, want in cases:
+            got = selected(c, 1.0, mode, names)
+            for name in set(want) & set(got):
+                assert got[name] == want[name], (c, mode, name)
 
 
 class TestBatteryHamiltonian:

@@ -24,6 +24,9 @@ from magbattery import (
     physical_norm,
 )
 
+from magbattery.model import _field_array
+from magbattery.propagator import _population_sums, rotating_amplitudes
+
 from oracles import lindblad_metrics
 
 RABI = SystemParams(g_a=0.0, g_b=0.0, lam=1.0)  # resonant two-level reduction
@@ -326,6 +329,40 @@ class TestBatchedEvolve:
         batch = evolve([small, large, small], grid).amplitudes
         for row, p in zip(batch, (small, large, small)):
             np.testing.assert_array_equal(row, evolve(p, grid).amplitudes)
+
+
+class TestPopulationSums:
+    """g = |Z1|^2 + |Z2|^2 + |Z3|^2 and s = |Z4|^2, taken once per block by the kernel."""
+
+    def test_match_the_abs_squares(self, rng, draw_params):
+        z = evolve([draw_params(rng) for _ in range(5)], np.linspace(0.0, 10.0, 41)).amplitudes
+        parts = rng.normal(size=(2, 3, 7, 4)) * 10.0 ** rng.uniform(-8, 2, (2, 3, 7, 4))
+        scaled = parts[0] + 1j * parts[1]  # components many decades apart
+        every_other = np.empty((3, 7, 8), dtype=complex)
+        every_other[..., ::2] = scaled
+        strided = every_other[..., ::2]  # the components of a point are not adjacent
+        assert not strided.flags.c_contiguous and not np.asfortranarray(z).flags.c_contiguous
+        for c in (z, z[:, ::3], np.asfortranarray(z), z.swapaxes(0, 1), strided,
+                  scaled, scaled[0, 0], scaled[0, 0].tolist()):
+            p = np.abs(np.asarray(c)) ** 2
+            g, s = _population_sums(c)
+            np.testing.assert_allclose(g, p[..., 0] + p[..., 1] + p[..., 2], rtol=1e-15, atol=0)
+            np.testing.assert_allclose(s, p[..., 3], rtol=1e-15, atol=0)
+            np.testing.assert_array_equal(physical_norm(c), g + 2.0 * s)
+
+    def test_wrong_component_count_rejected(self):
+        for c in ((1.0, 0.0, 0.0), np.zeros((2, 5), dtype=complex)):
+            with pytest.raises(ValueError, match="4 components in their last axis"):
+                _population_sums(c)
+
+    def test_kernel_yields_each_blocks_own_sums(self, rng, draw_params):
+        blocks = [_field_array([draw_params(rng) for _ in range(n)]) for n in (3, 1, 4)]
+        out = list(rotating_amplitudes(blocks, np.linspace(0.0, 5.0, 51)))
+        assert [z.shape[0] for z, _, _ in out] == [3, 1, 4]
+        for z, g, s in out:
+            want_g, want_s = _population_sums(z)
+            np.testing.assert_array_equal(g, want_g)
+            np.testing.assert_array_equal(s, want_s)
 
 
 class TestOracleIntegrate:

@@ -32,7 +32,7 @@ from magbattery import (
     time_grid,
     time_series,
 )
-from magbattery import propagator, sweeps
+from magbattery import metrics, propagator, sweeps
 from magbattery.model import _FIELD_NAMES
 from magbattery.sweeps import _BLOCK_SAMPLES, MAX_SWEEP_SAMPLES, PARAMETER_NAMES
 
@@ -455,6 +455,23 @@ class TestBlocks:
         rows = optimal_time_sweep(BASE, VarySpec.linspace("g_b", 0.1, 5.0, 50), self.T)
         assert len(rows) == 50 and len(seen) >= 3
         assert len(built) <= 1 and len(grids) == 1
+
+    @pytest.mark.parametrize("sweep", [
+        lambda t: optimal_time_sweep(BASE, VarySpec.linspace("g_b", 0.1, 5.0, 50), t),
+        lambda t: max_ergotropy_grid(BASE, VarySpec.linspace("g_a", 0.1, 3.0, 10),
+                                     VarySpec.linspace("g_b", 0.1, 3.0, 5), t),
+        lambda t: panel_sweep(BASE, VarySpec.linspace("gamma", 0.0, 1.0, 45), t),
+    ], ids=["opt_time", "contour", "panel"])
+    def test_population_sums_taken_once_per_block(self, monkeypatch, sweep):
+        # the kernel's norm check and the metrics share one g, s per block
+        calls, sums = [], propagator._population_sums
+        for module in (propagator, metrics):
+            monkeypatch.setattr(module, "_population_sums", lambda z: calls.append(z) or sums(z))
+        seen = record_blocks(monkeypatch)
+        sweep(self.T)
+        per_block = [z for z in calls if np.ndim(z) == 3]
+        assert len(seen) >= 3 and [len(z) for z in per_block] == [len(fields) for fields in seen]
+        assert len(calls) == len(per_block) + 1  # and the norm of the initial amplitudes, once
 
     # t0 > 0, a run of equal steps, single steps and a second run: every block
     # shares the runs the kernel split once
