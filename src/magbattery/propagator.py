@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -47,6 +47,9 @@ _NORM_SLACK = 1e-9
 # one span whose maps it multiplies down to one matrix; a batch's arrays
 # then peak below 1 MB
 _ORACLE_PIECE = 512
+# Points x time points of one trajectory slice of `rotating_amplitudes`, which
+# keeps its (n, T, 4) amplitudes at a few hundred kB
+_BLOCK_SAMPLES = 2**12
 
 
 def physical_norm(c: Sequence[complex] | np.ndarray) -> np.ndarray:
@@ -128,7 +131,7 @@ def _expm_stack(m: np.ndarray) -> np.ndarray:
     odd = m @ (c[1] * eye + c[3] * m2 + c[5] * m4)
     even = c[0] * eye + c[2] * m2 + c[4] * m4 + c[6] * (m2 @ m4)
     f = np.linalg.solve(even - odd, even + odd)
-    for k in range(squarings.max()):
+    for k in range(squarings.max(initial=0)):
         more = squarings > k
         f[more] = f[more] @ f[more]
     return f
@@ -154,23 +157,28 @@ def _initial_vector(initial) -> np.ndarray:
     return z0
 
 
-def rotating_amplitudes(blocks: Iterable[np.ndarray], t_grid, *,
+def rotating_amplitudes(chunks: Callable[[int], Iterable[np.ndarray]], t_grid, *,
                         initial: Sequence[complex] | None = None) -> Iterator[tuple[np.ndarray, ...]]:
-    """(n, T, 4) amplitudes Z, in the frame that turns at omega_q, of each block
-    of n points, given as their (n, 11) `model._field_array`, in turn, with
-    their (n, T) population sums g = |Z1|^2 + |Z2|^2 + |Z3|^2 and s = |Z4|^2.
+    """(n, T, 4) amplitudes Z, in the frame that turns at omega_q, of each slice
+    of n points in turn, with their (n, T) population sums g = |Z1|^2 + |Z2|^2 +
+    |Z3|^2 and s = |Z4|^2.  `chunks(size)` gives the points as (n <= size, 11)
+    `model._field_array` chunks, in order.
 
     Each point's evolution matrix A is constant there: Z(t_k) = exp(-i A h_k)
     Z(t_{k-1}) with h = diff(t, prepend=0).  Steps within 1e-12 (relative) of
-    a run's first step h form one run, which takes one stacked exponential
-    S = exp(-i A h) and is filled by doubling, Z_{k+j} = S^k Z_j for j < k, so
-    a run of L steps costs ceil(log2 L) batched fills and one squaring fewer,
-    and a uniform grid one exponential per point.  The grid is checked and
-    split once for all blocks.
-    A block is refused if one point fails: a step exponential that would need
+    a run's first step h form one run.  The grid is checked and split once.
+    Per chunk, A is built and each run takes one stacked exponential
+    S = exp(-i A h); per slice of about _BLOCK_SAMPLES points x time points,
+    each run is filled by doubling, Z_{k+j} = S^k Z_j for j < k, so a run of L
+    steps costs ceil(log2 L) batched fills and one squaring fewer, and a
+    uniform grid one exponential per point.  A chunk holds _BLOCK_SAMPLES // 4R
+    points for R runs that take a step, at least one slice: its exponentials
+    take one trajectory slice of memory, or up to four when R > T / 4.
+    A slice is refused if one point fails: a step exponential that would need
     more than 22 squarings, and a physical norm (|Z_n| = |C_n|) that rises
     more than 1e-9 (relative) above its t = 0 value, as the roundoff of many
-    squarings does when T steps compound it; the check reads g + 2s.
+    squarings does when T steps compound it; the check reads g + 2s.  The
+    slices before the first refused one are yielded first.
     """
     t = _validated_grid(t_grid)
     steps = np.diff(t, prepend=0.0)
@@ -181,33 +189,41 @@ def rotating_amplitudes(blocks: Iterable[np.ndarray], t_grid, *,
     for k, h in enumerate(steps.tolist()):
         if abs(h - runs[-1][1]) > 1e-15 + 1e-12 * runs[-1][1]:
             runs.append((k, h))
-    for fields in blocks:
-        if not len(fields):
-            raise ValueError("evolve needs at least one parameter point")
+    spans = [(start, end, h) for (start, h), (end, _) in zip(runs, runs[1:] + [(t.size, 0.0)])]
+    per_slice = max(1, _BLOCK_SAMPLES // t.size)
+    per_chunk = max(per_slice, _BLOCK_SAMPLES // (4 * max(1, sum(h > 0 for _, h in runs))))
+    for fields in chunks(per_chunk):
         a, _ = evolution_matrices(fields)
-        if not dt * float(np.abs(a).sum(axis=-1).max()) <= _MAX_STEP_NORM:
+        fine = dt * np.abs(a).sum(axis=-1).max(axis=-1) <= _MAX_STEP_NORM
+        # the slices before the first one holding a point refused here still run
+        ready = len(a) if fine.all() else int(fine.argmin()) // per_slice * per_slice
+        exps = [_expm_stack(-1j * h * a[:ready]) if h else None for _, _, h in spans]
+        for lo in range(0, ready, per_slice):
+            z = np.empty((min(per_slice, ready - lo), t.size, 4), dtype=complex)
+            for (start, end, h), step in zip(spans, exps):
+                power = step[lo:lo + len(z)] if h else np.eye(4)  # a zero first step costs none
+                z[:, start] = (power @ (z[:, start - 1] if start else z0)[..., None])[..., 0]
+                k = 1
+                while k < end - start:  # z[start + k + j] = S^k z[start + j] for j < k
+                    m = min(k, end - start - k)
+                    np.matmul(z[:, start:start + m], power.swapaxes(-1, -2),
+                              out=z[:, start + k:start + k + m])
+                    power, k = (power @ power if 2 * k < end - start else power), 2 * k
+            g, s = _population_sums(z)
+            peak = float((g + 2.0 * s).max())
+            if not peak <= limit:
+                raise ValueError(
+                    f"one-step exponential exp(-i A dt) lost precision over "
+                    f"{np.count_nonzero(steps)} steps of dt = {dt:g}: the physical norm "
+                    f"rose to {peak!r}, more than 1e-9 (relative) above its value at t = 0"
+                )
+            yield z, g, s
+        del exps  # before the next chunk takes its own
+        if ready < len(a):
             raise ValueError(
                 f"one-step exponential exp(-i A dt) has no precision left for time step "
                 f"dt = {dt:g}: dt times the evolution matrix norm exceeds 2**21"
             )
-        z = np.empty((len(a), t.size, 4), dtype=complex)
-        for (start, h), (end, _) in zip(runs, runs[1:] + [(t.size, 0.0)]):
-            power = _expm_stack(-1j * h * a) if h else np.eye(4)  # a zero first step costs none
-            z[:, start] = (power @ (z[:, start - 1] if start else z0)[..., None])[..., 0]
-            k = 1
-            while k < end - start:  # z[start + k + j] = S^k z[start + j] for j < k
-                m = min(k, end - start - k)
-                z[:, start + k:start + k + m] = z[:, start:start + m] @ power.swapaxes(-1, -2)
-                power, k = (power @ power if 2 * k < end - start else power), 2 * k
-        g, s = _population_sums(z)
-        peak = float((g + 2.0 * s).max())
-        if not peak <= limit:
-            raise ValueError(
-                f"one-step exponential exp(-i A dt) lost precision over "
-                f"{np.count_nonzero(steps)} steps of dt = {dt:g}: the physical norm "
-                f"rose to {peak!r}, more than 1e-9 (relative) above its value at t = 0"
-            )
-        yield z, g, s
 
 
 def evolve(
@@ -218,14 +234,19 @@ def evolve(
 ) -> Trajectory:
     """Propagate one parameter point (amplitudes (T, 4)) or a sequence of n
     points advancing together (amplitudes (n, T, 4)) over the grid: the
-    `rotating_amplitudes` Z of their one block, with its checks and refusals,
-    rotated back to C_n = Z_n exp(+i f_n t) with f = `frame_frequencies`.
+    `rotating_amplitudes` Z of their one field array, slices joined, with its
+    checks and refusals, rotated back to C_n = Z_n exp(+i f_n t) with
+    f = `frame_frequencies`.
     `initial` (amplitudes at t=0, shared by all points) is a hook for testing only.
     """
     fields = _field_array([p] if isinstance(p, SystemParams) else p)
-    (z, _, _), = rotating_amplitudes([fields], t_grid, initial=initial)
+    if not len(fields):
+        raise ValueError("evolve needs at least one parameter point")
+    slices = rotating_amplitudes(lambda size: (fields[lo:lo + size] for lo in range(0, len(fields), size)),
+                                 t_grid, initial=initial)
+    c = np.concatenate([z for z, _, _ in slices])  # a fresh array, rotated in place
     t, f = np.asarray(t_grid, dtype=float), evolution_matrices(fields)[1]
-    c = z * np.exp(1j * t[:, None] * f[:, None, :])
+    c *= np.exp(1j * t[:, None] * f[:, None, :])
     return Trajectory(times=t, amplitudes=c[0] if isinstance(p, SystemParams) else c)
 
 

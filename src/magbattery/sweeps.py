@@ -43,9 +43,6 @@ MAX_TIME_POINTS = 10**6
 # Over five times the 900 x 2001 of the shipped contour; a sweep with more
 # parameter points x time points is refused before its points are built
 MAX_SWEEP_SAMPLES = 10**7
-# Points x time points one `rotating_amplitudes` call advances together, which
-# keeps its (n, T, 4) trajectories at a few hundred kB
-_BLOCK_SAMPLES = 2**12
 
 # Every swept or configured parameter name and the SystemParams fields it
 # sets; the detunings (none) set the omegas as `from_detunings` does.
@@ -168,28 +165,30 @@ def time_grid(t_max: float = 20.0, dt: float = 0.01) -> np.ndarray:
 
 
 def _evolve_points(base: SystemParams, axes: Sequence[VarySpec], t_grid, mode, metrics, reduce) -> list:
-    """`reduce(times, *columns)` of each block of the axes' product, first axis
+    """`reduce(times, *columns)` of each slice of the axes' product, first axis
     outermost, with one (n, T) column per name in `metrics`.
 
-    A block of about _BLOCK_SAMPLES points x time points is one (n, 11) field
-    array, built and checked when `rotating_amplitudes` asks for it; the metrics
-    read only the kernel's population sums and, for coherence, |Z_n| = |C_n|.
-    No swept name sets omega_q: all share the base's.
+    The points go to `rotating_amplitudes` as chunks of the size it asks for,
+    each one (n, 11) field array built and checked when it is asked for; the
+    metrics read only the kernel's population sums and, for coherence,
+    |Z_n| = |C_n|.  No swept name sets omega_q: all share the base's.
     """
     t = np.asarray(t_grid, dtype=float)
     _check_size(math.prod(len(axis.values) for axis in axes), t.size)
-    names, per_block = [axis.parameter_name for axis in axes], max(1, _BLOCK_SAMPLES // max(t.size, 1))
-    cells = itertools.product(*(axis.values for axis in axes))
+    names, cells = [axis.parameter_name for axis in axes], itertools.product(*(axis.values for axis in axes))
 
-    def blocks():
-        while block := list(itertools.islice(cells, per_block)):
+    def chunks(size):
+        while block := list(itertools.islice(cells, size)):
             fields = _substitute(base, names, np.array(block))
             bad = ~np.isfinite(fields).all(axis=1) | (fields[:, 4:] < 0).any(axis=1)
-            if bad.any():  # the first bad cell raises what the one-point view raises
-                apply_parameters(base, dict(zip(names, block[bad.argmax()])))
+            if bad.any():  # the cells before the first bad one go first, then it raises
+                if first := int(bad.argmax()):
+                    yield fields[:first]
+                apply_parameters(base, dict(zip(names, block[first])))  # as the one-point view does
+                fields = fields[first:]
             yield fields
 
-    return [out for z, g, s in rotating_amplitudes(blocks(), t)
+    return [out for z, g, s in rotating_amplitudes(chunks, t)
             for out in reduce(t, *_columns(g, s, base.omega_q, mode, metrics, z))]
 
 

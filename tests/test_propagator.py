@@ -357,7 +357,7 @@ class TestPopulationSums:
 
     def test_kernel_yields_each_blocks_own_sums(self, rng, draw_params):
         blocks = [_field_array([draw_params(rng) for _ in range(n)]) for n in (3, 1, 4)]
-        out = list(rotating_amplitudes(blocks, np.linspace(0.0, 5.0, 51)))
+        out = list(rotating_amplitudes(lambda size: blocks, np.linspace(0.0, 5.0, 51)))
         assert [z.shape[0] for z, _, _ in out] == [3, 1, 4]
         for z, g, s in out:
             want_g, want_s = _population_sums(z)

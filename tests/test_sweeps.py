@@ -11,6 +11,7 @@ and say so inline.
 import dataclasses
 import math
 import re
+import tracemalloc
 from operator import attrgetter
 
 import numpy as np
@@ -34,7 +35,8 @@ from magbattery import (
 )
 from magbattery import metrics, propagator, sweeps
 from magbattery.model import _FIELD_NAMES
-from magbattery.sweeps import _BLOCK_SAMPLES, MAX_SWEEP_SAMPLES, PARAMETER_NAMES
+from magbattery.propagator import _BLOCK_SAMPLES
+from magbattery.sweeps import MAX_SWEEP_SAMPLES, PARAMETER_NAMES
 
 from oracles import oracle_metrics
 
@@ -42,15 +44,22 @@ RABI = SystemParams(g_a=0.0, g_b=0.0, lam=1.0)
 BASE = SystemParams.from_detunings(1.0, 1.0, 1.0)
 # time_series column of each name
 COLUMN = {name: i for i, name in enumerate(("t",) + METRIC_NAMES)}
-# 201 time points: sweeps over it take 20 parameter points a block
+# 201 time points: sweeps over it take 20 parameter points a slice
 T_BLOCKS = time_grid(2, 0.01)
 
 
-def record_blocks(monkeypatch) -> list:
-    """Collects each (n, 11) field array a sweep hands the kernel, in order."""
-    seen, kernel = [], sweeps.rotating_amplitudes
-    monkeypatch.setattr(sweeps, "rotating_amplitudes",
-                        lambda blocks, t, **kw: kernel((seen.append(b) or b for b in blocks), t, **kw))
+def record_blocks(monkeypatch, handed=None) -> list:
+    """Collects the (n, 11) field rows of each slice the kernel yields to a sweep,
+    in order; `handed`, if given, collects each field array the sweep hands it."""
+    seen, handed, kernel = [], [] if handed is None else handed, sweeps.rotating_amplitudes
+
+    def recorded(chunks, t, **kw):
+        for z, g, s in kernel(lambda size: (handed.append(f) or f for f in chunks(size)), t, **kw):
+            done = sum(map(len, seen))
+            seen.append(np.concatenate(handed)[done:done + len(z)])
+            yield z, g, s
+
+    monkeypatch.setattr(sweeps, "rotating_amplitudes", recorded)
     return seen
 
 
@@ -421,30 +430,63 @@ class TestBlocks:
         with pytest.raises(ValueError, match=f"^{cause}$"):
             panel_sweep(BASE, VarySpec("g_a", (1.0, g_a, 2.0)), t)
 
-    @pytest.mark.parametrize("sweep, blocks, message", [
+    @pytest.mark.parametrize("sweep, cells, message", [
         (lambda: panel_sweep(BASE, VarySpec("lambda", (1.0,) * 47 + (-1.0, 2.0)), T_BLOCKS),
-         2, "coupling lambda must be >= 0"),
+         47, "coupling lambda must be >= 0"),
         (lambda: optimal_time_sweep(BASE, VarySpec("kappa_all", (0.1,) * 47 + (-1.0,)), T_BLOCKS),
-         2, "decay rate kappa_all must be >= 0"),
+         47, "decay rate kappa_all must be >= 0"),
         # one grid point takes no step, so the finite 1e308 cells before the
-        # last one pass the kernel: 9000 cells, 4096 a block
+        # last one pass the kernel: 9000 cells, the last one overflows
         (lambda: max_ergotropy_grid(BASE, VarySpec("delta_1", tuple(range(99)) + (1e308,)),
                                     VarySpec("delta_2", tuple(range(89)) + (1e308,)), [0.0]),
-         2, "delta_2, delta_1 out of range: omega_m must be finite, got -inf"),
-        # on a real grid the first block, whose row holds delta_1 = 1e308, is
+         8999, "delta_2, delta_1 out of range: omega_m must be finite, got -inf"),
+        # on a real grid the first slice, whose row holds delta_1 = 1e308, is
         # refused by the kernel before the overflowing cell is reached
         (lambda: max_ergotropy_grid(BASE, VarySpec("delta_1", tuple(range(9)) + (1e308,)),
                                     VarySpec("delta_2", tuple(range(5)) + (1e308,)), T_BLOCKS),
-         1, "one-step exponential exp(-i A dt) has no precision left for time step dt = 0.01: "
-            "dt times the evolution matrix norm exceeds 2**21"),
+         59, "one-step exponential exp(-i A dt) has no precision left for time step dt = 0.01: "
+             "dt times the evolution matrix norm exceeds 2**21"),
     ], ids=["lambda", "kappa_all", "detunings", "detunings_after_a_refusal"])
-    def test_bad_cell_of_a_later_block(self, monkeypatch, sweep, blocks, message):
+    def test_bad_cell_of_a_later_block(self, monkeypatch, sweep, cells, message):
         # the error is what the parameters of the first bad point alone raise,
-        # after the blocks before it were handed to the kernel
-        seen = record_blocks(monkeypatch)
+        # after the cells before it were handed to the kernel
+        handed = []
+        record_blocks(monkeypatch, handed)
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             sweep()
-        assert len(seen) == blocks
+        assert sum(map(len, handed)) == cells
+
+    STEP_NORM = re.escape("one-step exponential exp(-i A dt) has no precision left for time step "
+                          "dt = 0.01: dt times the evolution matrix norm exceeds 2**21")
+    OVERFLOW = re.escape("delta_2, delta_1 out of range: omega_m must be finite, got -inf")
+    NORM_RISE = re.escape("one-step exponential exp(-i A dt) lost precision over 2000 steps of "
+                          "dt = 0.01: the physical norm rose to ")
+
+    @pytest.mark.parametrize("ys, xs, cells, message", [
+        # cell 1 (delta_1 = 1e308) fails the step norm in the first slice;
+        # the last cell, both 1e308, overflows
+        ((0.0,) * 20 + (1e308,), (0.0, 1e308), 41, STEP_NORM),
+        # the overflowing cell comes first, the step-norm failures after it
+        ((1e308, 0.0), (1e308, 0.0), 0, OVERFLOW),
+    ], ids=["step_norm_first", "overflow_first"])
+    def test_first_failing_cell_of_a_chunk_decides(self, monkeypatch, ys, xs, cells, message):
+        handed = []
+        record_blocks(monkeypatch, handed)
+        with pytest.raises(ValueError, match=f"^{message}"):
+            max_ergotropy_grid(BASE, VarySpec("delta_1", xs), VarySpec("delta_2", ys), T_BLOCKS)
+        assert len(handed) <= 1 and sum(map(len, handed)) == cells
+
+    @pytest.mark.parametrize("values, message", [
+        ((1.0, 1e6, 2.0, 1e12), NORM_RISE),  # the first slice of two points rises
+        ((1e12, 1.0, 1e6, 2.0), STEP_NORM),  # the first slice holds the step-norm failure
+    ], ids=["norm_rise_first", "step_norm_first"])
+    def test_first_failing_slice_of_a_chunk_decides(self, monkeypatch, values, message):
+        # 2001 time points: two points a slice, all four in one chunk
+        handed = []
+        seen = record_blocks(monkeypatch, handed)
+        with pytest.raises(ValueError, match=f"^{message}"):
+            panel_sweep(BASE, VarySpec("g_a", values), time_grid(20, 0.01))
+        assert len(handed) == 1 and not seen
 
     def test_fields_built_without_params_and_grid_checked_once(self, monkeypatch):
         built, grids = [], []
@@ -502,6 +544,42 @@ class TestBlocks:
         for v, table in panel_sweep(BASE, vary, self.GRID):
             np.testing.assert_array_equal(table, time_series(apply_parameters(BASE, {"gamma": v}),
                                                              self.GRID))
+
+    @pytest.mark.parametrize("samples", [2**6, 2**9])
+    @pytest.mark.parametrize("grid", [T_BLOCKS, GRID], ids=["uniform", "non_uniform"])
+    @pytest.mark.parametrize("sweep", [
+        lambda t: np.array(optimal_time_sweep(BASE, VarySpec.linspace("g_b", 0.1, 100.0, 50), t,
+                                              "trace_repaired")),
+        lambda t: max_ergotropy_grid(BASE, VarySpec.linspace("g_a", 0.1, 60.0, 10),
+                                     VarySpec.linspace("delta_1", -2.0, 2.0, 5), t).z,
+        lambda t: np.array([table for _, table in
+                            panel_sweep(BASE, VarySpec.linspace("lambda", 0.0, 80.0, 45), t)]),
+    ], ids=["opt_time", "contour", "panel"])
+    def test_outputs_independent_of_chunk_and_slice_sizes(self, monkeypatch, sweep, grid, samples):
+        # one chunk of 1024 points at 2**12; at 2**6 one point a slice and 16 (uniform) or
+        # 1 (non-uniform) a chunk, at 2**9 two points a slice and 128 or 2 a chunk.  The
+        # step exponentials of one chunk take different squaring counts.
+        want = sweep(grid)
+        monkeypatch.setattr(propagator, "_BLOCK_SAMPLES", samples)
+        seen = record_blocks(monkeypatch)
+        got = sweep(grid)
+        assert len(seen) >= 20
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_chunk_shrinks_with_the_run_count(self):
+        # every step of a geometric grid is its own run (R = T = 41): a chunk
+        # is one slice of 99 points, whose step exponentials take 1 MB, not
+        # all 300 points of the sweep, whose step exponentials would take 3.1 MB
+        t = np.geomspace(0.01, 2.0, 41)
+        vary = VarySpec.linspace("g_b", 0.1, 5.0, 300)
+        optimal_time_sweep(BASE, vary, t)
+        tracemalloc.start()
+        try:
+            optimal_time_sweep(BASE, vary, t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2e6
 
     @pytest.mark.parametrize("sweep", [
         lambda vary, t: panel_sweep(BASE, vary, t),
