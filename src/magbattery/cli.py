@@ -1,18 +1,19 @@
 """Command-line driver.
 
-Subcommands: dynamics, sweep, contour, opt-time.  Configuration comes from a
-flat key=value file (``#`` comments) plus ``--key value`` overrides; direct
-detunings win over omegas when both are given.  Output is CSV with numbers
-rendered to 12 significant digits, a pure function of the config: repeated
-runs are byte-identical.  ``--threads`` is accepted for compatibility and has
-no effect: every subcommand evaluates serially.
+Subcommands: dynamics, sweep, contour, opt-time.  After the subcommand every
+argument is a ``--key value`` or ``--key=value`` pair: the flags --config (a
+flat key=value file, ``#`` comments), --out and --threads, or a config key,
+which overrides the file; direct detunings win over omegas when both are
+given.  Output is CSV with numbers rendered to 12 significant digits, a pure
+function of the config: repeated runs are byte-identical.  ``--threads`` (an
+integer >= 1) is accepted for compatibility and has no effect: every
+subcommand evaluates serially.
 
 Exit codes: 0 success, 2 config/validation error, 3 I/O error.
 """
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 import json
 import sys
@@ -94,8 +95,8 @@ def parse_config_file(path: str) -> dict[str, str]:
     return entries
 
 
-def parse_overrides(tokens: list[str]) -> dict[str, str]:
-    """Turn leftover `--key value` (or `--key=value`) pairs into config entries."""
+def parse_overrides(tokens: list[str], keys: frozenset[str]) -> dict[str, str]:
+    """Turn `--key value` (or `--key=value`) pairs into entries; each key must be in `keys`."""
     out: dict[str, str] = {}
     i = 0
     while i < len(tokens):
@@ -112,7 +113,7 @@ def parse_overrides(tokens: list[str]) -> dict[str, str]:
                 raise ValueError(f"missing value for --{key}")
             value = tokens[i + 1]
             i += 2
-        if key not in _ALL_KEYS:
+        if key not in keys:
             raise ValueError(f"unknown config key --{key}")
         out[key] = value
     return out
@@ -282,49 +283,47 @@ _COMMANDS = {
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="magbattery",
-        description="Single-excitation quantum battery simulator: dynamics, sweeps, contours, charging times.",
-        allow_abbrev=False,
-    )
-    sub = parser.add_subparsers(dest="command", required=True, metavar="{dynamics,sweep,contour,opt-time}")
-    helps = {
-        "dynamics": "metric time series for one parameter set",
-        "sweep": "time series per value of one swept parameter ('vary')",
-        "contour": "max-ergotropy grid over two swept parameters ('vary' = x, 'vary2' = y)",
-        "opt-time": "optimal charging time per value of one swept parameter",
-    }
-    for name, help_text in helps.items():
-        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
-        p.add_argument("--config", metavar="PATH", help="flat key = value config file ('#' comments)")
-        p.add_argument("--out", metavar="PATH", help="output CSV path (default: stdout)")
-        p.add_argument("--mode", choices=tuple(_MODES), help="accounting of decayed weight (default: paper)")
-        p.add_argument(
-            "--threads",
-            type=int,
-            metavar="N",
-            help="accepted for compatibility; has no effect (evaluation is serial)",
-        )
-    return parser
+_USAGE = """\
+usage: magbattery {dynamics,sweep,contour,opt-time} [--config PATH] [--out PATH] [--mode MODE] [--threads N] [--KEY VALUE ...]
+
+Single-excitation quantum battery simulator: dynamics, sweeps, contours, charging times.
+
+subcommands:
+  dynamics   metric time series for one parameter set
+  sweep      time series per value of one swept parameter ('vary')
+  contour    max-ergotropy grid over two swept parameters ('vary' = x, 'vary2' = y)
+  opt-time   optimal charging time per value of one swept parameter
+
+flags (each also as --flag=VALUE):
+  --config PATH  flat key = value config file ('#' comments)
+  --out PATH     output CSV path (default: stdout)
+  --mode MODE    accounting of decayed weight: paper (default), repaired or trace_repaired
+  --threads N    accepted for compatibility; has no effect (evaluation is serial)
+
+Any config key overrides the file as --KEY VALUE or --KEY=VALUE.
+Exit codes: 0 success, 2 config/validation error, 3 I/O error.
+"""
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+    args = sys.argv[1:] if argv is None else argv
+    if "-h" in args or "--help" in args:
+        sys.stdout.write(_USAGE)
+        return 0
     try:
-        args, extra = parser.parse_known_args(argv)
-    except SystemExit as exc:  # argparse has already printed its diagnostic
-        return int(exc.code or 0)
-    try:
+        if not args or args[0] not in _COMMANDS:
+            got = repr(args[0]) if args else "none"
+            raise ValueError(f"expected a subcommand, one of {', '.join(_COMMANDS)}; got {got}")
+        flags = parse_overrides(args[1:], _ALL_KEYS | {"config", "out", "threads"})
+        threads = flags.pop("threads", "1")
+        if not threads.isdecimal() or int(threads) < 1:
+            raise ValueError(f"--threads must be an integer >= 1, got {threads!r}")
+        out = flags.pop("out", None)
         cfg = dict(_DEFAULTS)
-        if args.config is not None:
-            cfg.update(parse_config_file(args.config))
-        cfg.update(parse_overrides(extra))
-        if args.mode is not None:
-            cfg["mode"] = args.mode
-        if args.threads is not None and args.threads < 1:
-            raise ValueError("--threads must be >= 1")
-        return _COMMANDS[args.command](cfg, args.out)
+        if "config" in flags:
+            cfg.update(parse_config_file(flags.pop("config")))
+        cfg.update(flags)
+        return _COMMANDS[args[0]](cfg, out)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

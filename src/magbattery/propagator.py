@@ -171,9 +171,10 @@ def rotating_amplitudes(chunks: Callable[[int], Iterable[np.ndarray]], t_grid, *
     S = exp(-i A h); per slice of about _BLOCK_SAMPLES points x time points,
     each run is filled by doubling, Z_{k+j} = S^k Z_j for j < k, so a run of L
     steps costs ceil(log2 L) batched fills and one squaring fewer, and a
-    uniform grid one exponential per point.  A chunk holds _BLOCK_SAMPLES // 4R
-    points for R runs that take a step, at least one slice: its exponentials
-    take one trajectory slice of memory, or up to four when R > T / 4.
+    uniform grid one exponential per point.  For R runs that take a step, a
+    slice holds _BLOCK_SAMPLES // max(T, 4R) points and a chunk
+    _BLOCK_SAMPLES // 4R, at least one slice: its exponentials never take
+    more memory than _BLOCK_SAMPLES points x time points of trajectory.
     A slice is refused if one point fails: a step exponential that would need
     more than 22 squarings, and a physical norm (|Z_n| = |C_n|) that rises
     more than 1e-9 (relative) above its t = 0 value, as the roundoff of many
@@ -190,8 +191,9 @@ def rotating_amplitudes(chunks: Callable[[int], Iterable[np.ndarray]], t_grid, *
         if abs(h - runs[-1][1]) > 1e-15 + 1e-12 * runs[-1][1]:
             runs.append((k, h))
     spans = [(start, end, h) for (start, h), (end, _) in zip(runs, runs[1:] + [(t.size, 0.0)])]
-    per_slice = max(1, _BLOCK_SAMPLES // t.size)
-    per_chunk = max(per_slice, _BLOCK_SAMPLES // (4 * max(1, sum(h > 0 for _, h in runs))))
+    stepping = max(1, sum(h > 0 for _, h in runs))
+    per_slice = max(1, _BLOCK_SAMPLES // max(t.size, 4 * stepping))
+    per_chunk = max(per_slice, _BLOCK_SAMPLES // (4 * stepping))
     for fields in chunks(per_chunk):
         a, _ = evolution_matrices(fields)
         fine = dt * np.abs(a).sum(axis=-1).max(axis=-1) <= _MAX_STEP_NORM

@@ -127,6 +127,14 @@ dt = 0.5
     def test_unknown_subcommand(self, capsys):
         assert run(capsys, "frobnicate")[0] == 2
 
+    @pytest.mark.parametrize("argv", [("--help",), ("-h",), ("contour", "--help")])
+    def test_help_prints_usage(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert out.startswith("usage: magbattery ")
+        assert all(name in out for name in ("dynamics", "sweep", "contour", "opt-time",
+                                            "--config", "--out", "--mode", "--threads"))
+
     def test_bad_mode_flag(self, capsys):
         assert run(capsys, "dynamics", "--mode", "bogus")[0] == 2
 
@@ -157,6 +165,9 @@ class TestDynamics:
         assert run(capsys, "dynamics", "--config", cfg, "--out", str(out1))[0] == 0
         assert run(capsys, "dynamics", "--config", cfg, "--out", str(out2))[0] == 0
         assert out1.read_bytes() == out2.read_bytes()
+        out3 = tmp_path / "c.csv"
+        assert run(capsys, "dynamics", f"--config={cfg}", f"--out={out3}")[0] == 0
+        assert out1.read_bytes() == out3.read_bytes()
 
     def test_mode_changes_numbers_under_decay(self, capsys):
         args = ("dynamics", "--gamma", "0.5", "--t_max", "3", "--dt", "0.5")
@@ -172,7 +183,8 @@ class TestDynamics:
         _, via_flag, _ = run(capsys, *flags, "repaired")
         code, via_alias_flag, _ = run(capsys, *flags, "trace_repaired")
         assert code == 0
-        assert via_config == via_flag == via_alias_flag
+        _, via_equals_flag, _ = run(capsys, *flags[:-1], "--mode=repaired")
+        assert via_config == via_flag == via_alias_flag == via_equals_flag
 
     def test_unknown_mode_lists_the_flag_choices(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "mode = bogus\n")
@@ -215,6 +227,13 @@ class TestDynamics:
           "--vary_count", "1000000000000"), "parameter points x time points"),
         (("dynamics", "--delta_1", "1e308", "--delta_2", "1e308"),
          "delta_1, delta_2 out of range"),
+        # command lines the parser refuses
+        ((), "one of dynamics, sweep, contour, opt-time; got none"),
+        (("frobnicate",), "one of dynamics, sweep, contour, opt-time; got 'frobnicate'"),
+        (("dynamics", "--threads", "0"), "--threads must be an integer >= 1"),
+        (("dynamics", "--threads", "two"), "--threads must be an integer >= 1"),
+        (("dynamics", "--out"), "missing value for --out"),
+        (("dynamics", "--frob", "1"), "unknown config key --frob"),
     ])
     def test_overflow_is_a_one_line_error(self, capsys, overflow, cause):
         code, out, err = run(capsys, *overflow)

@@ -2,7 +2,7 @@
 
 The density-matrix and eigensolver routes are test oracles (`oracles.py`
 beside these tests); the package exports and defines none of them, and a CLI
-run imports numpy but no test-only library.
+run imports numpy but no test-only library and no argparse.
 """
 
 import importlib
@@ -62,7 +62,7 @@ def test_cli_run_imports_no_test_only_library(tmp_path):
         "from magbattery.cli import main\n"
         "code = main(sys.argv[1:])\n"
         "print(json.dumps([code, sorted(m for m in ('scipy', 'mpmath', 'hypothesis',"
-        " 'oracles', 'numpy') if m in sys.modules)]))\n"
+        " 'oracles', 'argparse', 'gettext', 'numpy') if m in sys.modules)]))\n"
     )
     out = tmp_path / "dynamics.csv"
     result = subprocess.run(
@@ -73,3 +73,16 @@ def test_cli_run_imports_no_test_only_library(tmp_path):
     )
     assert json.loads(result.stdout) == [0, ["numpy"]]
     assert out.read_text(encoding="utf-8").startswith("t,coherence,energy,ergotropy,purity,norm\n")
+
+
+def test_module_entry_reads_sys_argv():
+    # `python -m magbattery` calls main() with no argv, so it reads sys.argv
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE_DIR.parent)}
+    run = [sys.executable, "-m", "magbattery"]
+    usage = subprocess.run([*run, "--help"], env=env, capture_output=True, text=True)
+    assert (usage.returncode, usage.stderr) == (0, "")
+    assert usage.stdout.startswith("usage: magbattery ")
+    rows = subprocess.run([*run, "dynamics", "--t_max", "1", "--dt", "0.5"],
+                          env=env, capture_output=True, text=True)
+    assert (rows.returncode, rows.stderr) == (0, "")
+    assert rows.stdout.splitlines()[:2] == ["t,coherence,energy,ergotropy,purity,norm", "0,0,0,0,1,1"]

@@ -568,8 +568,9 @@ class TestBlocks:
 
     def test_chunk_shrinks_with_the_run_count(self):
         # every step of a geometric grid is its own run (R = T = 41): a chunk
-        # is one slice of 99 points, whose step exponentials take 1 MB, not
-        # all 300 points of the sweep, whose step exponentials would take 3.1 MB
+        # is one slice of 4096 // (4 R) = 24 points, whose step exponentials
+        # take 0.25 MB, as much as 4096 points x time points of trajectory; a
+        # 99-point slice would take 1 MB, all 300 points 3.1 MB
         t = np.geomspace(0.01, 2.0, 41)
         vary = VarySpec.linspace("g_b", 0.1, 5.0, 300)
         optimal_time_sweep(BASE, vary, t)
@@ -579,7 +580,7 @@ class TestBlocks:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2e6
+        assert peak < 1e6
 
     @pytest.mark.parametrize("sweep", [
         lambda vary, t: panel_sweep(BASE, vary, t),
