@@ -5,19 +5,31 @@ argument is a ``--key value`` or ``--key=value`` pair: the flags --config (a
 flat key=value file, ``#`` comments), --out and --threads, or a config key,
 which overrides the file; direct detunings win over omegas when both are
 given.  Output is CSV with numbers rendered to 12 significant digits, a pure
-function of the config: repeated runs are byte-identical.  ``--threads`` (an
-integer >= 1) is accepted for compatibility and has no effect: every
-subcommand evaluates serially.
+function of the config: repeated runs are byte-identical.  It is written one
+table at a time (the header, then one write per swept value for ``sweep``,
+one for the other subcommands' single table), with the same bytes to --out
+as to stdout; the file is opened only after every point is computed.  The
+contour sidecar's config_sha256 is taken with CPython's own SHA-256
+(``_sha2``, ``_sha256`` before 3.12; ``hashlib`` elsewhere), so a run does
+not load OpenSSL.  ``--threads`` (an integer >= 1) is accepted for
+compatibility and has no effect: every subcommand evaluates serially.
 
 Exit codes: 0 success, 2 config/validation error, 3 I/O error.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import sys
-from typing import Callable
+from typing import Callable, Iterable
+
+try:  # CPython's own SHA-256 (3.12+, then 3.10-3.11): hashlib would load OpenSSL
+    from _sha2 import sha256
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 import numpy as np
 
@@ -198,31 +210,37 @@ def _resolve_mode(cfg: dict[str, str]) -> AccountingMode:
         raise ValueError(f"unknown mode {cfg['mode']!r}; expected one of {', '.join(_MODES)}") from None
 
 
-def _write_lines(out: str | None, lines: list[str]) -> None:
-    text = "\n".join(lines) + "\n"
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+def _write_csv(out: str | None, header: str, blocks: Iterable[tuple[str, object]]) -> None:
+    """The header line, then the rows of each (template, table) block, one write
+    per block, to `out` or stdout: one table's text is held at a time."""
+    fh = sys.stdout if out is None else open(out, "w", encoding="utf-8", newline="")
+    try:
+        fh.write(header + "\n")
+        for template, table in blocks:
+            fh.write(_rows(template, table))
+    finally:
+        if out is not None:
+            fh.close()
 
 
 def _config_digest(cfg: dict[str, str]) -> str:
     canonical = "\n".join(f"{key}={cfg[key]}" for key in sorted(cfg))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    return sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def _rows(template: str, table) -> list[str]:
-    """`template` % row per table row; %.12g is the shortest locale-independent
-    rendering within 12 significant digits, and + 0.0 turns -0.0 into 0.0."""
-    return [template % tuple(row) for row in (np.asarray(table, dtype=float) + 0.0).tolist()]
+def _rows(template: str, table) -> str:
+    """`template` % row and a newline per table row; %.12g is the shortest
+    locale-independent rendering within 12 significant digits, and + 0.0 turns
+    -0.0 into 0.0."""
+    line = template + "\n"
+    return "".join([line % tuple(row) for row in (np.asarray(table, dtype=float) + 0.0).tolist()])
 
 
 def run_dynamics(cfg: dict[str, str], out: str | None) -> int:
     params = build_params(cfg)
     times = time_grid(_as_float(cfg, "t_max"), _as_float(cfg, "dt"))
     table = time_series(params, times, _resolve_mode(cfg))
-    _write_lines(out, [_DYNAMICS_HEADER] + _rows(_DYNAMICS_ROW, table))
+    _write_csv(out, _DYNAMICS_HEADER, [(_DYNAMICS_ROW, table)])
     return 0
 
 
@@ -233,10 +251,8 @@ def run_sweep(cfg: dict[str, str], out: str | None) -> int:
         raise ValueError("sweep needs a swept parameter (config key 'vary')")
     params = build_params(cfg)
     curves = panel_sweep(params, vary, times, _resolve_mode(cfg))
-    lines = ["param_name,param_value," + _DYNAMICS_HEADER]
-    for value, table in curves:
-        lines += _rows(f"{vary.parameter_name},{value + 0.0:.12g},{_DYNAMICS_ROW}", table)
-    _write_lines(out, lines)
+    _write_csv(out, "param_name,param_value," + _DYNAMICS_HEADER, (
+        (f"{vary.parameter_name},{value + 0.0:.12g},{_DYNAMICS_ROW}", table) for value, table in curves))
     return 0
 
 
@@ -255,7 +271,7 @@ def run_contour(cfg: dict[str, str], out: str | None) -> int:
     x, y = np.meshgrid(grid.x_values, grid.y_values)  # indexed [y, x] like grid.z
     table = np.column_stack((x.ravel(), y.ravel(), grid.z.ravel()))
     template = f"{grid.x_name},%.12g,{grid.y_name},%.12g,%.12g"
-    _write_lines(out, ["x_name,x,y_name,y,max_ergotropy"] + _rows(template, table))
+    _write_csv(out, "x_name,x,y_name,y,max_ergotropy", [(template, table)])
     metadata = dict(grid.metadata)
     metadata["config_sha256"] = _config_digest(cfg)
     with open(out + ".meta.json", "w", encoding="utf-8", newline="") as fh:
@@ -271,7 +287,7 @@ def run_opt_time(cfg: dict[str, str], out: str | None) -> int:
     params = build_params(cfg)
     rows = optimal_time_sweep(params, vary, times, _resolve_mode(cfg))
     template = f"{vary.parameter_name},%.12g,%.12g,%.12g"
-    _write_lines(out, ["param_name,param_value,tau,e_max"] + _rows(template, rows))
+    _write_csv(out, "param_name,param_value,tau,e_max", [(template, rows)])
     return 0
 
 

@@ -4,16 +4,21 @@ Everything runs in-process through main(argv) so exit codes and streams are
 observable without spawning interpreters.
 """
 
+import hashlib
 import json
 import math
+import string
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from magbattery import SystemParams
-from magbattery.cli import build_params, main
+from magbattery.cli import _DEFAULTS, _config_digest, build_params, main, parse_config_file, run_sweep
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def run(capsys, *argv):
@@ -26,6 +31,23 @@ def write_cfg(tmp_path, text, name="run.cfg"):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
     return str(path)
+
+
+def hashlib_digest(cfg):
+    """hashlib's sha256 of the sorted `key=value` lines, as the sidecar states it."""
+    canonical = "\n".join(f"{key}={cfg[key]}" for key in sorted(cfg))
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+class TestConfigDigest:
+    @settings(max_examples=200, deadline=None)
+    @given(st.dictionaries(st.text(string.ascii_letters + string.digits + "_", min_size=1),
+                           st.text(), max_size=20))
+    @example({})
+    @example({"mode": "paper", "vary": "g_a", "vary_values": "0.5, 1"})
+    @example({"label": "\u00e9nergie \u2192 \U0001d53c", "note": "a=b\n#c"})
+    def test_equals_hashlib(self, cfg):
+        assert _config_digest(cfg) == hashlib_digest(cfg)
 
 
 class TestConfigParsing:
@@ -326,11 +348,48 @@ class TestSweep:
                       "--vary", "g_a", "--vary_values", "0.5,1,1.5")
         assert a == b
 
+    def test_refused_point_leaves_no_file(self, tmp_path, capsys):
+        out = tmp_path / "F.csv"
+        code, stdout, err = run(capsys, "sweep", "--t_max", "1", "--dt", "0.5",
+                                "--vary", "lambda", "--vary_values", "1,-1", "--out", str(out))
+        assert (code, stdout, err) == (2, "", "error: coupling lambda must be >= 0\n")
+        assert not out.exists()
+
+    def test_rendering_holds_one_table_at_a_time(self, tmp_path):
+        # 4 tables of 2001 rows: all rows as one text peak at about 2.7e6 B
+        cfg = {**_DEFAULTS, **parse_config_file(str(CONFIG_DIR / "sweep_gamma.cfg"))}
+        out = tmp_path / "sweep.csv"
+        tracemalloc.start()
+        try:
+            assert run_sweep(cfg, str(out)) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5e6
+        assert out.read_text(encoding="utf-8").count("\n") == 1 + 4 * 2001
+
     def test_values_and_range_conflict(self, capsys):
         code, _, _ = run(capsys, "sweep", "--t_max", "1", "--dt", "0.5",
                          "--vary", "g_a", "--vary_values", "1",
                          "--vary_min", "0", "--vary_max", "1", "--vary_count", "2")
         assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("dynamics", "--gamma", "0.3"),
+    ("sweep", "--vary", "gamma", "--vary_values", "0,0.5,-0"),
+    ("opt-time", "--vary", "g_b", "--vary_values", "0.5,1,2"),
+], ids=["dynamics", "sweep", "opt_time"])
+def test_stdout_gets_the_file_bytes(tmp_path, capsysbinary, argv):
+    out = tmp_path / "out.csv"
+    args = (*argv, "--t_max", "3", "--dt", "0.1")
+    assert main([*args, "--out", str(out)]) == 0
+    assert capsysbinary.readouterr() == (b"", b"")
+    assert main(list(args)) == 0
+    captured = capsysbinary.readouterr()
+    assert captured.err == b""
+    assert captured.out == out.read_bytes()
+    assert captured.out.count(b"\n") >= 4  # the header and at least three rows
 
 
 class TestNumberFormat:
@@ -400,7 +459,9 @@ class TestContour:
         assert meta["time_horizon"] == [0.0, 1.0]
         assert meta["time_step"] == 0.5
         assert meta["base_params"]["lam"] == 1.0
-        assert "config_sha256" in meta
+        resolved = {**_DEFAULTS, "t_max": "1", "dt": "0.5", "vary": "g_a", "vary_values": "1",
+                    "vary2": "g_b", "vary2_values": "1", "mode": "repaired"}
+        assert meta["config_sha256"] == hashlib_digest(resolved)
         # deterministic: no clocks, hosts or pids may leak in
         assert not any("time_stamp" in k or "date" in k or "host" in k
                        for k in meta)

@@ -2,16 +2,19 @@
 
 The density-matrix and eigensolver routes are test oracles (`oracles.py`
 beside these tests); the package exports and defines none of them, and a CLI
-run imports numpy but no test-only library and no argparse.
+run imports numpy but no test-only library, no argparse and no OpenSSL.
 """
 
 import importlib
+import importlib.util
 import json
 import os
 import pkgutil
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import magbattery
 
@@ -53,26 +56,35 @@ def test_no_eigensolver_in_the_package():
         assert "eigvalsh" not in path.read_text(encoding="utf-8"), path.name
 
 
+@pytest.mark.skipif(not any(importlib.util.find_spec(name) for name in ("_sha2", "_sha256")),
+                    reason="this interpreter has no OpenSSL-free SHA-256 module")
 def test_cli_run_imports_no_test_only_library(tmp_path):
     # the tests directory is on the path, as under pytest, so an import of the
-    # oracles from the package would succeed here rather than go unseen
+    # oracles from the package would succeed here rather than go unseen;
+    # contour hashes its config, through CPython's own SHA-256, not OpenSSL's
     path = os.pathsep.join((str(PACKAGE_DIR.parent), str(TESTS_DIR)))
     script = (
         "import json, sys\n"
         "from magbattery.cli import main\n"
-        "code = main(sys.argv[1:])\n"
-        "print(json.dumps([code, sorted(m for m in ('scipy', 'mpmath', 'hypothesis',"
-        " 'oracles', 'argparse', 'gettext', 'numpy') if m in sys.modules)]))\n"
+        "codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
+        "print(json.dumps([codes, sorted(m for m in ('scipy', 'mpmath', 'hypothesis',"
+        " 'oracles', 'argparse', 'gettext', '_hashlib', 'ssl', 'numpy') if m in sys.modules)]))\n"
     )
-    out = tmp_path / "dynamics.csv"
+    dynamics, contour = tmp_path / "dynamics.csv", tmp_path / "contour.csv"
+    runs = [
+        ["dynamics", "--config", str(CONFIG_DIR / "dynamics_resonant.cfg"), "--out", str(dynamics)],
+        ["contour", "--t_max", "1", "--dt", "0.5", "--vary", "g_a", "--vary_values", "1,2",
+         "--vary2", "g_b", "--vary2_values", "1", "--out", str(contour)],
+    ]
     result = subprocess.run(
-        [sys.executable, "-c", script, "dynamics",
-         "--config", str(CONFIG_DIR / "dynamics_resonant.cfg"), "--out", str(out)],
+        [sys.executable, "-c", script, json.dumps(runs)],
         env={**os.environ, "PYTHONPATH": path}, cwd=tmp_path,
         capture_output=True, text=True, check=True,
     )
-    assert json.loads(result.stdout) == [0, ["numpy"]]
-    assert out.read_text(encoding="utf-8").startswith("t,coherence,energy,ergotropy,purity,norm\n")
+    assert json.loads(result.stdout) == [[0, 0], ["numpy"]]
+    assert dynamics.read_text(encoding="utf-8").startswith("t,coherence,energy,ergotropy,purity,norm\n")
+    meta = json.loads((tmp_path / "contour.csv.meta.json").read_text(encoding="utf-8"))
+    assert len(meta["config_sha256"]) == 64
 
 
 def test_module_entry_reads_sys_argv():
