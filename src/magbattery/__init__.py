@@ -36,7 +36,6 @@ from .metrics import (
 )
 from .sweeps import (
     VarySpec,
-    GridResult,
     apply_parameters,
     time_grid,
     time_series,
@@ -70,7 +69,6 @@ __all__ = [
     "stored_energy_series",
     "ergotropy_series",
     "VarySpec",
-    "GridResult",
     "apply_parameters",
     "time_grid",
     "time_series",

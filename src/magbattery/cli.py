@@ -9,10 +9,11 @@ function of the config: repeated runs are byte-identical.  It is written one
 table at a time (the header, then one write per swept value for ``sweep``,
 one for the other subcommands' single table), with the same bytes to --out
 as to stdout; the file is opened only after every point is computed.  The
-contour sidecar's config_sha256 is taken with CPython's own SHA-256
-(``_sha2``, ``_sha256`` before 3.12; ``hashlib`` elsewhere), so a run does
-not load OpenSSL.  ``--threads`` (an integer >= 1) is accepted for
-compatibility and has no effect: every subcommand evaluates serially.
+contour's ``<out>.meta.json`` run record is built here; its config_sha256 is
+taken with CPython's own SHA-256 (``_sha2``, ``_sha256`` before 3.12;
+``hashlib`` elsewhere), so a run does not load OpenSSL.  ``--threads`` (an
+integer >= 1) is accepted for compatibility and has no effect: every
+subcommand evaluates serially.
 
 Exit codes: 0 success, 2 config/validation error, 3 I/O error.
 """
@@ -266,16 +267,25 @@ def run_contour(cfg: dict[str, str], out: str | None) -> int:
     if out is None:
         raise ValueError("contour needs --out (a sidecar metadata file accompanies the CSV)")
     vary_x, vary_y = build_x(), build_y()
-    params = build_params(cfg)
-    grid = max_ergotropy_grid(params, vary_x, vary_y, times, _resolve_mode(cfg))
-    x, y = np.meshgrid(grid.x_values, grid.y_values)  # indexed [y, x] like grid.z
-    table = np.column_stack((x.ravel(), y.ravel(), grid.z.ravel()))
-    template = f"{grid.x_name},%.12g,{grid.y_name},%.12g,%.12g"
+    params, mode = build_params(cfg), _resolve_mode(cfg)
+    z = max_ergotropy_grid(params, vary_x, vary_y, times, mode)
+    x, y = np.meshgrid(vary_x.values, vary_y.values)  # indexed [y, x] like z
+    table = np.column_stack((x.ravel(), y.ravel(), z.ravel()))
+    template = f"{vary_x.parameter_name},%.12g,{vary_y.parameter_name},%.12g,%.12g"
     _write_csv(out, "x_name,x,y_name,y,max_ergotropy", [(template, table)])
-    metadata = dict(grid.metadata)
-    metadata["config_sha256"] = _config_digest(cfg)
+    record = {
+        "metric": "max_ergotropy",
+        "mode": mode.value,
+        "x_name": vary_x.parameter_name,
+        "y_name": vary_y.parameter_name,
+        "time_horizon": [float(times[0]), float(times[-1])],
+        "time_step": float(times[1] - times[0]),  # `time_grid` has at least two points
+        "time_points": int(times.size),
+        "base_params": vars(params),
+        "config_sha256": _config_digest(cfg),
+    }
     with open(out + ".meta.json", "w", encoding="utf-8", newline="") as fh:
-        fh.write(json.dumps(metadata, sort_keys=True, indent=2) + "\n")
+        fh.write(json.dumps(record, sort_keys=True, indent=2) + "\n")
     return 0
 
 
@@ -323,7 +333,10 @@ Exit codes: 0 success, 2 config/validation error, 3 I/O error.
 
 def main(argv: list[str] | None = None) -> int:
     args = sys.argv[1:] if argv is None else argv
-    if "-h" in args or "--help" in args:
+    i = 0  # -h/--help asks for the usage where the subcommand or a --key stands, not as a value
+    while i < len(args) and args[i] not in ("-h", "--help"):
+        i += 2 if i and args[i].startswith("--") and "=" not in args[i] else 1
+    if i < len(args):
         sys.stdout.write(_USAGE)
         return 0
     try:

@@ -90,9 +90,6 @@ class Trajectory:
     times: np.ndarray
     amplitudes: np.ndarray
 
-    def norms(self) -> np.ndarray:
-        return physical_norm(self.amplitudes)
-
 
 def matrix_exponential(m: np.ndarray) -> np.ndarray:
     """exp(m) by scaling-and-squaring with a diagonal [6/6] Pade approximant.

@@ -17,12 +17,11 @@ import numpy as np
 from .metrics import METRIC_NAMES, _columns
 from .model import _FIELD_NAMES, SystemParams, _field_array, _omegas, derive_detunings
 from .propagator import rotating_amplitudes
-from .states import AccountingMode, _coerce_mode
+from .states import AccountingMode
 
 __all__ = [
     "PARAMETER_NAMES",
     "VarySpec",
-    "GridResult",
     "apply_parameters",
     "time_grid",
     "time_series",
@@ -134,18 +133,6 @@ class VarySpec:
         return cls(parameter_name, tuple(np.linspace(start, stop, count)))
 
 
-@dataclass(frozen=True)
-class GridResult:
-    """2D sweep output: z[i][j] belongs to (x_values[j], y_values[i])."""
-
-    x_name: str
-    y_name: str
-    x_values: np.ndarray
-    y_values: np.ndarray
-    z: np.ndarray
-    metadata: dict
-
-
 def time_grid(t_max: float = 20.0, dt: float = 0.01) -> np.ndarray:
     """Uniform grid {0, dt, 2 dt, ...} up to and including floor(t_max/dt)*dt."""
     if not (math.isfinite(t_max) and math.isfinite(dt)):
@@ -227,36 +214,13 @@ def max_ergotropy_grid(
     vary_y: VarySpec,
     t_grid: Sequence[float] | np.ndarray,
     mode: AccountingMode | str = AccountingMode.PAPER,
-) -> GridResult:
-    """Maximum ergotropy over the time grid for every (x, y) parameter pair.
-
-    Rows are indexed by y, columns by x.
-    """
+) -> np.ndarray:
+    """Maximum ergotropy over the time grid for every (x, y) parameter pair:
+    a (len(vary_y.values), len(vary_x.values)) array with z[i, j] at (x_j, y_i)."""
     if vary_x.parameter_name == vary_y.parameter_name:
         raise ValueError("contour axes must vary two different parameters")
-    mode = _coerce_mode(mode)
-    t = np.asarray(t_grid, dtype=float)
-    z = _evolve_points(base, (vary_y, vary_x), t, mode, ("ergotropy",), lambda _, e: e.max(axis=-1))
-    z = np.reshape(z, (len(vary_y.values), len(vary_x.values)))
-    step = float(t[1] - t[0]) if t.size > 1 else 0.0
-    metadata = {
-        "metric": "max_ergotropy",
-        "mode": mode.value,
-        "x_name": vary_x.parameter_name,
-        "y_name": vary_y.parameter_name,
-        "time_horizon": [float(t[0]), float(t[-1])],
-        "time_step": step,
-        "time_points": int(t.size),
-        "base_params": dataclasses.asdict(base),
-    }
-    return GridResult(
-        x_name=vary_x.parameter_name,
-        y_name=vary_y.parameter_name,
-        x_values=np.asarray(vary_x.values, dtype=float),
-        y_values=np.asarray(vary_y.values, dtype=float),
-        z=z,
-        metadata=metadata,
-    )
+    z = _evolve_points(base, (vary_y, vary_x), t_grid, mode, ("ergotropy",), lambda _, e: e.max(axis=-1))
+    return np.reshape(z, (len(vary_y.values), len(vary_x.values)))
 
 
 def optimal_charging_time(

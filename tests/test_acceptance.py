@@ -30,6 +30,7 @@ from magbattery import (
     optimal_charging_time,
     optimal_time_sweep,
     oracle_integrate,
+    physical_norm,
     stored_energy_series,
     time_grid,
 )
@@ -97,9 +98,9 @@ def test_03_norm_laws():
             d1, d2, d3, g_a=ga, g_b=gb, lam=lam,
             kappa_a=ka, kappa_b=kb, kappa_m=km, gamma=gam)
         worst_drift = max(
-            worst_drift, float(np.abs(evolve(closed, t).norms() - 1.0).max()))
+            worst_drift, float(np.abs(physical_norm(evolve(closed, t).amplitudes) - 1.0).max()))
         worst_rise = max(
-            worst_rise, float(np.diff(evolve(lossy, t).norms()).max()))
+            worst_rise, float(np.diff(physical_norm(evolve(lossy, t).amplitudes)).max()))
     ok = worst_drift <= 1e-9 and worst_rise <= 1e-12
     report(3, ok,
            f"lossless |N-1| <= {worst_drift:.2e}, max dN step = {worst_rise:.2e}")
@@ -176,25 +177,22 @@ def test_08_interior_optimum():
     # by INTERIOR_MARGIN.  Halving dt moves no cell of this plane by more
     # than 1.4e-4, so the margin is far above the time-sampling error.
     base = SystemParams.from_detunings(1.0, 1.0, 1.0, lam=1.0)
-    grid = max_ergotropy_grid(
-        base,
-        VarySpec.linspace("g_a", 0.1, 3.0, 30),
-        VarySpec.linspace("g_b", 0.1, 3.0, 30),
-        time_grid(20.0, 0.01),
-    )
-    margins = grid.z.max(axis=0) - np.maximum(grid.z[0], grid.z[-1])
+    g_a = VarySpec.linspace("g_a", 0.1, 3.0, 30)
+    g_b = VarySpec.linspace("g_b", 0.1, 3.0, 30)
+    z = max_ergotropy_grid(base, g_a, g_b, time_grid(20.0, 0.01))
+    margins = z.max(axis=0) - np.maximum(z[0], z[-1])
     jx = int(np.argmax(margins))
-    iy = int(np.argmax(grid.z[:, jx]))
+    iy = int(np.argmax(z[:, jx]))
     # the g_b = 1 row, for the record: g_a only drains the charger there
-    j_row = int(np.argmax(grid.z[int(np.argmin(np.abs(grid.y_values - 1.0)))]))
+    j_row = int(np.argmax(z[int(np.argmin(np.abs(np.subtract(g_b.values, 1.0))))]))
     ok = margins[jx] > INTERIOR_MARGIN  # so the column maximum is interior
     report(8, ok,
-           f"max over g_b at g_a = {grid.x_values[jx]:.3f} sits at "
-           f"g_b = {grid.y_values[iy]:.3f} (index {iy} of 0..29), "
+           f"max over g_b at g_a = {g_a.values[jx]:.3f} sits at "
+           f"g_b = {g_b.values[iy]:.3f} (index {iy} of 0..29), "
            f"{margins[jx]:.3f} above both edges; "
            f"{int(np.sum(margins > INTERIOR_MARGIN))} of 30 columns interior "
            f"by > {INTERIOR_MARGIN:g}; argmax over g_a at g_b=1 sits at "
-           f"g_a = {grid.x_values[j_row]:.3f}")
+           f"g_a = {g_a.values[j_row]:.3f}")
 
 
 def test_09_tau_saturation():

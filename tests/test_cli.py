@@ -157,6 +157,12 @@ dt = 0.5
         assert all(name in out for name in ("dynamics", "sweep", "contour", "opt-time",
                                             "--config", "--out", "--mode", "--threads"))
 
+    def test_help_token_as_a_value_is_that_value(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, "dynamics", "--t_max", "1", "--dt", "0.5", "--out", "-h")
+        assert (code, out, err) == (0, "", "")
+        assert (tmp_path / "-h").read_text().startswith("t,coherence,")
+
     def test_bad_mode_flag(self, capsys):
         assert run(capsys, "dynamics", "--mode", "bogus")[0] == 2
 
@@ -256,6 +262,8 @@ class TestDynamics:
         (("dynamics", "--threads", "two"), "--threads must be an integer >= 1"),
         (("dynamics", "--out"), "missing value for --out"),
         (("dynamics", "--frob", "1"), "unknown config key --frob"),
+        # -h as a --key's value is that value, not a request for the usage
+        (("sweep", "--vary", "g_a", "--vary_values", "-h"), "not a number list: '-h'"),
     ])
     def test_overflow_is_a_one_line_error(self, capsys, overflow, cause):
         code, out, err = run(capsys, *overflow)
@@ -449,22 +457,28 @@ class TestContour:
         ]
 
     def test_metadata_sidecar(self, tmp_path, capsys):
-        out = tmp_path / "c.csv"
-        run(capsys, "contour", "--t_max", "1", "--dt", "0.5",
-            "--vary", "g_a", "--vary_values", "1",
-            "--vary2", "g_b", "--vary2_values", "1",
-            "--out", str(out), "--mode", "repaired")
-        meta = json.loads((tmp_path / "c.csv.meta.json").read_text())
-        assert meta["mode"] == "trace_repaired"
-        assert meta["time_horizon"] == [0.0, 1.0]
-        assert meta["time_step"] == 0.5
-        assert meta["base_params"]["lam"] == 1.0
-        resolved = {**_DEFAULTS, "t_max": "1", "dt": "0.5", "vary": "g_a", "vary_values": "1",
-                    "vary2": "g_b", "vary2_values": "1", "mode": "repaired"}
-        assert meta["config_sha256"] == hashlib_digest(resolved)
-        # deterministic: no clocks, hosts or pids may leak in
-        assert not any("time_stamp" in k or "date" in k or "host" in k
-                       for k in meta)
+        # delta_1 moves omega_m to 0.5, so base_params shows the derived omegas
+        overrides = {"t_max": "1", "dt": "0.5", "delta_1": "0.5", "vary": "g_a", "vary_values": "1",
+                     "vary2": "g_b", "vary2_values": "1"}
+        for mode, recorded in (("paper", "paper"), ("repaired", "trace_repaired")):
+            out = tmp_path / f"{mode}.csv"
+            args = [token for key, value in overrides.items() for token in (f"--{key}", value)]
+            code, _, _ = run(capsys, "contour", *args, "--out", str(out), "--mode", mode)
+            assert code == 0
+            meta = json.loads((tmp_path / f"{mode}.csv.meta.json").read_text())
+            # exactly these keys: no clocks, hosts or pids may leak in
+            assert set(meta) == {"metric", "mode", "x_name", "y_name", "time_horizon", "time_step",
+                                 "time_points", "base_params", "config_sha256"}
+            assert meta["metric"] == "max_ergotropy"
+            assert meta["mode"] == recorded
+            assert (meta["x_name"], meta["y_name"]) == ("g_a", "g_b")
+            assert meta["time_points"] == 3
+            assert meta["time_horizon"] == [0.0, 1.0]
+            assert meta["time_step"] == 0.5
+            resolved = {**_DEFAULTS, **overrides, "mode": mode}
+            assert meta["base_params"] == vars(build_params(resolved))
+            assert meta["base_params"]["omega_m"] == 0.5
+            assert meta["config_sha256"] == hashlib_digest(resolved)
 
     def test_sidecar_byte_identical_on_rerun(self, tmp_path, capsys):
         args = ("contour", "--t_max", "1", "--dt", "0.5",

@@ -28,7 +28,7 @@ EXPORTS = {
     "physical_norm", "matrix_exponential", "evolve", "oracle_integrate",
     "AccountingMode", "InconsistentStateError", "METRIC_NAMES", "MetricsSample",
     "metric_columns", "sample_metrics", "stored_energy_series", "ergotropy_series",
-    "VarySpec", "GridResult", "apply_parameters", "time_grid", "time_series",
+    "VarySpec", "apply_parameters", "time_grid", "time_series",
     "panel_sweep", "max_ergotropy_grid", "optimal_charging_time",
     "optimal_time_sweep", "__version__",
 }
@@ -37,7 +37,7 @@ ORACLE_NAMES = ("DensityMatrix", "battery_density", "charger_density",
 
 
 def test_exports_are_pinned_and_resolve():
-    assert len(magbattery.__all__) == len(EXPORTS) == 30
+    assert len(magbattery.__all__) == len(EXPORTS) == 29
     assert set(magbattery.__all__) == EXPORTS
     for name in magbattery.__all__:
         getattr(magbattery, name)

@@ -245,55 +245,44 @@ class TestPanelSweep:
 
 class TestMaxErgotropyGrid:
     def test_no_charging_column(self):
-        g = max_ergotropy_grid(BASE, VarySpec("lambda", (0.0,)),
+        z = max_ergotropy_grid(BASE, VarySpec("lambda", (0.0,)),
                                VarySpec("g_a", (0.5, 1.0, 2.0)), time_grid(5, 0.05))
-        np.testing.assert_array_equal(g.z, np.zeros((3, 1)))
+        np.testing.assert_array_equal(z, np.zeros((3, 1)))
 
     def test_rabi_point_reaches_omega_q(self):
         # dt=0.001 so a sample lands within 3e-4 of the analytic peak;
         # the quadratic peak shape then costs < 1e-6 of ergotropy
-        g = max_ergotropy_grid(RABI, VarySpec("lambda", (1.0,)),
+        z = max_ergotropy_grid(RABI, VarySpec("lambda", (1.0,)),
                                VarySpec("g_a", (0.0,)), time_grid(2, 0.001))
-        assert g.z.shape == (1, 1)
-        assert g.z[0, 0] == pytest.approx(1.0, abs=1e-6)
+        assert z.shape == (1, 1)
+        assert z[0, 0] == pytest.approx(1.0, abs=1e-6)
 
     def test_shape_and_axes(self):
-        g = max_ergotropy_grid(BASE, VarySpec("g_a", (0.5, 1.0)),
+        z = max_ergotropy_grid(BASE, VarySpec("g_a", (0.5, 1.0)),
                                VarySpec("g_b", (0.5, 1.0, 1.5)), time_grid(2, 0.1))
-        assert g.z.shape == (3, 2)  # rows over y, columns over x
-        assert g.x_name == "g_a" and g.y_name == "g_b"
-        np.testing.assert_array_equal(g.x_values, [0.5, 1.0])
-        np.testing.assert_array_equal(g.y_values, [0.5, 1.0, 1.5])
+        assert isinstance(z, np.ndarray) and z.shape == (3, 2)  # rows over y, columns over x
 
     def test_cell_independence(self):
         # each z entry equals a standalone single-point computation
         t = time_grid(3, 0.05)
-        g = max_ergotropy_grid(BASE, VarySpec("g_a", (0.5, 2.0)),
+        z = max_ergotropy_grid(BASE, VarySpec("g_a", (0.5, 2.0)),
                                VarySpec("g_b", (0.7, 1.3)), t)
         for i, gb in enumerate((0.7, 1.3)):
             for j, ga in enumerate((0.5, 2.0)):
                 p = apply_parameters(BASE, {"g_a": ga, "g_b": gb})
                 single = max_ergotropy_grid(p, VarySpec("g_a", (ga,)),
                                             VarySpec("g_b", (gb,)), t)
-                assert g.z[i, j] == single.z[0, 0]
+                assert z[i, j] == single[0, 0]
 
     def test_bounds(self):
-        g = max_ergotropy_grid(BASE, VarySpec.linspace("g_a", 0.1, 3.0, 4),
+        z = max_ergotropy_grid(BASE, VarySpec.linspace("g_a", 0.1, 3.0, 4),
                                VarySpec.linspace("g_b", 0.1, 3.0, 4), time_grid(5, 0.05))
-        assert np.all(g.z >= 0.0) and np.all(g.z <= BASE.omega_q + 1e-12)
+        assert np.all(z >= 0.0) and np.all(z <= BASE.omega_q + 1e-12)
 
     def test_same_parameter_rejected(self):
         with pytest.raises(ValueError):
             max_ergotropy_grid(BASE, VarySpec("g_a", (1.0,)),
                                VarySpec("g_a", (2.0,)), time_grid(1, 0.5))
-
-    def test_metadata_records_run(self):
-        g = max_ergotropy_grid(BASE, VarySpec("g_a", (1.0,)),
-                               VarySpec("g_b", (1.0,)), time_grid(2, 0.1))
-        md = g.metadata
-        assert md["time_horizon"] == [0.0, 2.0] and md["time_step"] == 0.1
-        assert md["mode"] == "paper"
-        assert md["base_params"]["omega_q"] == BASE.omega_q
 
 
 class TestOptimalChargingTime:
@@ -372,6 +361,19 @@ class TestTimeSeries:
             np.testing.assert_allclose(table[:, 1:], want, rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("sweep", [
+    lambda t, mode: time_series(BASE, t, mode),
+    lambda t, mode: panel_sweep(BASE, VarySpec("g_a", (0.5, 1.0)), t, mode),
+    lambda t, mode: max_ergotropy_grid(BASE, VarySpec("g_a", (0.5, 1.0)), VarySpec("g_b", (1.0,)), t, mode),
+    lambda t, mode: optimal_charging_time(BASE, t, mode),
+    lambda t, mode: optimal_time_sweep(BASE, VarySpec("g_b", (0.5, 1.0)), t, mode),
+], ids=["time_series", "panel_sweep", "max_ergotropy_grid", "optimal_charging_time",
+        "optimal_time_sweep"])
+def test_unknown_mode_rejected(sweep):
+    with pytest.raises(ValueError, match="expected 'paper' or 'trace_repaired'"):
+        sweep(time_grid(1, 0.5), "bogus")
+
+
 class TestBlocks:
     """Sweeps run their points through `evolve` in blocks; each result equals its one-point run."""
 
@@ -391,12 +393,12 @@ class TestBlocks:
 
     def test_contour_equals_single_cells(self):
         xs, ys = VarySpec.linspace("g_a", 0.1, 3.0, 10), VarySpec.linspace("g_b", 0.1, 3.0, 5)
-        g = max_ergotropy_grid(BASE, xs, ys, self.T)
+        z = max_ergotropy_grid(BASE, xs, ys, self.T)
         for i, gb in enumerate(ys.values):
             for j, ga in enumerate(xs.values):
                 single = max_ergotropy_grid(BASE, VarySpec("g_a", (ga,)), VarySpec("g_b", (gb,)),
                                             self.T)
-                assert g.z[i, j] == single.z[0, 0]
+                assert z[i, j] == single[0, 0]
 
     def test_panel_equals_time_series(self):
         vary = VarySpec.linspace("gamma", 0.0, 1.0, 45)
@@ -532,12 +534,12 @@ class TestBlocks:
 
     def test_non_uniform_grid_contour_equals_single_cells(self):
         xs, ys = VarySpec.linspace("g_a", 0.1, 3.0, 10), VarySpec.linspace("delta_1", -2.0, 2.0, 5)
-        g = max_ergotropy_grid(BASE, xs, ys, self.GRID)
+        z = max_ergotropy_grid(BASE, xs, ys, self.GRID)
         for i, d1 in enumerate(ys.values):
             for j, ga in enumerate(xs.values):
                 single = max_ergotropy_grid(BASE, VarySpec("g_a", (ga,)), VarySpec("delta_1", (d1,)),
                                             self.GRID)
-                assert g.z[i, j] == single.z[0, 0]
+                assert z[i, j] == single[0, 0]
 
     def test_non_uniform_grid_panel_equals_time_series(self):
         vary = VarySpec.linspace("gamma", 0.0, 1.0, 45)
@@ -551,7 +553,7 @@ class TestBlocks:
         lambda t: np.array(optimal_time_sweep(BASE, VarySpec.linspace("g_b", 0.1, 100.0, 50), t,
                                               "trace_repaired")),
         lambda t: max_ergotropy_grid(BASE, VarySpec.linspace("g_a", 0.1, 60.0, 10),
-                                     VarySpec.linspace("delta_1", -2.0, 2.0, 5), t).z,
+                                     VarySpec.linspace("delta_1", -2.0, 2.0, 5), t),
         lambda t: np.array([table for _, table in
                             panel_sweep(BASE, VarySpec.linspace("lambda", 0.0, 80.0, 45), t)]),
     ], ids=["opt_time", "contour", "panel"])
