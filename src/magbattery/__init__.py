@@ -13,15 +13,12 @@ from .model import (
     SystemParams,
     Detunings,
     derive_detunings,
-    frame_frequencies,
-    build_evolution_matrix,
 )
 from .propagator import (
     DEFAULT_INITIAL,
     AmplitudeState,
     Trajectory,
     physical_norm,
-    matrix_exponential,
     evolve,
     oracle_integrate,
 )
@@ -41,7 +38,6 @@ from .sweeps import (
     time_series,
     panel_sweep,
     max_ergotropy_grid,
-    optimal_charging_time,
     optimal_time_sweep,
 )
 
@@ -52,12 +48,9 @@ __all__ = [
     "SystemParams",
     "Detunings",
     "derive_detunings",
-    "frame_frequencies",
-    "build_evolution_matrix",
     "AmplitudeState",
     "Trajectory",
     "physical_norm",
-    "matrix_exponential",
     "evolve",
     "oracle_integrate",
     "AccountingMode",
@@ -74,7 +67,6 @@ __all__ = [
     "time_series",
     "panel_sweep",
     "max_ergotropy_grid",
-    "optimal_charging_time",
     "optimal_time_sweep",
     "__version__",
 ]

@@ -33,8 +33,6 @@ __all__ = [
     "SystemParams",
     "Detunings",
     "derive_detunings",
-    "frame_frequencies",
-    "build_evolution_matrix",
 ]
 
 _COUPLING_FIELDS = ("g_a", "g_b", "lam")
@@ -127,33 +125,22 @@ def derive_detunings(p: SystemParams) -> Detunings:
     )
 
 
-def frame_frequencies(p: SystemParams) -> np.ndarray:
-    """(omega_a, omega_b, omega_m, omega_q) - omega_q, one entry per amplitude.
-
-    In the frame that turns at omega_q, C_n = Z_n exp(+i f_n t) with f these
-    frequencies; they are also the real diagonal of the evolution matrix.
-    """
-    return evolution_matrices(_field_array([p]))[1][0]
-
-
-def build_evolution_matrix(p: SystemParams) -> np.ndarray:
-    """Constant matrix A of the rotated amplitude equations z' = -i A z.
-
-    Basis order (Z1, Z2, Z3, Z4).  Diagonal: `frame_frequencies` - i*kappa_n/2
-    with kappa = (kappa_a, kappa_b, kappa_m, gamma).  Couplings: photon-magnon
-    g_a, magnon-phonon g_b, photon-battery 2*lam (forward) / lam (backward) —
-    the factor 2 counts the two degenerate atomic target states.
-    """
-    return evolution_matrices(_field_array([p]))[0][0]
-
-
 def _field_array(points: list[SystemParams]) -> np.ndarray:
     """(n, 11) fields of n points, one column per `_FIELD_NAMES` entry."""
     return np.array(list(map(attrgetter(*_FIELD_NAMES), points)), dtype=float)
 
 
 def evolution_matrices(fields: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(n, 4, 4) `build_evolution_matrix` and (n, 4) `frame_frequencies` of an (n, 11) `_field_array`."""
+    """(n, 4, 4) matrices A of the rotated amplitude equations z' = -i A z and
+    (n, 4) frame frequencies f = (omega_a, omega_b, omega_m, omega_q) - omega_q
+    of the n points of an (n, 11) `_field_array`.
+
+    In the frame that turns at omega_q, C_n = Z_n exp(+i f_n t).  Basis order
+    (Z1, Z2, Z3, Z4).  Diagonal: f - i*kappa_n/2 with kappa = (kappa_a,
+    kappa_b, kappa_m, gamma).  Couplings: photon-magnon g_a, magnon-phonon
+    g_b, photon-battery 2*lam (forward) / lam (backward) — the factor 2
+    counts the two degenerate atomic target states.
+    """
     omegas, (g_a, g_b, lam), rates = fields[:, :4], fields[:, 4:7].T, fields[:, 7:]
     f = omegas - omegas[:, 3:]
     a = np.zeros((len(fields), 4, 4), dtype=complex)

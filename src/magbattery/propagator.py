@@ -28,7 +28,6 @@ __all__ = [
     "AmplitudeState",
     "Trajectory",
     "physical_norm",
-    "matrix_exponential",
     "evolve",
     "oracle_integrate",
     "DEFAULT_INITIAL",
@@ -91,24 +90,12 @@ class Trajectory:
     amplitudes: np.ndarray
 
 
-def matrix_exponential(m: np.ndarray) -> np.ndarray:
-    """exp(m) by scaling-and-squaring with a diagonal [6/6] Pade approximant.
-
-    The argument is halved until its infinity norm is <= 0.5, the Pade
-    quotient is formed, and the result squared back.  At that norm the [6/6]
-    truncation error sits below double-precision roundoff, so the relative
-    error against direct series summation is ~1e-15 for well conditioned
-    input.
-    """
-    m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"square matrix required, got shape {m.shape}")
-    return _expm_stack(m[None])[0]
-
-
 def _expm_stack(m: np.ndarray) -> np.ndarray:
-    """`matrix_exponential` of each matrix of an (n, d, d) stack, each with
-    its own squaring count, so a matrix's result does not depend on the others."""
+    """exp(m) of each matrix of an (n, d, d) stack: scaling and squaring with a
+    diagonal [6/6] Pade approximant.  Each matrix is halved until its infinity
+    norm is <= 0.5, where the [6/6] truncation error sits below roundoff (~1e-15
+    relative for well conditioned input), and squared back by its own count,
+    so its result does not depend on the others."""
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix exponential argument has non-finite entries")
     norm = np.abs(m).sum(axis=-1).max(axis=-1)
@@ -234,8 +221,8 @@ def evolve(
     """Propagate one parameter point (amplitudes (T, 4)) or a sequence of n
     points advancing together (amplitudes (n, T, 4)) over the grid: the
     `rotating_amplitudes` Z of their one field array, slices joined, with its
-    checks and refusals, rotated back to C_n = Z_n exp(+i f_n t) with
-    f = `frame_frequencies`.
+    checks and refusals, rotated back to C_n = Z_n exp(+i f_n t) with f the
+    frame frequencies of `model.evolution_matrices`.
     `initial` (amplitudes at t=0, shared by all points) is a hook for testing only.
     """
     fields = _field_array([p] if isinstance(p, SystemParams) else p)

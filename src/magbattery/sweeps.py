@@ -17,7 +17,7 @@ import numpy as np
 from .metrics import METRIC_NAMES, _columns
 from .model import _FIELD_NAMES, SystemParams, _field_array, _omegas, derive_detunings
 from .propagator import rotating_amplitudes
-from .states import AccountingMode
+from .states import AccountingMode, _coerce_mode
 
 __all__ = [
     "PARAMETER_NAMES",
@@ -27,7 +27,6 @@ __all__ = [
     "time_series",
     "panel_sweep",
     "max_ergotropy_grid",
-    "optimal_charging_time",
     "optimal_time_sweep",
 ]
 
@@ -160,7 +159,7 @@ def _evolve_points(base: SystemParams, axes: Sequence[VarySpec], t_grid, mode, m
     metrics read only the kernel's population sums and, for coherence,
     |Z_n| = |C_n|.  No swept name sets omega_q: all share the base's.
     """
-    t = np.asarray(t_grid, dtype=float)
+    mode, t = _coerce_mode(mode), np.asarray(t_grid, dtype=float)
     _check_size(math.prod(len(axis.values) for axis in axes), t.size)
     names, cells = [axis.parameter_name for axis in axes], itertools.product(*(axis.values for axis in axes))
 
@@ -217,22 +216,13 @@ def max_ergotropy_grid(
 ) -> np.ndarray:
     """Maximum ergotropy over the time grid for every (x, y) parameter pair:
     a (len(vary_y.values), len(vary_x.values)) array with z[i, j] at (x_j, y_i)."""
-    if vary_x.parameter_name == vary_y.parameter_name:
+    x, y = vary_x.parameter_name, vary_y.parameter_name
+    if x == y:
         raise ValueError("contour axes must vary two different parameters")
+    if shared := sorted(set(_FIELDS[x]) & set(_FIELDS[y])):  # one axis would overwrite the other
+        raise ValueError(f"contour axes {x} and {y} both set {', '.join(shared)}")
     z = _evolve_points(base, (vary_y, vary_x), t_grid, mode, ("ergotropy",), lambda _, e: e.max(axis=-1))
     return np.reshape(z, (len(vary_y.values), len(vary_x.values)))
-
-
-def optimal_charging_time(
-    p: SystemParams,
-    t_grid: Sequence[float] | np.ndarray,
-    mode: AccountingMode | str = AccountingMode.PAPER,
-) -> tuple[float, float]:
-    """Earliest grid time at which the stored energy attains its grid maximum.
-
-    Returns (tau, e_max) with e_max = E(tau); tau is always a grid member.
-    """
-    return _evolve_points(p, (), t_grid, mode, ("energy",), _energy_peaks)[0]
 
 
 def optimal_time_sweep(

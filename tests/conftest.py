@@ -1,4 +1,5 @@
-"""Shared fixtures: seeded RNG, random-parameter draws, verdict reporting.
+"""Shared fixtures: seeded RNG, random-parameter draws, verdict reporting,
+and the one-point views of the package's batched functions that tests use.
 
 All randomness is seeded, hypothesis included, so failures reproduce exactly.  The acceptance
 tests record one verdict line each; printing them from inside a test would
@@ -11,7 +12,9 @@ import numpy as np
 import pytest
 from hypothesis import settings, strategies as st
 
-from magbattery import SystemParams, evolve
+from magbattery import AccountingMode, SystemParams, VarySpec, evolve, optimal_time_sweep
+from magbattery.model import _field_array, evolution_matrices
+from magbattery.propagator import _expm_stack
 
 # property tests replay the same examples on every run, like the seeded rng
 settings.register_profile("seeded", derandomize=True, database=None, deadline=None)
@@ -29,6 +32,27 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_VERDICTS:
             terminalreporter.write_line(line)
+
+
+def evolution_matrix(p):
+    """Constant matrix A of z' = -i A z at one point: row 0 of the batched build."""
+    return evolution_matrices(_field_array([p]))[0][0]
+
+
+def frame_frequencies(p):
+    """(omega_a, omega_b, omega_m, omega_q) - omega_q at one point: row 0 of the batched build."""
+    return evolution_matrices(_field_array([p]))[1][0]
+
+
+def expm(m):
+    """exp(m) of one square matrix: the kernel's stacked exponential of a stack of one."""
+    return _expm_stack(m[None])[0]
+
+
+def optimal_charging_time(p, t_grid, mode=AccountingMode.PAPER):
+    """(tau, e_max) at one point: a one-value `optimal_time_sweep` that sets g_a to its own value."""
+    ((_, tau, e_max),) = optimal_time_sweep(p, VarySpec("g_a", (p.g_a,)), t_grid, mode)
+    return tau, e_max
 
 
 def _draw_params(rng, rate_high=2.0):

@@ -27,7 +27,6 @@ from magbattery import (
     evolve,
     max_ergotropy_grid,
     metric_columns,
-    optimal_charging_time,
     optimal_time_sweep,
     oracle_integrate,
     physical_norm,
@@ -36,7 +35,7 @@ from magbattery import (
 )
 from magbattery.cli import main as cli_main
 
-from conftest import _draw_params, record_verdict
+from conftest import _draw_params, optimal_charging_time, record_verdict
 from oracles import BatteryHamiltonian, DensityMatrix, charger_density, ergotropy
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"

@@ -509,6 +509,15 @@ class TestContour:
                          "--out", str(tmp_path / "c.csv"))
         assert code == 2
 
+    def test_axes_setting_one_field_rejected(self, tmp_path, capsys):
+        code, out, err = run(capsys, "contour", "--t_max", "1", "--dt", "0.5",
+                             "--vary", "kappa_all", "--vary_values", "0,1",
+                             "--vary2", "kappa_a", "--vary2_values", "2",
+                             "--out", str(tmp_path / "c.csv"))
+        assert (code, out) == (2, "")
+        assert "kappa_all and kappa_a both set kappa_a" in err
+        assert not (tmp_path / "c.csv").exists()
+
     def test_missing_second_axis(self, tmp_path, capsys):
         code, _, _ = run(capsys, "contour", "--t_max", "1", "--dt", "0.5",
                          "--vary", "g_a", "--vary_values", "1",

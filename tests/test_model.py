@@ -5,14 +5,10 @@ import dataclasses
 import numpy as np
 import pytest
 
-from magbattery import (
-    Detunings,
-    SystemParams,
-    build_evolution_matrix,
-    derive_detunings,
-    frame_frequencies,
-)
+from magbattery import Detunings, SystemParams, derive_detunings
 from magbattery.model import _FIELD_NAMES, _field_array, evolution_matrices
+
+from conftest import evolution_matrix, frame_frequencies
 
 
 class TestSystemParams:
@@ -119,11 +115,11 @@ class TestEvolutionMatrix:
     def test_all_zero(self):
         p = SystemParams(omega_a=0, omega_b=0, omega_m=0, omega_q=0,
                          g_a=0, g_b=0, lam=0)
-        assert np.all(build_evolution_matrix(p) == 0)
+        assert np.all(evolution_matrix(p) == 0)
 
     def test_resonant_coupling_pattern(self):
         p = SystemParams()  # unit couplings, all omegas equal, no decay
-        a = build_evolution_matrix(p)
+        a = evolution_matrix(p)
         expect = np.zeros((4, 4), dtype=complex)
         expect[0, 1] = expect[1, 0] = 1.0
         expect[1, 2] = expect[2, 1] = 1.0
@@ -135,24 +131,24 @@ class TestEvolutionMatrix:
         # omegas 3, 2, 1 for photon, magnon, phonon and 4 for the atoms
         p = SystemParams(omega_m=1, omega_b=2, omega_a=3, omega_q=4)
         np.testing.assert_array_equal(frame_frequencies(p), [-1.0, -2.0, -3.0, 0.0])
-        np.testing.assert_array_equal(np.diag(build_evolution_matrix(p)), frame_frequencies(p))
+        np.testing.assert_array_equal(np.diag(evolution_matrix(p)), frame_frequencies(p))
 
     def test_decay_enters_diagonal(self):
         p = SystemParams.from_detunings(1, 1, 1, g_a=0, g_b=0, lam=0, kappa_a=2.0)
-        a = build_evolution_matrix(p)
+        a = evolution_matrix(p)
         assert a[0, 0] == pytest.approx(-1.0 - 1.0j, abs=1e-15)
 
     def test_asymmetric_battery_coupling(self, rng):
         for _ in range(50):
             lam = rng.uniform(0, 3)
             p = SystemParams(lam=lam)
-            a = build_evolution_matrix(p)
+            a = evolution_matrix(p)
             assert a[0, 3] == pytest.approx(2 * a[3, 0], abs=1e-15)
             assert a[3, 0] == pytest.approx(lam, abs=1e-15)
 
     def test_offdiagonal_part_real(self, rng, draw_params):
         for _ in range(200):
-            a = build_evolution_matrix(draw_params(rng))
+            a = evolution_matrix(draw_params(rng))
             off = a - np.diag(np.diag(a))
             assert np.all(off.imag == 0)
 
@@ -168,7 +164,7 @@ class TestEvolutionMatrix:
         a, f = evolution_matrices(_field_array(points))
         assert a.shape == (7, 4, 4) and f.shape == (7, 4)
         for p, a_p, f_p in zip(points, a, f):
-            np.testing.assert_array_equal(a_p, build_evolution_matrix(p))
+            np.testing.assert_array_equal(a_p, evolution_matrix(p))
             np.testing.assert_array_equal(f_p, frame_frequencies(p))
             # the one-point formulas, written out
             want_f = np.array([p.omega_a, p.omega_b, p.omega_m, p.omega_q]) - p.omega_q
@@ -182,7 +178,7 @@ class TestEvolutionMatrix:
     def test_trace(self, rng, draw_params):
         for _ in range(200):
             p = draw_params(rng)
-            a = build_evolution_matrix(p)
+            a = evolution_matrix(p)
             rates = p.kappa_a + p.kappa_b + p.kappa_m + p.gamma
             want = np.sum(frame_frequencies(p)) - 0.5j * rates
             assert abs(np.trace(a) - want) < 1e-10

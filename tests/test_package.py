@@ -3,13 +3,16 @@
 The density-matrix and eigensolver routes are test oracles (`oracles.py`
 beside these tests); the package exports and defines none of them, and a CLI
 run imports numpy but no test-only library, no argparse and no OpenSSL.
+Every export has a caller outside the tests.
 """
 
+import ast
 import importlib
 import importlib.util
 import json
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -21,26 +24,44 @@ import magbattery
 PACKAGE_DIR = Path(magbattery.__file__).resolve().parent
 TESTS_DIR = Path(__file__).resolve().parent
 CONFIG_DIR = TESTS_DIR.parent / "configs"
+BENCH_DIR = TESTS_DIR.parent / "bench"
+README = TESTS_DIR.parent / "README.md"
 
 EXPORTS = {
     "DEFAULT_INITIAL", "SystemParams", "Detunings", "derive_detunings",
-    "frame_frequencies", "build_evolution_matrix", "AmplitudeState", "Trajectory",
-    "physical_norm", "matrix_exponential", "evolve", "oracle_integrate",
+    "AmplitudeState", "Trajectory", "physical_norm", "evolve", "oracle_integrate",
     "AccountingMode", "InconsistentStateError", "METRIC_NAMES", "MetricsSample",
     "metric_columns", "sample_metrics", "stored_energy_series", "ergotropy_series",
     "VarySpec", "apply_parameters", "time_grid", "time_series",
-    "panel_sweep", "max_ergotropy_grid", "optimal_charging_time",
-    "optimal_time_sweep", "__version__",
+    "panel_sweep", "max_ergotropy_grid", "optimal_time_sweep", "__version__",
 }
 ORACLE_NAMES = ("DensityMatrix", "battery_density", "charger_density",
                 "BatteryHamiltonian", "passive_state", "ergotropy", "purity")
 
 
 def test_exports_are_pinned_and_resolve():
-    assert len(magbattery.__all__) == len(EXPORTS) == 29
+    assert len(magbattery.__all__) == len(EXPORTS) == 25
     assert set(magbattery.__all__) == EXPORTS
     for name in magbattery.__all__:
         getattr(magbattery, name)
+
+
+def test_every_export_has_a_caller_outside_the_tests():
+    # callers: the package's modules, the bench scripts and the README's
+    # library example; a name in a string literal (a probe list) is no caller
+    sources = [path.read_text(encoding="utf-8") for path in sorted(PACKAGE_DIR.glob("*.py"))
+               if path.name != "__init__.py"]
+    sources += [path.read_text(encoding="utf-8") for path in sorted(BENCH_DIR.glob("*.py"))]
+    library = README.read_text(encoding="utf-8").split("## Library", 1)[1]
+    sources.append(re.search(r"```python\n(.*?)```", library, re.DOTALL).group(1))
+    read = set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    assert set(magbattery.__all__) - {"__version__"} - read == set()
 
 
 def test_no_module_defines_an_oracle():

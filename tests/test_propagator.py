@@ -15,25 +15,23 @@ from hypothesis import given, settings, strategies as st
 from magbattery import (
     DEFAULT_INITIAL,
     SystemParams,
-    build_evolution_matrix,
     evolve,
-    frame_frequencies,
-    matrix_exponential,
     metric_columns,
     oracle_integrate,
     physical_norm,
 )
 
 from magbattery.model import _field_array
-from magbattery.propagator import _population_sums, rotating_amplitudes
+from magbattery.propagator import _expm_stack, _population_sums, rotating_amplitudes
 
+from conftest import evolution_matrix, expm, frame_frequencies
 from oracles import lindblad_metrics
 
 RABI = SystemParams(g_a=0.0, g_b=0.0, lam=1.0)  # resonant two-level reduction
 
 
 def expm_series(m, terms=80):
-    """Plain Taylor summation; independent oracle for matrix_exponential."""
+    """Plain Taylor summation; independent oracle for the Pade exponential."""
     out = np.eye(m.shape[0], dtype=complex)
     term = np.eye(m.shape[0], dtype=complex)
     for k in range(1, terms):
@@ -44,22 +42,22 @@ def expm_series(m, terms=80):
 
 def rotated(a, z0, t):
     """exp(-i A t) z0: the rotated-frame solution for the constant matrix A."""
-    return matrix_exponential(-1j * t * a) @ np.asarray(z0, dtype=complex)
+    return expm(-1j * t * a) @ np.asarray(z0, dtype=complex)
 
 
 class TestMatrixExponential:
     def test_zero_matrix(self):
-        np.testing.assert_array_equal(matrix_exponential(np.zeros((4, 4))), np.eye(4))
+        np.testing.assert_array_equal(expm(np.zeros((4, 4))), np.eye(4))
 
     def test_scalar_phase(self):
         m = np.diag([-1j, 0, 0, 0]).astype(complex) * math.pi
         np.testing.assert_allclose(
-            matrix_exponential(m), np.diag([-1, 1, 1, 1]), atol=1e-12)
+            expm(m), np.diag([-1, 1, 1, 1]), atol=1e-12)
 
     def test_rotation_block(self):
         g = np.zeros((4, 4))
         g[0, 1], g[1, 0] = -1.0, 1.0
-        r = matrix_exponential(g * (math.pi / 2))
+        r = expm(g * (math.pi / 2))
         want = np.eye(4)
         want[:2, :2] = [[0, -1], [1, 0]]
         np.testing.assert_allclose(r, want, atol=1e-12)
@@ -68,7 +66,7 @@ class TestMatrixExponential:
         for _ in range(200):
             m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
             m *= rng.uniform(0.1, 2.0) / np.linalg.norm(m, np.inf)
-            got = matrix_exponential(m)
+            got = expm(m)
             want = expm_series(m)
             rel = np.linalg.norm(got - want) / np.linalg.norm(want)
             assert rel <= 1e-12
@@ -77,8 +75,8 @@ class TestMatrixExponential:
         # scaling-and-squaring must also hold far above the Pade radius
         m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         m *= 40.0 / np.linalg.norm(m, np.inf)
-        got = matrix_exponential(m)
-        half = matrix_exponential(m / 2)
+        got = expm(m)
+        half = expm(m / 2)
         np.testing.assert_allclose(got, half @ half, atol=1e-9 * np.linalg.norm(got))
 
     @settings(max_examples=300)
@@ -94,30 +92,35 @@ class TestMatrixExponential:
     def test_against_scipy_near_exceptional_points(self, kappas, shift, g_b, lam, d1, d3, dt):
         # at delta_2 = 0 and g_a = |kappa_a - kappa_b| / 4 the photon-magnon
         # block of A is defective (one eigenvalue, one eigenvector)
-        expm = pytest.importorskip("scipy.linalg").expm
+        scipy_expm = pytest.importorskip("scipy.linalg").expm
         ka, kb, km, gam = kappas
         p = SystemParams.from_detunings(
             d1, 0.0, d3, g_a=max(abs(ka - kb) / 4.0 + shift, 0.0), g_b=g_b, lam=lam,
             kappa_a=ka, kappa_b=kb, kappa_m=km, gamma=gam)
-        m = -1j * dt * build_evolution_matrix(p)
-        want = expm(m)
-        err = np.linalg.norm(matrix_exponential(m) - want, 1) / np.linalg.norm(want, 1)
+        m = -1j * dt * evolution_matrix(p)
+        want = scipy_expm(m)
+        err = np.linalg.norm(expm(m) - want, 1) / np.linalg.norm(want, 1)
         assert err <= 1e-12
 
     def test_nonfinite_rejected(self):
         m = np.zeros((4, 4), dtype=complex)
         m[2, 2] = np.nan
         with pytest.raises(ValueError):
-            matrix_exponential(m)
+            expm(m)
 
     def test_overflowing_norm_rejected(self):
         # the infinity norm overflows although every entry is finite
         with np.errstate(over="ignore"), pytest.raises(ValueError, match="too large"):
-            matrix_exponential(np.full((4, 4), 1e308))
+            expm(np.full((4, 4), 1e308))
 
-    def test_nonsquare_rejected(self):
-        with pytest.raises(ValueError):
-            matrix_exponential(np.zeros((3, 4)))
+    def test_stack_equals_each_matrix_alone(self, rng):
+        # infinity norms 0.1-40 take 0 to 7 squarings: each matrix of one
+        # stack takes its own count, so its stack-mates change none of its bits
+        m = rng.normal(size=(200, 4, 4)) + 1j * rng.normal(size=(200, 4, 4))
+        m *= (np.geomspace(0.1, 40.0, 200) / np.abs(m).sum(axis=-1).max(axis=-1))[:, None, None]
+        rng.shuffle(m)
+        alone = np.array([expm(x) for x in m])
+        np.testing.assert_array_equal(_expm_stack(m).view(np.uint64), alone.view(np.uint64))
 
 
 class TestPropagate:
@@ -125,12 +128,12 @@ class TestPropagate:
 
     def test_t_zero_identity(self, rng, draw_params):
         for _ in range(20):
-            a = build_evolution_matrix(draw_params(rng))
+            a = evolution_matrix(draw_params(rng))
             z0 = rng.normal(size=4) + 1j * rng.normal(size=4)
             np.testing.assert_allclose(rotated(a, z0, 0.0), z0, atol=1e-15)
 
     def test_rabi_quarter_period(self):
-        a = build_evolution_matrix(RABI)
+        a = evolution_matrix(RABI)
         z = rotated(a, DEFAULT_INITIAL, math.pi / (2 * math.sqrt(2)))
         assert abs(z[0]) < 1e-8
         assert abs(z[3] - (-1j / math.sqrt(2))) < 1e-8
@@ -142,7 +145,7 @@ class TestPropagate:
 
     def test_linearity(self, rng, draw_params):
         for _ in range(50):
-            a = build_evolution_matrix(draw_params(rng))
+            a = evolution_matrix(draw_params(rng))
             u = rng.normal(size=4) + 1j * rng.normal(size=4)
             v = rng.normal(size=4) + 1j * rng.normal(size=4)
             al, be = rng.normal(size=2)
@@ -153,7 +156,7 @@ class TestPropagate:
 
     def test_semigroup(self, rng, draw_params):
         for _ in range(50):
-            a = build_evolution_matrix(draw_params(rng))
+            a = evolution_matrix(draw_params(rng))
             z = rng.normal(size=4) + 1j * rng.normal(size=4)
             s, t = rng.uniform(0, 3, 2)
             lhs = rotated(a, z, s + t)
@@ -176,7 +179,7 @@ class TestZToC:
         # and the rotation back by exp(+i f pi/2) returns every C_n to 1
         p = SystemParams(omega_a=5, omega_b=4, omega_m=3, omega_q=4, g_a=0, g_b=0, lam=0)
         np.testing.assert_array_equal(frame_frequencies(p), [1.0, 0.0, -1.0, 0.0])
-        z = rotated(build_evolution_matrix(p), np.ones(4), math.pi / 2)
+        z = rotated(evolution_matrix(p), np.ones(4), math.pi / 2)
         np.testing.assert_allclose(z, [-1j, 1, 1j, 1], atol=1e-12)
         traj = evolve(p, [0.0, math.pi / 2], initial=np.ones(4))
         np.testing.assert_allclose(traj.amplitudes[1], np.ones(4), atol=1e-12)
@@ -187,7 +190,7 @@ class TestZToC:
             z0 = rng.normal(size=4) + 1j * rng.normal(size=4)
             t = rng.uniform(0, 10)
             c = evolve(p, [0.0, t], initial=z0).amplitudes[1]
-            z = rotated(build_evolution_matrix(p), z0, t)
+            z = rotated(evolution_matrix(p), z0, t)
             np.testing.assert_allclose(np.abs(c), np.abs(z), atol=1e-12)
 
 
@@ -217,7 +220,7 @@ class TestEvolve:
     @staticmethod
     def pointwise(p, tk):
         # one exponential straight from t = 0, rotated back at the frame frequencies
-        a = build_evolution_matrix(p)
+        a = evolution_matrix(p)
         return rotated(a, DEFAULT_INITIAL, tk) * np.exp(1j * tk * frame_frequencies(p))
 
     def test_uniform_fast_path_matches_pointwise(self, rng, draw_params):
@@ -307,18 +310,18 @@ class TestBatchedEvolve:
     def test_runs_match_a_sequential_loop_and_scipy(self, rng, draw_params, grid):
         # each run of equal steps is filled by doubling; the reference takes
         # one exponential per step and one matvec at a time
-        expm = pytest.importorskip("scipy.linalg").expm
+        scipy_expm = pytest.importorskip("scipy.linalg").expm
         points = [draw_params(rng) for _ in range(2)]
         batch = evolve(points, grid).amplitudes
         for row, p in zip(batch, points):
-            a, f = build_evolution_matrix(p), frame_frequencies(p)
+            a, f = evolution_matrix(p), frame_frequencies(p)
             z, loop = np.array(DEFAULT_INITIAL, dtype=complex), []
             for tk, h in zip(grid, np.diff(grid, prepend=0.0)):
-                z = matrix_exponential(-1j * h * a) @ z
+                z = expm(-1j * h * a) @ z
                 loop.append(z * np.exp(1j * tk * f))
             np.testing.assert_allclose(row, loop, rtol=0, atol=1e-12)
             for k in (1, 2, 3, 4, 6, 7, 70, 71, 80, 142, len(grid) - 1):
-                want = expm(-1j * grid[k] * a) @ DEFAULT_INITIAL * np.exp(1j * grid[k] * f)
+                want = scipy_expm(-1j * grid[k] * a) @ DEFAULT_INITIAL * np.exp(1j * grid[k] * f)
                 np.testing.assert_allclose(row[k], want, rtol=0, atol=1e-12)
 
     def test_each_point_keeps_its_squaring_count(self):
@@ -450,8 +453,8 @@ class TestOracleIntegrate:
             names.update(code.co_names)
             codes += [c for c in code.co_consts if isinstance(c, types.CodeType)]
         assert "exp" in names  # the walk reached the nested derivative
-        shared = {"evolve", "rotating_amplitudes", "matrix_exponential", "evolution_matrices",
-                  "build_evolution_matrix", "frame_frequencies"}
+        shared = {"evolve", "rotating_amplitudes", "_expm_stack", "evolution_matrices",
+                  "_population_sums"}
         assert not names & shared
 
 
