@@ -7,66 +7,19 @@ ergotropy / purity in closed form from their populations, and drives
 parameter sweeps; the `magbattery` CLI serializes everything to CSV.  No
 density matrix is built at run time: the reduced states and the general
 ergotropy construction are test oracles, in the test suite's `oracles.py`.
+
+The public surface is each module's `__all__`: the package star-imports the
+five layer modules and exports the union of their lists.
 """
 
-from .model import (
-    SystemParams,
-    Detunings,
-    derive_detunings,
-)
-from .propagator import (
-    DEFAULT_INITIAL,
-    AmplitudeState,
-    Trajectory,
-    physical_norm,
-    evolve,
-    oracle_integrate,
-)
-from .states import AccountingMode, InconsistentStateError
-from .metrics import (
-    METRIC_NAMES,
-    MetricsSample,
-    metric_columns,
-    sample_metrics,
-    stored_energy_series,
-    ergotropy_series,
-)
-from .sweeps import (
-    VarySpec,
-    apply_parameters,
-    time_grid,
-    time_series,
-    panel_sweep,
-    max_ergotropy_grid,
-    optimal_time_sweep,
-)
+from . import model, propagator, states, metrics, sweeps
+from .model import *
+from .propagator import *
+from .states import *
+from .metrics import *
+from .sweeps import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "DEFAULT_INITIAL",
-    "SystemParams",
-    "Detunings",
-    "derive_detunings",
-    "AmplitudeState",
-    "Trajectory",
-    "physical_norm",
-    "evolve",
-    "oracle_integrate",
-    "AccountingMode",
-    "InconsistentStateError",
-    "METRIC_NAMES",
-    "MetricsSample",
-    "metric_columns",
-    "sample_metrics",
-    "stored_energy_series",
-    "ergotropy_series",
-    "VarySpec",
-    "apply_parameters",
-    "time_grid",
-    "time_series",
-    "panel_sweep",
-    "max_ergotropy_grid",
-    "optimal_time_sweep",
-    "__version__",
-]
+__all__ = [*model.__all__, *propagator.__all__, *states.__all__, *metrics.__all__, *sweeps.__all__,
+           "__version__"]

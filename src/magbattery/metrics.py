@@ -66,6 +66,14 @@ def metric_columns(
     return np.stack(_columns(*_population_sums(c), omega_q, mode, METRIC_NAMES, c), axis=-1)
 
 
+def _check_battery(omega_q: float, mode: AccountingMode | str) -> AccountingMode:
+    """`mode` as an AccountingMode; ValueError for an unknown mode or omega_q < 0."""
+    mode = _coerce_mode(mode)
+    if not omega_q >= 0.0:  # the excited level must lie above |gg>
+        raise ValueError(f"battery metrics need omega_q >= 0, got {omega_q!r}")
+    return mode
+
+
 def _columns(g: np.ndarray, s: np.ndarray, omega_q: float, mode: AccountingMode | str,
              names: tuple[str, ...], amplitudes: np.ndarray | None = None) -> tuple[np.ndarray, ...]:
     """The named figures of merit, one array each in the order of `names`.
@@ -88,9 +96,7 @@ def _columns(g: np.ndarray, s: np.ndarray, omega_q: float, mode: AccountingMode 
     and ValueError when g' is below -1e-12 (not a density matrix); smaller
     negative g' is roundoff and clamps to 0.
     """
-    mode = _coerce_mode(mode)
-    if not omega_q >= 0.0:
-        raise ValueError(f"battery metrics need omega_q >= 0, got {omega_q!r}")
+    mode = _check_battery(omega_q, mode)
     norm = g + 2.0 * s
     if np.any(norm > 1.0 + _NORM_SLACK):
         raise InconsistentStateError(f"physical norm {norm.max()} exceeds 1")

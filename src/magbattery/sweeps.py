@@ -14,13 +14,12 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .metrics import METRIC_NAMES, _columns
+from .metrics import METRIC_NAMES, _check_battery, _columns
 from .model import _FIELD_NAMES, SystemParams, _field_array, _omegas, derive_detunings
 from .propagator import rotating_amplitudes
-from .states import AccountingMode, _coerce_mode
+from .states import AccountingMode
 
 __all__ = [
-    "PARAMETER_NAMES",
     "VarySpec",
     "apply_parameters",
     "time_grid",
@@ -115,6 +114,8 @@ class VarySpec:
                 f"unknown sweep parameter {self.parameter_name!r}; "
                 f"expected one of {', '.join(PARAMETER_NAMES)}"
             )
+        if isinstance(self.values, (str, bytes)):  # would sweep its characters
+            raise TypeError(f"sweep values must be a sequence of numbers, not a {type(self.values).__name__}")
         values = tuple(float(v) for v in self.values)
         if not values:
             raise ValueError("sweep needs at least one value")
@@ -157,9 +158,10 @@ def _evolve_points(base: SystemParams, axes: Sequence[VarySpec], t_grid, mode, m
     The points go to `rotating_amplitudes` as chunks of the size it asks for,
     each one (n, 11) field array built and checked when it is asked for; the
     metrics read only the kernel's population sums and, for coherence,
-    |Z_n| = |C_n|.  No swept name sets omega_q: all share the base's.
+    |Z_n| = |C_n|.  No swept name sets omega_q: all share the base's, so it
+    and the mode are refused before any point is built.
     """
-    mode, t = _coerce_mode(mode), np.asarray(t_grid, dtype=float)
+    mode, t = _check_battery(base.omega_q, mode), np.asarray(t_grid, dtype=float)
     _check_size(math.prod(len(axis.values) for axis in axes), t.size)
     names, cells = [axis.parameter_name for axis in axes], itertools.product(*(axis.values for axis in axes))
 

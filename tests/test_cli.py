@@ -264,6 +264,8 @@ class TestDynamics:
         (("dynamics", "--frob", "1"), "unknown config key --frob"),
         # -h as a --key's value is that value, not a request for the usage
         (("sweep", "--vary", "g_a", "--vary_values", "-h"), "not a number list: '-h'"),
+        # the cause, not the step exponential that would fail too
+        (("dynamics", "--omega_q", "-1", "--g_a", "1e12", "--t_max", "1", "--dt", "0.5"), "omega_q >= 0"),
     ])
     def test_overflow_is_a_one_line_error(self, capsys, overflow, cause):
         code, out, err = run(capsys, *overflow)

@@ -3,7 +3,8 @@
 The density-matrix and eigensolver routes are test oracles (`oracles.py`
 beside these tests); the package exports and defines none of them, and a CLI
 run imports numpy but no test-only library, no argparse and no OpenSSL.
-Every export has a caller outside the tests.
+Every export has a caller outside the tests, and each is declared in exactly
+one layer module's `__all__`.
 """
 
 import ast
@@ -15,6 +16,7 @@ import pkgutil
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -35,6 +37,7 @@ EXPORTS = {
     "VarySpec", "apply_parameters", "time_grid", "time_series",
     "panel_sweep", "max_ergotropy_grid", "optimal_time_sweep", "__version__",
 }
+LAYERS = ("model", "propagator", "states", "metrics", "sweeps")
 ORACLE_NAMES = ("DensityMatrix", "battery_density", "charger_density",
                 "BatteryHamiltonian", "passive_state", "ergotropy", "purity")
 
@@ -44,6 +47,18 @@ def test_exports_are_pinned_and_resolve():
     assert set(magbattery.__all__) == EXPORTS
     for name in magbattery.__all__:
         getattr(magbattery, name)
+
+
+def test_surface_is_the_union_of_disjoint_module_lists():
+    # each name is declared in one layer module's __all__, which the package star-imports;
+    # a name in two lists would silently bind whichever module is imported last
+    modules = [importlib.import_module(f"magbattery.{name}") for name in LAYERS]
+    declared = Counter(name for module in modules for name in module.__all__)
+    assert [name for name, count in declared.items() if count > 1] == []
+    assert sorted(magbattery.__all__) == sorted([*declared, "__version__"])
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(magbattery, name) is getattr(module, name), name
 
 
 def test_every_export_has_a_caller_outside_the_tests():

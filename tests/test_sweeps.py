@@ -182,6 +182,13 @@ class TestVarySpec:
         with pytest.raises(ValueError):
             VarySpec("g_a", bad)
 
+    def test_one_string_refused(self):
+        # a str or bytes would sweep its characters; a tuple of numeric strings is coerced
+        for text in ("12", "0.5", b"12"):
+            with pytest.raises(TypeError, match="sequence of numbers, not a (str|bytes)"):
+                VarySpec("g_a", text)
+        assert VarySpec("g_a", ("1", "2.5")).values == (1.0, 2.5)
+
     def test_count_bounded_before_allocating(self):
         with pytest.raises(ValueError, match="parameter points x time points"):
             VarySpec.linspace("g_b", 0.0, 1.0, 10**12)
@@ -359,18 +366,32 @@ class TestTimeSeries:
             np.testing.assert_allclose(table[:, 1:], want, rtol=0, atol=1e-12)
 
 
-@pytest.mark.parametrize("sweep", [
-    lambda t, mode: time_series(BASE, t, mode),
-    lambda t, mode: panel_sweep(BASE, VarySpec("g_a", (0.5, 1.0)), t, mode),
-    lambda t, mode: max_ergotropy_grid(BASE, VarySpec("g_a", (0.5, 1.0)), VarySpec("g_b", (1.0,)), t, mode),
-    lambda t, mode: optimal_time_sweep(BASE, VarySpec("g_b", (0.5, 1.0)), t, mode),
+EVERY_SWEEP = pytest.mark.parametrize("sweep", [
+    lambda p, t, mode: time_series(p, t, mode),
+    lambda p, t, mode: panel_sweep(p, VarySpec("g_a", (0.5, 1.0)), t, mode),
+    lambda p, t, mode: max_ergotropy_grid(p, VarySpec("g_a", (0.5, 1.0)), VarySpec("g_b", (1.0,)), t, mode),
+    lambda p, t, mode: optimal_time_sweep(p, VarySpec("g_b", (0.5, 1.0)), t, mode),
 ], ids=["time_series", "panel_sweep", "max_ergotropy_grid", "optimal_time_sweep"])
+
+
+@EVERY_SWEEP
 def test_unknown_mode_rejected(monkeypatch, sweep):
     # refused before the kernel is handed a single point
     handed = []
     record_blocks(monkeypatch, handed)
     with pytest.raises(ValueError, match="expected 'paper' or 'trace_repaired'"):
-        sweep(time_grid(1, 0.5), "bogus")
+        sweep(BASE, time_grid(1, 0.5), "bogus")
+    assert handed == []
+
+
+@EVERY_SWEEP
+def test_negative_omega_q_rejected(monkeypatch, sweep):
+    # refused before the kernel is handed a single point, so the coupling too
+    # large for any step exponential does not hide the cause
+    handed = []
+    record_blocks(monkeypatch, handed)
+    with pytest.raises(ValueError, match=re.escape("need omega_q >= 0, got -1.0")):
+        sweep(dataclasses.replace(BASE, omega_q=-1.0, lam=1e12), time_grid(1, 0.5), "paper")
     assert handed == []
 
 
