@@ -36,8 +36,9 @@ __all__ = [
 # Initial state: one photon, both atoms in the ground state.
 DEFAULT_INITIAL = (1.0 + 0.0j, 0.0j, 0.0j, 0.0j)
 
-# Largest dt * |A|_inf a step exponential may take: more would need over 22
-# squarings, and 2**22 * eps ~ 1e-9 is the whole norm-conservation budget.
+# Largest infinity norm of the real form of -i A dt a step exponential may
+# take: more would need over 22 squarings, and 2**22 * eps ~ 1e-9 is the
+# whole norm-conservation budget.
 _MAX_STEP_NORM = 2.0**21
 # Rise of the physical norm left to roundoff: `evolve` refuses a larger rise
 # relative to the norm at t = 0, states and metrics a norm above 1 + this.
@@ -91,11 +92,13 @@ class Trajectory:
 
 
 def _expm_stack(m: np.ndarray) -> np.ndarray:
-    """exp(m) of each matrix of an (n, d, d) stack: scaling and squaring with a
-    diagonal [6/6] Pade approximant.  Each matrix is halved until its infinity
-    norm is <= 0.5, where the [6/6] truncation error sits below roundoff (~1e-15
-    relative for well conditioned input), and squared back by its own count,
-    so its result does not depend on the others."""
+    """exp(m) of each matrix of an (n, d, d) stack, real or complex: scaling and
+    squaring with a degree-15 Taylor polynomial.  Each matrix is halved until its
+    infinity norm is <= 0.5, where the truncation error is below 0.5**16 / 16!
+    ~ 7e-19 relative, and squared back by its own count, so its result does not
+    depend on the others.  The polynomial sum_k X^k / k! is evaluated
+    Paterson-Stockmeyer style, Horner in X^4 over blocks c_i + c_{i+1} X +
+    c_{i+2} X^2 + c_{i+3} X^3: 6 products, no solve, 7 stacks live."""
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix exponential argument has non-finite entries")
     norm = np.abs(m).sum(axis=-1).max(axis=-1)
@@ -104,21 +107,31 @@ def _expm_stack(m: np.ndarray) -> np.ndarray:
     squarings = np.ceil(np.log2(np.maximum(norm, 0.5)) + 1.0).astype(int)  # 0 at norm <= 0.5
     m = m / np.ldexp(1.0, squarings)[:, None, None]
 
-    # [6/6] Pade coefficients c_k = c_{k-1} * (6-k+1) / (k * (12-k+1))
-    c = [1.0]
-    for k in range(1, 7):
-        c.append(c[-1] * (7 - k) / (k * (13 - k)))
-
-    eye = np.eye(m.shape[-1], dtype=complex)
+    c = [1.0 / math.factorial(k) for k in range(16)]
     m2 = m @ m
-    m4 = m2 @ m2
-    odd = m @ (c[1] * eye + c[3] * m2 + c[5] * m4)
-    even = c[0] * eye + c[2] * m2 + c[4] * m4 + c[6] * (m2 @ m4)
-    f = np.linalg.solve(even - odd, even + odd)
+    m3, m4 = m2 @ m, m2 @ m2
+    f = c[15] * m3
+    for i in (12, 8, 4, 0):  # each block summed from its smallest term up, in place
+        if i < 12:
+            f = f @ m4
+            f += c[i + 3] * m3
+        f += c[i + 2] * m2
+        f += c[i + 1] * m
+        f += c[i] * np.eye(m.shape[-1])
     for k in range(squarings.max(initial=0)):
         more = squarings > k
         f[more] = f[more] @ f[more]
     return f
+
+
+def _real_form(s: np.ndarray) -> np.ndarray:
+    """(..., 2d, 2d) real matrices M of (..., d, d) complex s such that x @ M is
+    the float view of z @ s.T for rows z with float view x: entry s_ij = a + ib
+    is the block [[a, b], [-b, a]] at rows 2j, 2j + 1 and columns 2i, 2i + 1.
+    M(s1 @ s2) = M(s2) @ M(s1), and exp(M(s)) = M(exp(s))."""
+    a, b = s.real.swapaxes(-1, -2), s.imag.swapaxes(-1, -2)
+    m = np.stack((np.stack((a, b), axis=-1), np.stack((-b, a), axis=-1)), axis=-3)
+    return m.reshape(*s.shape[:-2], 2 * s.shape[-1], 2 * s.shape[-1])
 
 
 def _validated_grid(t_grid) -> np.ndarray:
@@ -151,14 +164,18 @@ def rotating_amplitudes(chunks: Callable[[int], Iterable[np.ndarray]], t_grid, *
     Each point's evolution matrix A is constant there: Z(t_k) = exp(-i A h_k)
     Z(t_{k-1}) with h = diff(t, prepend=0).  Steps within 1e-12 (relative) of
     a run's first step h form one run.  The grid is checked and split once.
-    Per chunk, A is built and each run takes one stacked exponential
-    S = exp(-i A h); per slice of about _BLOCK_SAMPLES points x time points,
-    each run is filled by doubling, Z_{k+j} = S^k Z_j for j < k, so a run of L
-    steps costs ceil(log2 L) batched fills and one squaring fewer, and a
-    uniform grid one exponential per point.  For R runs that take a step, a
-    slice holds _BLOCK_SAMPLES // max(T, 4R) points and a chunk
-    _BLOCK_SAMPLES // 4R, at least one slice: its exponentials never take
-    more memory than _BLOCK_SAMPLES points x time points of trajectory.
+    The kernel runs on the real form of these maps (`_real_form`): Z is the
+    complex view of an (n, T, 8) float array X, and a step is X_k = X_{k-1} @ M
+    with the real 8x8 M = exp(h W), W the real form of -i A.  Per chunk, W is
+    built and the M of every run and point are one stacked exponential; per
+    slice of about _BLOCK_SAMPLES points x time points, each run is filled by
+    doubling, X_{k+j} = X_j @ M^k for j < k, so a run of L steps costs
+    ceil(log2 L) batched fills and one squaring fewer, and a uniform grid one
+    exponential per point.  An M takes 512 B: for R runs that take a step, a
+    chunk holds at most _BLOCK_SAMPLES // 16R points, a whole number of slices
+    of _BLOCK_SAMPLES // max(T, 16R) points (at least one point), so its
+    exponentials take at most _BLOCK_SAMPLES x 32 B, half a slice's
+    trajectory, and the 7 stacks the Taylor core holds at once 7 times that.
     A slice is refused if one point fails: a step exponential that would need
     more than 22 squarings, and a physical norm (|Z_n| = |C_n|) that rises
     more than 1e-9 (relative) above its t = 0 value, as the roundoff of many
@@ -169,32 +186,36 @@ def rotating_amplitudes(chunks: Callable[[int], Iterable[np.ndarray]], t_grid, *
     steps = np.diff(t, prepend=0.0)
     dt = float(steps.max())
     z0 = _initial_vector(initial)
+    x0 = z0.view(float)[None]
     limit = float(physical_norm(z0)) * (1.0 + _NORM_SLACK)
     runs = [(0, 0.0)]  # (first index, step) of each run; t[0] > 0 leaves the first empty
     for k, h in enumerate(steps.tolist()):
         if abs(h - runs[-1][1]) > 1e-15 + 1e-12 * runs[-1][1]:
             runs.append((k, h))
     spans = [(start, end, h) for (start, h), (end, _) in zip(runs, runs[1:] + [(t.size, 0.0)])]
-    stepping = max(1, sum(h > 0 for _, h in runs))
-    per_slice = max(1, _BLOCK_SAMPLES // max(t.size, 4 * stepping))
-    per_chunk = max(per_slice, _BLOCK_SAMPLES // (4 * stepping))
+    hs = np.array([h for _, _, h in spans if h])  # the step of each run that takes one
+    stepping = max(1, len(hs))
+    per_slice = max(1, _BLOCK_SAMPLES // max(t.size, 16 * stepping))
+    per_chunk = max(1, _BLOCK_SAMPLES // (16 * stepping)) // per_slice * per_slice
     for fields in chunks(per_chunk):
-        a, _ = evolution_matrices(fields)
-        fine = dt * np.abs(a).sum(axis=-1).max(axis=-1) <= _MAX_STEP_NORM
+        w = _real_form(-1j * evolution_matrices(fields)[0])
+        fine = dt * np.abs(w).sum(axis=-1).max(axis=-1) <= _MAX_STEP_NORM
         # the slices before the first one holding a point refused here still run
-        ready = len(a) if fine.all() else int(fine.argmin()) // per_slice * per_slice
-        exps = [_expm_stack(-1j * h * a[:ready]) if h else None for _, _, h in spans]
+        ready = len(w) if fine.all() else int(fine.argmin()) // per_slice * per_slice
+        exps = _expm_stack((hs[:, None, None, None] * w[:ready]).reshape(-1, 8, 8))
+        exps = exps.reshape(len(hs), ready, 8, 8)
         for lo in range(0, ready, per_slice):
-            z = np.empty((min(per_slice, ready - lo), t.size, 4), dtype=complex)
-            for (start, end, h), step in zip(spans, exps):
-                power = step[lo:lo + len(z)] if h else np.eye(4)  # a zero first step costs none
-                z[:, start] = (power @ (z[:, start - 1] if start else z0)[..., None])[..., 0]
+            x = np.empty((min(per_slice, ready - lo), t.size, 8))
+            taken = iter(exps[:, lo:lo + len(x)])
+            for start, end, h in spans:
+                power = next(taken) if h else np.eye(8)  # a zero first step costs none
+                x[:, start:start + 1] = (x[:, start - 1:start] if start else x0) @ power
                 k = 1
-                while k < end - start:  # z[start + k + j] = S^k z[start + j] for j < k
+                while k < end - start:  # x[start + k + j] = x[start + j] @ M^k for j < k
                     m = min(k, end - start - k)
-                    np.matmul(z[:, start:start + m], power.swapaxes(-1, -2),
-                              out=z[:, start + k:start + k + m])
+                    np.matmul(x[:, start:start + m], power, out=x[:, start + k:start + k + m])
                     power, k = (power @ power if 2 * k < end - start else power), 2 * k
+            z = x.view(complex)
             g, s = _population_sums(z)
             peak = float((g + 2.0 * s).max())
             if not peak <= limit:
@@ -205,7 +226,7 @@ def rotating_amplitudes(chunks: Callable[[int], Iterable[np.ndarray]], t_grid, *
                 )
             yield z, g, s
         del exps  # before the next chunk takes its own
-        if ready < len(a):
+        if ready < len(w):
             raise ValueError(
                 f"one-step exponential exp(-i A dt) has no precision left for time step "
                 f"dt = {dt:g}: dt times the evolution matrix norm exceeds 2**21"

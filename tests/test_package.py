@@ -2,7 +2,8 @@
 
 The density-matrix and eigensolver routes are test oracles (`oracles.py`
 beside these tests); the package exports and defines none of them, and a CLI
-run imports numpy but no test-only library, no argparse and no OpenSSL.
+run imports numpy but no test-only library, no argparse and no OpenSSL,
+and no module names `linalg`.
 Every export has a caller outside the tests, and each is declared in exactly
 one layer module's `__all__`.
 """
@@ -90,6 +91,20 @@ def test_no_module_defines_an_oracle():
 def test_no_eigensolver_in_the_package():
     for path in sorted(PACKAGE_DIR.rglob("*.py")):
         assert "eigvalsh" not in path.read_text(encoding="utf-8"), path.name
+
+
+def test_no_lapack_on_the_run_path():
+    # the first np.linalg call of a process raises its peak RSS by about
+    # 0.7 MB; the kernel's Taylor core needs no solve.  The tests and their
+    # oracles keep np.linalg and scipy
+    def names(node):
+        for key in ("attr", "id", "name", "module"):
+            if isinstance(value := getattr(node, key, None), str):
+                yield from value.split(".")
+
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        assert not any("linalg" in names(node) for node in ast.walk(tree)), path.name
 
 
 @pytest.mark.skipif(not any(importlib.util.find_spec(name) for name in ("_sha2", "_sha256")),

@@ -1,7 +1,8 @@
-"""Matrix exponential, trajectory generation, RK oracle, shell-Hamiltonian oracle.
+"""Matrix exponential, real form, trajectory generation, RK oracle,
+shell-Hamiltonian oracle, 40-digit reference.
 
-The series-summation exponential oracle lives here, in the tests, so the
-production Pade route and the verification route stay independent.
+The series-summation exponential oracle lives here, in the tests; scipy's
+Pade `expm` checks the production Taylor core by a different method.
 """
 
 import math
@@ -21,8 +22,10 @@ from magbattery import (
     physical_norm,
 )
 
+from magbattery import propagator
 from magbattery.model import _field_array
-from magbattery.propagator import _expm_stack, _population_sums, rotating_amplitudes
+from magbattery.propagator import _expm_stack, _population_sums, _real_form, rotating_amplitudes
+from magbattery.sweeps import time_grid
 
 from conftest import evolution_matrix, expm, frame_frequencies
 from oracles import lindblad_metrics
@@ -31,7 +34,9 @@ RABI = SystemParams(g_a=0.0, g_b=0.0, lam=1.0)  # resonant two-level reduction
 
 
 def expm_series(m, terms=80):
-    """Plain Taylor summation; independent oracle for the Pade exponential."""
+    """Plain Taylor summation of 80 terms, unscaled: an oracle for the kernel's
+    degree-15 Taylor core with scaling and squaring, which shares its series but
+    not its truncation, scaling or evaluation order."""
     out = np.eye(m.shape[0], dtype=complex)
     term = np.eye(m.shape[0], dtype=complex)
     for k in range(1, terms):
@@ -115,12 +120,49 @@ class TestMatrixExponential:
 
     def test_stack_equals_each_matrix_alone(self, rng):
         # infinity norms 0.1-40 take 0 to 7 squarings: each matrix of one
-        # stack takes its own count, so its stack-mates change none of its bits
+        # stack takes its own count, so its stack-mates change none of its bits;
+        # complex 4x4 stacks and the real 8x8 ones the kernel exponentiates
+        for m in (rng.normal(size=(200, 4, 4)) + 1j * rng.normal(size=(200, 4, 4)),
+                  rng.normal(size=(200, 8, 8))):
+            m *= (np.geomspace(0.1, 40.0, 200) / np.abs(m).sum(axis=-1).max(axis=-1))[:, None, None]
+            rng.shuffle(m)
+            alone = np.array([expm(x) for x in m])
+            np.testing.assert_array_equal(_expm_stack(m).view(np.uint64), alone.view(np.uint64))
+
+
+def unit_stack(rng, *shape):
+    """Complex entries with parts uniform in [-0.5, 0.5], so products stay O(1)."""
+    return rng.uniform(-0.5, 0.5, shape) + 1j * rng.uniform(-0.5, 0.5, shape)
+
+
+class TestRealForm:
+    """The kernel's real 8x8 maps: x @ M(s) is the float view of z @ s.T.
+
+    Every CLI column reads only |Z|, and from a real initial state a
+    conjugated form yields conj(Z), so it would leave every shipped output
+    unchanged: these tests pin the form at the amplitude level.
+    """
+
+    def test_acts_as_the_complex_map(self, rng):
+        s, z = unit_stack(rng, 300, 4, 4), unit_stack(rng, 300, 7, 4)
+        want = (z @ s.swapaxes(-1, -2)).view(float)
+        np.testing.assert_allclose(z.view(float) @ _real_form(s), want, rtol=0, atol=1e-15)
+
+    def test_products_reverse_order(self, rng):
+        s1, s2 = unit_stack(rng, 300, 4, 4), unit_stack(rng, 300, 4, 4)
+        np.testing.assert_allclose(_real_form(s1 @ s2), _real_form(s2) @ _real_form(s1),
+                                   rtol=0, atol=1e-15)
+
+    def test_exponential_commutes_with_the_form(self, rng):
+        # the real form's infinity norm differs from the complex one's, so the two
+        # routes take their own squaring counts; scipy's Pade is a third method
+        scipy_expm = pytest.importorskip("scipy.linalg").expm
         m = rng.normal(size=(200, 4, 4)) + 1j * rng.normal(size=(200, 4, 4))
         m *= (np.geomspace(0.1, 40.0, 200) / np.abs(m).sum(axis=-1).max(axis=-1))[:, None, None]
-        rng.shuffle(m)
-        alone = np.array([expm(x) for x in m])
-        np.testing.assert_array_equal(_expm_stack(m).view(np.uint64), alone.view(np.uint64))
+        got = _expm_stack(_real_form(m))
+        scale = np.abs(got).max(axis=(-1, -2))
+        for want in (_real_form(_expm_stack(m)), _real_form(np.array([scipy_expm(x) for x in m]))):
+            assert (np.abs(got - want).max(axis=(-1, -2)) / scale).max() <= 1e-13
 
 
 class TestPropagate:
@@ -333,6 +375,56 @@ class TestBatchedEvolve:
             np.testing.assert_array_equal(row, evolve(p, grid).amplitudes)
 
 
+def test_norm_rise_refuses_its_slice_after_the_earlier_ones(monkeypatch):
+    # a step exponential 1e-10 too large makes the norm rise by construction,
+    # by about 4e-7 over 2000 steps, far past the 1e-9 slack; at T = 2001 a
+    # slice holds two points, so the fifth point's slice is the third
+    t, fields = time_grid(20.0, 0.01), _field_array([SystemParams()] * 7)
+    want = [z for z, _, _ in rotating_amplitudes(lambda size: [fields], t)]
+    exact = propagator._expm_stack
+
+    def too_large(m):
+        f = exact(m)
+        f[4] *= 1.0 + 1e-10
+        return f
+
+    monkeypatch.setattr(propagator, "_expm_stack", too_large)
+    got = []
+    with pytest.raises(ValueError, match=r"lost precision over 2000 steps of dt = 0\.01: "
+                                         r"the physical norm rose to "):
+        for z, _, _ in rotating_amplitudes(lambda size: [fields], t):
+            got.append(z)
+    assert [len(z) for z in got] == [2, 2]
+    for z, w in zip(got, want):
+        np.testing.assert_array_equal(z, w)
+
+
+def test_amplitudes_match_a_40_digit_reference(rng, draw_params):
+    # Z_ref = expm(-i A t) z0 at 40 digits on the T = 2001, dt = 0.01 grid.  Its
+    # times 1, 2, ..., 20 are whole numbers in floats, so Z_ref(n) = E^n z0 with
+    # one E = expm(-i A) per point.  Resonant, (1, 1, 1), a lossy point and two
+    # lossy draws; the doubling fill's error grows with the index
+    mp = pytest.importorskip("mpmath").mp
+    t, times = time_grid(20.0, 0.01), (1, 2, 3, 5, 7, 10, 12, 15, 18, 20)
+    assert t[[100 * n for n in times]].tolist() == list(map(float, times))
+    points = [SystemParams(), SystemParams.from_detunings(1.0, 1.0, 1.0),
+              SystemParams.from_detunings(1.0, 1.0, 1.0, kappa_a=0.5, kappa_b=0.2,
+                                          kappa_m=0.1, gamma=0.3),
+              draw_params(rng), draw_params(rng)]
+    fields = _field_array(points)
+    z = np.concatenate([z for z, _, _ in rotating_amplitudes(lambda size: [fields], t)])
+    errors = []
+    with mp.workdps(40):
+        for row, p in zip(z, points):
+            e = mp.expm(mp.matrix((-1j * evolution_matrix(p)).tolist()))
+            ref, k = mp.matrix(list(DEFAULT_INITIAL)), 0
+            for n in times:
+                while k < n:
+                    ref, k = e * ref, k + 1
+                errors.append(max(float(abs(ref[j] - mp.mpc(row[100 * n, j]))) for j in range(4)))
+    assert max(errors) <= 1e-13
+
+
 class TestPopulationSums:
     """g = |Z1|^2 + |Z2|^2 + |Z3|^2 and s = |Z4|^2, taken once per block by the kernel."""
 
@@ -454,7 +546,7 @@ class TestOracleIntegrate:
             codes += [c for c in code.co_consts if isinstance(c, types.CodeType)]
         assert "exp" in names  # the walk reached the nested derivative
         shared = {"evolve", "rotating_amplitudes", "_expm_stack", "evolution_matrices",
-                  "_population_sums"}
+                  "_population_sums", "_real_form"}
         assert not names & shared
 
 

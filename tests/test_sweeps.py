@@ -579,9 +579,10 @@ class TestBlocks:
                             panel_sweep(BASE, VarySpec.linspace("lambda", 0.0, 80.0, 45), t)]),
     ], ids=["opt_time", "contour", "panel"])
     def test_outputs_independent_of_chunk_and_slice_sizes(self, monkeypatch, sweep, grid, samples):
-        # one chunk of 1024 points at 2**12; at 2**6 one point a slice and 16 (uniform) or
-        # 1 (non-uniform) a chunk, at 2**9 two points a slice and 128 or 2 a chunk.  The
-        # step exponentials of one chunk take different squaring counts.
+        # one chunk of up to 240 points (uniform) or 5 (non-uniform, 43 runs) at 2**12;
+        # at 2**6 one point a slice and 4 or 1 a chunk, at 2**9 two points a slice and
+        # 32 a chunk (uniform) or one point a slice and a chunk.  The step
+        # exponentials of one chunk take different squaring counts.
         want = sweep(grid)
         monkeypatch.setattr(propagator, "_BLOCK_SAMPLES", samples)
         seen = record_blocks(monkeypatch)
@@ -591,9 +592,9 @@ class TestBlocks:
 
     def test_chunk_shrinks_with_the_run_count(self):
         # every step of a geometric grid is its own run (R = T = 41): a chunk
-        # is one slice of 4096 // (4 R) = 24 points, whose step exponentials
-        # take 0.25 MB, as much as 4096 points x time points of trajectory; a
-        # 99-point slice would take 1 MB, all 300 points 3.1 MB
+        # is one slice of 4096 // (16 R) = 6 points, whose real step
+        # exponentials take 0.13 MB, half of 4096 points x time points of
+        # trajectory; a 99-point slice would take 2.1 MB, all 300 points 6.3 MB
         t = np.geomspace(0.01, 2.0, 41)
         vary = VarySpec.linspace("g_b", 0.1, 5.0, 300)
         optimal_time_sweep(BASE, vary, t)
