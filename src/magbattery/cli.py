@@ -3,17 +3,17 @@
 Subcommands: dynamics, sweep, contour, opt-time.  After the subcommand every
 argument is a ``--key value`` or ``--key=value`` pair: the flags --config (a
 flat key=value file, ``#`` comments), --out and --threads, or a config key,
-which overrides the file; direct detunings win over omegas when both are
-given.  Output is CSV with numbers rendered to 12 significant digits, a pure
-function of the config: repeated runs are byte-identical.  It is written one
-table at a time (the header, then one write per swept value for ``sweep``,
-one for the other subcommands' single table), with the same bytes to --out
-as to stdout; the file is opened only after every point is computed.  The
-contour's ``<out>.meta.json`` run record is built here; its config_sha256 is
-taken with CPython's own SHA-256 (``_sha2``, ``_sha256`` before 3.12;
-``hashlib`` elsewhere), so a run does not load OpenSSL.  ``--threads`` (an
-integer >= 1) is accepted for compatibility and has no effect: every
-subcommand evaluates serially.
+which overrides the file; direct detunings win over omegas when both are given.
+Output is CSV with numbers rendered to 12 significant digits, a pure function
+of the config: repeated runs are byte-identical.  It is written one table at a
+time, the same bytes to --out as to stdout, to a file opened only after every
+point is computed.  The contour's ``<out>.meta.json`` run record is built here.
+``--threads`` N >= 1 is accepted and has no effect: evaluation is serial.
+
+After the command line and config file are read, a run refuses the first fault
+it meets in one order (`_resolve`): ``contour`` without --out; the time grid;
+each swept axis as read and counted; a missing axis; the product of the axis
+counts and the time points; the axes' values; the base parameters; the mode.
 
 Exit codes: 0 success, 2 config/validation error, 3 I/O error.
 """
@@ -21,6 +21,7 @@ Exit codes: 0 success, 2 config/validation error, 3 I/O error.
 from __future__ import annotations
 
 import json
+import math
 import sys
 from typing import Callable, Iterable
 
@@ -139,13 +140,6 @@ def _as_float(cfg: dict[str, str], key: str) -> float:
         raise ValueError(f"config key {key!r}: not a number: {cfg[key]!r}") from None
 
 
-def _as_int(cfg: dict[str, str], key: str) -> int:
-    try:
-        return int(cfg[key])
-    except ValueError:
-        raise ValueError(f"config key {key!r}: not an integer: {cfg[key]!r}") from None
-
-
 def build_params(cfg: dict[str, str]) -> SystemParams:
     """SystemParams from resolved config; direct detunings beat the omegas."""
     omegas = SystemParams(**{key: _as_float(cfg, key) for key in _OMEGA_KEYS})
@@ -160,8 +154,7 @@ def _read_vary(cfg: dict[str, str], prefix: str) -> tuple[int, Callable[[], Vary
     is counted without building its values, so a sweep can refuse its size first."""
     spec_keys = [f"{prefix}_{suffix}" for suffix in _VARY_SUFFIXES]
     if prefix not in cfg:
-        given = [k for k in spec_keys if k in cfg]
-        if given:
+        if given := [k for k in spec_keys if k in cfg]:
             raise ValueError(f"{given[0]} given without {prefix}")
         return None
     name = cfg[prefix]
@@ -184,7 +177,10 @@ def _read_vary(cfg: dict[str, str], prefix: str) -> tuple[int, Callable[[], Vary
         missing = [key for key in (min_key, max_key, count_key) if key not in cfg]
         if missing:
             raise ValueError(f"incomplete range: missing {', '.join(missing)}")
-        count = _as_int(cfg, count_key)
+        try:
+            count = int(cfg[count_key])
+        except ValueError:
+            raise ValueError(f"config key {count_key!r}: not an integer: {cfg[count_key]!r}") from None
         if count < 2:  # before any product of counts is taken
             raise ValueError("linear range needs count >= 2")
         _check_size(count)  # the count alone first, as `VarySpec.linspace` checks it
@@ -193,20 +189,32 @@ def _read_vary(cfg: dict[str, str], prefix: str) -> tuple[int, Callable[[], Vary
     raise ValueError(f"{prefix} = {name} given without {values_key} or a {min_key}/{max_key}/{count_key} range")
 
 
-def build_vary(cfg: dict[str, str], prefix: str, time_points: int | None = None) -> VarySpec | None:
-    """VarySpec of `<prefix>` (see `_read_vary`); a sweep of its values over
-    `time_points` that is too large is refused before the values are built."""
-    axis = _read_vary(cfg, prefix)
-    if axis is None:
+def _build_axes(cfg: dict[str, str], prefixes: Iterable[str], time_points: int | None) -> list[VarySpec] | None:
+    """Each prefix's VarySpec (see `_read_vary`), or None if one is absent; a sweep
+    of their values over `time_points` that is too large is refused before any is built."""
+    axes = [_read_vary(cfg, prefix) for prefix in prefixes]
+    if None in axes:
         return None
-    count, build = axis
-    _check_size(count, time_points)
-    return build()
+    _check_size(math.prod(count for count, _ in axes), time_points)
+    return [build() for _, build in axes]
 
 
-def _resolve_mode(cfg: dict[str, str]) -> AccountingMode:
+def build_vary(cfg: dict[str, str], prefix: str, time_points: int | None = None) -> VarySpec | None:
+    """VarySpec of `<prefix>`, or None without it: `_build_axes` of one prefix."""
+    axes = _build_axes(cfg, (prefix,), time_points)
+    return None if axes is None else axes[0]
+
+
+def _resolve(cfg: dict[str, str], prefixes: tuple[str, ...] = (), missing: str = "") -> tuple:
+    """(times, axes, base parameters, mode) of a run, refused in the module docstring's
+    order; `missing` is the error when one of the `prefixes` axes is absent."""
+    times = time_grid(_as_float(cfg, "t_max"), _as_float(cfg, "dt"))
+    axes = _build_axes(cfg, prefixes, times.size)
+    if axes is None:
+        raise ValueError(missing)
+    params = build_params(cfg)
     try:
-        return _MODES[cfg["mode"]]
+        return times, axes, params, _MODES[cfg["mode"]]
     except KeyError:
         raise ValueError(f"unknown mode {cfg['mode']!r}; expected one of {', '.join(_MODES)}") from None
 
@@ -238,36 +246,24 @@ def _rows(template: str, table) -> str:
 
 
 def run_dynamics(cfg: dict[str, str], out: str | None) -> int:
-    params = build_params(cfg)
-    times = time_grid(_as_float(cfg, "t_max"), _as_float(cfg, "dt"))
-    table = time_series(params, times, _resolve_mode(cfg))
-    _write_csv(out, _DYNAMICS_HEADER, [(_DYNAMICS_ROW, table)])
+    times, _, params, mode = _resolve(cfg)
+    _write_csv(out, _DYNAMICS_HEADER, [(_DYNAMICS_ROW, time_series(params, times, mode))])
     return 0
 
 
 def run_sweep(cfg: dict[str, str], out: str | None) -> int:
-    times = time_grid(_as_float(cfg, "t_max"), _as_float(cfg, "dt"))
-    vary = build_vary(cfg, "vary", times.size)
-    if vary is None:
-        raise ValueError("sweep needs a swept parameter (config key 'vary')")
-    params = build_params(cfg)
-    curves = panel_sweep(params, vary, times, _resolve_mode(cfg))
+    times, (vary,), params, mode = _resolve(cfg, ("vary",), "sweep needs a swept parameter (config key 'vary')")
+    curves = panel_sweep(params, vary, times, mode)
     _write_csv(out, "param_name,param_value," + _DYNAMICS_HEADER, (
         (f"{vary.parameter_name},{value + 0.0:.12g},{_DYNAMICS_ROW}", table) for value, table in curves))
     return 0
 
 
 def run_contour(cfg: dict[str, str], out: str | None) -> int:
-    times = time_grid(_as_float(cfg, "t_max"), _as_float(cfg, "dt"))
-    axes = [_read_vary(cfg, prefix) for prefix in ("vary", "vary2")]
-    if None in axes:
-        raise ValueError("contour needs two swept parameters (config keys 'vary' and 'vary2')")
-    (count_x, build_x), (count_y, build_y) = axes
-    _check_size(count_x * count_y, times.size)  # the whole grid, before either axis is built
     if out is None:
         raise ValueError("contour needs --out (a sidecar metadata file accompanies the CSV)")
-    vary_x, vary_y = build_x(), build_y()
-    params, mode = build_params(cfg), _resolve_mode(cfg)
+    times, (vary_x, vary_y), params, mode = _resolve(
+        cfg, ("vary", "vary2"), "contour needs two swept parameters (config keys 'vary' and 'vary2')")
     z = max_ergotropy_grid(params, vary_x, vary_y, times, mode)
     x, y = np.meshgrid(vary_x.values, vary_y.values)  # indexed [y, x] like z
     table = np.column_stack((x.ravel(), y.ravel(), z.ravel()))
@@ -290,12 +286,8 @@ def run_contour(cfg: dict[str, str], out: str | None) -> int:
 
 
 def run_opt_time(cfg: dict[str, str], out: str | None) -> int:
-    times = time_grid(_as_float(cfg, "t_max"), _as_float(cfg, "dt"))
-    vary = build_vary(cfg, "vary", times.size)
-    if vary is None:
-        raise ValueError("opt-time needs a swept parameter (config key 'vary')")
-    params = build_params(cfg)
-    rows = optimal_time_sweep(params, vary, times, _resolve_mode(cfg))
+    times, (vary,), params, mode = _resolve(cfg, ("vary",), "opt-time needs a swept parameter (config key 'vary')")
+    rows = optimal_time_sweep(params, vary, times, mode)
     template = f"{vary.parameter_name},%.12g,%.12g,%.12g"
     _write_csv(out, "param_name,param_value,tau,e_max", [(template, rows)])
     return 0

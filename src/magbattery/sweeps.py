@@ -173,7 +173,6 @@ def _evolve_points(base: SystemParams, axes: Sequence[VarySpec], t_grid, mode, m
                 if first := int(bad.argmax()):
                     yield fields[:first]
                 apply_parameters(base, dict(zip(names, block[first])))  # as the one-point view does
-                fields = fields[first:]
             yield fields
 
     return [out for z, g, s in rotating_amplitudes(chunks, t)

@@ -9,14 +9,16 @@ import json
 import math
 import string
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from magbattery import SystemParams
-from magbattery.cli import _DEFAULTS, _config_digest, build_params, main, parse_config_file, run_sweep
+from magbattery.cli import _ALL_KEYS, _DEFAULTS, _config_digest, build_params, main, parse_config_file, run_sweep
+from magbattery.sweeps import PARAMETER_NAMES
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -554,3 +556,136 @@ class TestOptTime:
 
     def test_missing_vary(self, capsys):
         assert run(capsys, "opt-time", "--t_max", "1", "--dt", "0.5")[0] == 2
+
+
+# A grid of 3 time points, and a range of 4 * 10^6 values: under the limit of
+# 10^7 samples alone, over it across the grid.
+SMALL_GRID = ("--t_max", "1", "--dt", "0.5")
+TOO_MANY = ("--vary_min", "0", "--vary_max", "1", "--vary_count", "4000000")
+
+
+class TestRefusals:
+    @pytest.mark.parametrize("argv, message", [
+        (("dynamics", "stray"), "unexpected argument 'stray'"),
+        (("sweep", "--vary", "g_a", "--vary_min", "0", "--vary_max", "1", "--vary_count", "2.5"),
+         "config key 'vary_count': not an integer: '2.5'"),
+        (("sweep", "--vary_values", "1"), "vary_values given without vary"),
+        (("sweep", "--vary", "g_a", "--vary_min", "0"), "incomplete range: missing vary_max, vary_count"),
+        (("opt-time", "--vary", "g_a", "--vary_min", "0", "--vary_max", "1", "--vary_count", "1"),
+         "linear range needs count >= 2"),
+        (("opt-time", "--vary", "g_a"),
+         "vary = g_a given without vary_values or a vary_min/vary_max/vary_count range"),
+    ], ids=["argument", "count", "values_alone", "incomplete", "count_1", "vary_alone"])
+    def test_input_refused_in_one_line(self, capsys, argv, message):
+        assert run(capsys, *argv, *SMALL_GRID) == (2, "", f"error: {message}\n")
+
+    # Each input has two faults; the run reports the one that comes first in
+    # the order of the `cli` docstring: --out (contour), the time grid, each
+    # axis as read, a missing axis, the size, the axes' values, the base
+    # parameters, the mode.
+    @pytest.mark.parametrize("argv, message", [
+        (("dynamics", "--dt", "0", "--lambda", "-1"), "need t_max > 0"),
+        (("dynamics", "--lambda", "-1", "--mode", "frob"), "coupling lambda must be >= 0"),
+        (("sweep", "--dt", "0", "--vary", "g_a"), "need t_max > 0"),
+        (("sweep", "--vary_values", "1"), "vary_values given without vary"),
+        (("sweep", *SMALL_GRID, "--vary", "frob", *TOO_MANY), "parameter points x 3 time points"),
+        (("sweep", "--vary", "frob", "--vary_values", "1", "--lambda", "-1"),
+         "unknown sweep parameter 'frob'"),
+        (("opt-time", "--dt", "nan", "--vary", "g_a", "--vary_count", "1"), "must be finite"),
+        (("opt-time", *SMALL_GRID, "--vary", "g_a", "--vary_values", "1", "--lambda", "-1",
+          "--mode", "frob"), "coupling lambda must be >= 0"),
+        (("contour", "--dt", "0"), "contour needs --out"),
+        (("contour", "--vary_values", "1"), "contour needs --out"),
+        (("contour", "--out", "c.csv", "--dt", "0", "--vary_values", "1"), "need t_max > 0"),
+        (("contour", "--out", "c.csv", *SMALL_GRID, "--vary", "g_a", *TOO_MANY),
+         "contour needs two swept parameters"),
+        (("contour", "--out", "c.csv", *SMALL_GRID, "--vary", "frob", "--vary_values", "1,2",
+          "--vary2", "g_b", "--vary2_min", "0", "--vary2_max", "1", "--vary2_count", "2000000"),
+         "4000000 parameter points x 3 time points"),
+        (("contour", "--out", "c.csv", *SMALL_GRID, "--vary", "frob", "--vary_values", "1",
+          "--vary2", "g_b", "--vary2_values", "1", "--lambda", "-1"), "unknown sweep parameter 'frob'"),
+    ], ids=["dynamics-grid-params", "dynamics-params-mode", "sweep-grid-axis", "sweep-axis-missing",
+            "sweep-size-values", "sweep-values-params", "opt_time-grid-axis", "opt_time-params-mode",
+            "contour-out-grid", "contour-out-axis", "contour-grid-axis", "contour-missing-size",
+            "contour-size-values", "contour-values-params"])
+    def test_first_fault_in_the_documented_order(self, tmp_path, monkeypatch, capsys, argv, message):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
+        assert list(tmp_path.iterdir()) == []
+
+
+# Values that number parsers disagree on, the edges of float64 and separators
+ADVERSARIAL = st.sampled_from(("nan", "inf", "1e308", "1e400", "5e-324", "", "0x10", "1_0", "٣", "1,,2"))
+# Accepted grids stay small: t_max is at most 10 ("1_0") and dt at least 0.25
+VALUES = {
+    "t_max": ("0.5", "1", "2"),
+    "dt": ("0.25", "0.5", "1"),
+    "mode": ("paper", "repaired", "trace_repaired", "frob"),
+    "vary": PARAMETER_NAMES + ("frob",),
+    "vary_values": ("0.5", "0, 1", "1,2,"),
+    "vary_count": ("2", "3", "1", "-2"),
+    "threads": ("1", "2", "0"),
+}
+# A run every subcommand accepts, on a 5-point grid; a draw overrides or drops some of its keys
+ACCEPTED = {"t_max": "1", "dt": "0.25", "vary": "g_a", "vary_values": "0.5",
+            "vary2": "g_b", "vary2_values": "1"}
+
+
+def _entry(key: str):
+    """(key, value or None to drop it, whether it goes in the config file)."""
+    ordinary = VALUES.get(key.replace("vary2", "vary"), ("0", "0.5", "1", "-1", "2"))
+    return st.tuples(st.just(key), st.none() | st.sampled_from(ordinary) | ADVERSARIAL,
+                     st.booleans() if key in _ALL_KEYS else st.just(False))
+
+
+ENTRIES = st.lists(st.sampled_from(sorted(_ALL_KEYS | {"threads"})).flatmap(_entry), max_size=4)
+
+
+class TestExitCodeContract:
+    # 200 examples: 1.5-3 s on a 2-core machine
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        command=st.sampled_from(("dynamics", "sweep", "contour", "opt-time")),
+        entries=ENTRIES,
+        use_config=st.booleans(),
+        out=st.booleans(),
+        joined=st.booleans(),
+    )
+    # matrices whose norm overflows: refused as too large, without a numpy warning
+    @example(command="dynamics", entries=[("lambda", "1e308", False)], use_config=False, out=False, joined=False)
+    @example(command="sweep", entries=[("g_b", "1e308", False), ("omega_b", "1e308", False)],
+             use_config=False, out=False, joined=False)
+    @example(command="opt-time", entries=[("omega_a", "-1e308", False), ("omega_q", "1e308", False)],
+             use_config=False, out=False, joined=False)
+    @example(command="contour", entries=[("t_max", "1e308", False), ("dt", "1e308", False)],
+             use_config=False, out=True, joined=False)
+    def test_every_run_exits_0_or_2(self, tmp_path, capsys, command, entries, use_config, out, joined):
+        for path in tmp_path.iterdir():
+            path.unlink()
+        target = tmp_path / "out.csv"
+        in_file, flags = (dict(ACCEPTED), {}) if use_config else ({}, dict(ACCEPTED))
+        for key, value, to_file in entries:
+            for side in (in_file, flags):
+                side.pop(key, None)
+            if value is not None:
+                (in_file if use_config and to_file else flags)[key] = value
+        argv = [command]
+        if use_config:
+            argv += ["--config", write_cfg(tmp_path, "".join(f"{k} = {v}\n" for k, v in in_file.items()))]
+        if out:
+            flags["out"] = str(target)
+        for key, value in flags.items():
+            argv += [f"--{key}={value}"] if joined else [f"--{key}", value]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a warning would be a second stderr line
+            code, stdout, err = run(capsys, *argv)
+        assert code in (0, 2)
+        if code == 0:
+            assert err == "" and target.exists() == out and (stdout == "") == out
+        else:
+            assert stdout == ""
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert not target.exists() and not (tmp_path / "out.csv.meta.json").exists()

@@ -479,12 +479,6 @@ class TestOracleIntegrate:
             diff = np.abs(evolve(p, t).amplitudes - oracle_integrate(p, t).amplitudes)
             assert diff.max() <= 1e-6
 
-    def test_max_step_validated(self):
-        with pytest.raises(ValueError):
-            oracle_integrate(SystemParams(), [0.0, 1.0], max_step=0.1)
-        with pytest.raises(ValueError):
-            oracle_integrate(SystemParams(), [0.0, 1.0], max_step=0.0)
-
     @staticmethod
     def rk4_steps(p, z, h, steps):
         """Classical RK4 on one amplitude vector, C' = M(t) C, one step at a time."""

@@ -616,3 +616,15 @@ class TestBlocks:
         t = time_grid(MAX_SWEEP_SAMPLES // 10**4, 1.0)  # one time point too many
         with pytest.raises(ValueError, match="parameter points x 1001 time points"):
             sweep(vary, t)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: VarySpec.linspace("g_a", 0.0, 1.0, 1), "linear range needs count >= 2"),
+    (lambda: time_grid(math.inf, 0.01), "t_max and dt must be finite"),
+    (lambda: evolve(BASE, [0.0, math.nan]), "time grid must be finite"),
+    (lambda: evolve(BASE, [0.0, 1.0], initial=(1.0, 0.0, 0.0)),
+     "initial amplitudes must have exactly 4 components"),
+], ids=["linspace_count", "grid_bound", "evolve_grid", "evolve_initial"])
+def test_library_input_refused(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
