@@ -163,55 +163,58 @@ def rotating_amplitudes(chunks: Callable[[int], Iterable[np.ndarray]], t_grid, *
     |Z3|^2 and s = |Z4|^2.  `chunks(size)` gives the points as (n <= size, 11)
     `model._field_array` chunks, in order.
 
-    Each point's evolution matrix A is constant there: Z(t_k) = exp(-i A h_k)
-    Z(t_{k-1}) with h = diff(t, prepend=0).  Steps within 1e-12 (relative) of
-    a run's first step h form one run.  The grid is checked and split once.
-    The kernel runs on the real form of these maps (`_real_form`): Z is the
-    complex view of an (n, T, 8) float array X, and a step is X_k = X_{k-1} @ M
-    with the real 8x8 M = exp(h W), W the real form of -i A.  Per chunk, W is
-    built and the M of every run and point are one stacked exponential; per
-    slice of about _BLOCK_SAMPLES points x time points, each run is filled by
-    doubling, X_{k+j} = X_j @ M^k for j < k, so a run of L steps costs
-    ceil(log2 L) batched fills and one squaring fewer, and a uniform grid one
-    exponential per point.  An M takes 512 B: for R runs that take a step, a
+    Each point's evolution matrix A is constant there: Z(t_k) = exp(-i A h)
+    Z(t_{k-1}) with h = t_k - t_{k-1} and t_{-1} = 0; a point at t = 0 is the
+    initial state.  The grid is checked and split into runs once, by position,
+    in one pass: the run from t_s takes the step h = t_s - t_{s-1} and holds
+    every later t_k within 4 ulps of t_{s-1} + (k - s + 1) h.  So rounding
+    cannot split `arange * dt` or `linspace`, and a grid that changes its step
+    splits.  The kernel runs on the real form of these maps (`_real_form`): Z
+    is the complex view of an (n, T, 8) float array X, and a step is
+    X_k = X_{k-1} @ M with the real 8x8 M = exp(h W), W the real form of -i A.
+    Per chunk, W is built and the M of every run and point are one stacked
+    exponential; per slice of about _BLOCK_SAMPLES points x time points, each
+    run is filled by doubling, X_{k+j} = X_j @ M^k for j < k, so a run of L
+    steps costs ceil(log2 L) batched fills and one squaring fewer, and a
+    uniform grid one exponential per point.  An M takes 512 B: for R runs, a
     chunk holds at most _BLOCK_SAMPLES // 16R points, a whole number of slices
     of _BLOCK_SAMPLES // max(T, 16R) points (at least one point), so its
     exponentials take at most _BLOCK_SAMPLES x 32 B, half a slice's
     trajectory, and the 7 stacks the Taylor core holds at once 7 times that.
-    A slice is refused if one point fails: a step exponential that would need
-    more than 22 squarings, and a physical norm (|Z_n| = |C_n|) that rises
-    more than 1e-9 (relative) above its t = 0 value, as the roundoff of many
-    squarings does when T steps compound it; the check reads g + 2s.  The
-    slices before the first refused one are yielded first.
+    A slice is refused, after the slices before it are yielded, if one point
+    fails: a step exponential that would need more than 22 squarings (its W is
+    zeroed, so the rest of the chunk still runs), and a physical norm (|Z_n| =
+    |C_n|) that rises more than 1e-9 (relative) above its t = 0 value, as the
+    roundoff of many squarings does when T steps compound it; the check reads
+    g + 2s.
     """
     t = _validated_grid(t_grid)
-    steps = np.diff(t, prepend=0.0)
-    dt = float(steps.max())
     z0 = _initial_vector(initial)
     x0 = z0.view(float)[None]
     limit = float(physical_norm(z0)) * (1.0 + _NORM_SLACK)
-    runs = [(0, 0.0)]  # (first index, step) of each run; t[0] > 0 leaves the first empty
-    for k, h in enumerate(steps.tolist()):
-        if abs(h - runs[-1][1]) > 1e-15 + 1e-12 * runs[-1][1]:
-            runs.append((k, h))
-    spans = [(start, end, h) for (start, h), (end, _) in zip(runs, runs[1:] + [(t.size, 0.0)])]
-    hs = np.array([h for _, _, h in spans if h])  # the step of each run that takes one
-    stepping = max(1, len(hs))
+    tl, starts, hs = t.tolist(), [], []  # the first index and the step of each run
+    for k in range(int(tl[0] == 0.0), len(tl)):
+        if not hs or abs(tl[k] - (origin + (k - start + 1) * h)) > 4.0 * math.ulp(tl[k]):
+            start, origin = k, (tl[k - 1] if k else 0.0)
+            h = tl[k] - origin
+            starts.append(k)
+            hs.append(h)
+    dt, stepping = max(hs, default=0.0), max(1, len(hs))
     per_slice = max(1, _BLOCK_SAMPLES // max(t.size, 16 * stepping))
     per_chunk = max(1, _BLOCK_SAMPLES // (16 * stepping)) // per_slice * per_slice
     for fields in chunks(per_chunk):
         with np.errstate(over="ignore", invalid="ignore"):  # a norm that overflows is refused as too large
             w = _real_form(-1j * evolution_matrices(fields)[0])
             fine = dt * np.abs(w).sum(axis=-1).max(axis=-1) <= _MAX_STEP_NORM
-        # the slices before the first one holding a point refused here still run
-        ready = len(w) if fine.all() else int(fine.argmin()) // per_slice * per_slice
-        exps = _expm_stack((hs[:, None, None, None] * w[:ready]).reshape(-1, 8, 8))
-        exps = exps.reshape(len(hs), ready, 8, 8)
-        for lo in range(0, ready, per_slice):
-            x = np.empty((min(per_slice, ready - lo), t.size, 8))
-            taken = iter(exps[:, lo:lo + len(x)])
-            for start, end, h in spans:
-                power = next(taken) if h else np.eye(8)  # a zero first step costs none
+        w[~fine] = 0.0  # refused at its slice below
+        exps = _expm_stack((np.reshape(hs, (-1, 1, 1, 1)) * w).reshape(-1, 8, 8)).reshape(len(hs), len(w), 8, 8)
+        for lo in range(0, len(w), per_slice):
+            if not fine[lo:lo + per_slice].all():
+                raise ValueError(f"one-step exponential exp(-i A dt) has no precision left for time step dt = {dt:g}: "
+                                 "dt times the evolution matrix norm exceeds 2**21")
+            x = np.empty((min(per_slice, len(w) - lo), t.size, 8))
+            x[:, 0] = x0  # the state at t = 0, or overwritten by the first step
+            for start, end, power in zip(starts, starts[1:] + [t.size], exps[:, lo:lo + len(x)]):
                 x[:, start:start + 1] = (x[:, start - 1:start] if start else x0) @ power
                 k = 1
                 while k < end - start:  # x[start + k + j] = x[start + j] @ M^k for j < k
@@ -222,18 +225,11 @@ def rotating_amplitudes(chunks: Callable[[int], Iterable[np.ndarray]], t_grid, *
             g, s = _population_sums(z)
             peak = float((g + 2.0 * s).max())
             if not peak <= limit:
-                raise ValueError(
-                    f"one-step exponential exp(-i A dt) lost precision over "
-                    f"{np.count_nonzero(steps)} steps of dt = {dt:g}: the physical norm "
-                    f"rose to {peak!r}, more than 1e-9 (relative) above its value at t = 0"
-                )
+                raise ValueError(f"one-step exponential exp(-i A dt) lost precision over {t.size - starts[0]} steps "
+                                 f"of dt = {dt:g}: the physical norm rose to {peak!r}, more than 1e-9 (relative) "
+                                 "above its value at t = 0")
             yield z, g, s
         del exps  # before the next chunk takes its own
-        if ready < len(w):
-            raise ValueError(
-                f"one-step exponential exp(-i A dt) has no precision left for time step "
-                f"dt = {dt:g}: dt times the evolution matrix norm exceeds 2**21"
-            )
 
 
 def evolve(

@@ -17,7 +17,9 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from magbattery import SystemParams
-from magbattery.cli import _ALL_KEYS, _DEFAULTS, _config_digest, build_params, main, parse_config_file, run_sweep
+from magbattery.cli import (
+    _ALL_KEYS, _DEFAULTS, _config_digest, _resolve, build_params, build_vary, main, parse_config_file, run_sweep,
+)
 from magbattery.sweeps import PARAMETER_NAMES
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -167,6 +169,20 @@ dt = 0.5
 
     def test_bad_mode_flag(self, capsys):
         assert run(capsys, "dynamics", "--mode", "bogus")[0] == 2
+
+
+def test_build_vary_reads_one_axis_as_a_run_does(tmp_path):
+    # the bench resolves each axis prefix of a config with `build_vary`
+    cfg = parse_config_file(write_cfg(tmp_path, "t_max = 1\ndt = 0.25\nvary = g_b\nvary_values = 0.5, 1,2\n"
+                                                "vary2 = delta_1\nvary2_min = -1\nvary2_max = 1\nvary2_count = 5\n"))
+    _, axes, _, _ = _resolve({**_DEFAULTS, **cfg}, ("vary", "vary2"))
+    assert [build_vary(cfg, "vary"), build_vary(cfg, "vary2")] == axes
+    assert [axis.values for axis in axes] == [(0.5, 1.0, 2.0), (-1.0, -0.5, 0.0, 0.5, 1.0)]
+    assert build_vary(parse_config_file(write_cfg(tmp_path, "vary = g_a\nvary_values = 1\n", "one.cfg")), "vary2") is None
+    assert build_vary(cfg, "vary2", 2 * 10**6) == axes[1]
+    with pytest.raises(ValueError, match=r"^5 parameter points x 2000001 time points = 10000005, "
+                                         r"more than the limit of 10000000$"):
+        build_vary(cfg, "vary2", 2 * 10**6 + 1)
 
 
 class TestDynamics:

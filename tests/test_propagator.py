@@ -399,6 +399,42 @@ def test_norm_rise_refuses_its_slice_after_the_earlier_ones(monkeypatch):
         np.testing.assert_array_equal(z, w)
 
 
+def test_step_norm_refuses_its_slice_after_the_earlier_ones(rng, draw_params):
+    # dt |W|_inf is about 0.01 * 2**30, past 2**21, at the fifth point; at
+    # T = 2001 a slice holds two points, so that point's slice is the third
+    t, points = time_grid(20.0, 0.01), [draw_params(rng) for _ in range(6)]
+    fields = _field_array(points[:4] + [SystemParams(g_a=2.0**30)] + points[4:])
+    want = [z for z, _, _ in rotating_amplitudes(lambda size: [np.delete(fields, 4, axis=0)], t)]
+    got = []
+    with pytest.raises(ValueError, match=r"has no precision left for time step dt = 0\.01: "):
+        for z, _, _ in rotating_amplitudes(lambda size: [fields], t):
+            got.append(z)
+    assert [len(z) for z in got] == [2, 2]
+    for z, w in zip(got, want):
+        np.testing.assert_array_equal(z, w)
+
+
+@pytest.mark.parametrize("grid, runs", [
+    (time_grid(200.0, 0.01), 1),
+    (time_grid(9999.99, 0.01), 1),
+    (0.05 + np.concatenate(([0.0], np.cumsum(np.r_[np.full(60, 0.01), np.linspace(0.011, 0.03, 40),
+                                                   np.full(80, 0.02)]))), 43),
+    (np.geomspace(0.01, 2.0, 41), 41),
+    (np.concatenate(([0.0], np.cumsum(np.full(2000, 0.01)))), 4),
+], ids=["arange20001", "arange_limit", "sweeps_grid", "geomspace", "cumsum"])
+def test_runs_are_found_by_position(monkeypatch, grid, runs):
+    # a run holds every point within 4 ulps of its origin plus whole steps, so
+    # the rounding of `arange * dt` cannot split it, up to the 1e6-point limit
+    # of `time_grid`; a change of step (the grid of tests/test_sweeps.py, a
+    # geometric grid) and the drift of a running sum still do.  A chunk takes
+    # one stacked exponential of runs x points; the first slice is enough
+    stacks, exact = [], propagator._expm_stack
+    monkeypatch.setattr(propagator, "_expm_stack", lambda m: stacks.append(len(m)) or exact(m))
+    fields = _field_array([SystemParams()] * 3)
+    next(rotating_amplitudes(lambda size: [fields], grid))
+    assert stacks == [3 * runs]
+
+
 def test_amplitudes_match_a_40_digit_reference(rng, draw_params):
     # Z_ref = expm(-i A t) z0 at 40 digits on the T = 2001, dt = 0.01 grid.  Its
     # times 1, 2, ..., 20 are whole numbers in floats, so Z_ref(n) = E^n z0 with
@@ -423,6 +459,27 @@ def test_amplitudes_match_a_40_digit_reference(rng, draw_params):
                     ref, k = e * ref, k + 1
                 errors.append(max(float(abs(ref[j] - mp.mpc(row[100 * n, j]))) for j in range(4)))
     assert max(errors) <= 1e-13
+
+
+def test_amplitudes_match_a_40_digit_reference_on_a_long_grid():
+    # the 200 001 points of dt = 0.01 up to t = 2000 are one run, filled by
+    # doubling, so the error grows with the index; Z_ref = expm(-i A t) z0 at
+    # 40 digits.  Detunings (1, 1, 1), without loss and with a weak loss that
+    # leaves the amplitudes well above roundoff at t = 2000
+    mp = pytest.importorskip("mpmath").mp
+    t, ks = time_grid(2000.0, 0.01), (20000, 100000, 200000)
+    points = [SystemParams.from_detunings(1.0, 1.0, 1.0),
+              SystemParams.from_detunings(1.0, 1.0, 1.0, kappa_a=5e-4, kappa_b=2e-4, kappa_m=1e-4, gamma=3e-4)]
+    fields = _field_array(points)
+    rows = [z[0, ks] for z, _, _ in rotating_amplitudes(lambda size: [fields], t)]  # a slice per point
+    errors = []
+    with mp.workdps(40):
+        for row, p in zip(rows, points):
+            a = mp.matrix((-1j * evolution_matrix(p)).tolist())
+            for zk, k in zip(row, ks):
+                ref = mp.expm(a * mp.mpf(t[k])) * mp.matrix(list(DEFAULT_INITIAL))
+                errors.append(max(float(abs(ref[j] - mp.mpc(zk[j]))) for j in range(4)))
+    assert max(errors) <= 3e-11
 
 
 class TestPopulationSums:
