@@ -74,13 +74,20 @@ def _check_battery(omega_q: float, mode: AccountingMode | str) -> AccountingMode
     return mode
 
 
-def _columns(g: np.ndarray, s: np.ndarray, omega_q: float, mode: AccountingMode | str,
+def _ergotropy(gap: np.ndarray, omega_q: float) -> np.ndarray:
+    """omega_q max(0, gap) of the charge gap 2s - g', snapped: for omega_q >= 0
+    a non-decreasing map, so the maximum of its values over t is its value at
+    the maximum gap, bit for bit."""
+    return _snap(omega_q * np.maximum(gap, 0.0))
+
+
+def _columns(g: np.ndarray, s: np.ndarray, norm: np.ndarray, omega_q: float, mode: AccountingMode | str,
              names: tuple[str, ...], amplitudes: np.ndarray | None = None) -> tuple[np.ndarray, ...]:
     """The named figures of merit, one array each in the order of `names`.
 
-    With g = |C1|^2 + |C2|^2 + |C3|^2, s = |C4|^2 and the battery ground
-    population g' (g in ``paper`` mode, 1 - 2s in ``trace_repaired`` mode),
-    the battery spectrum is {g', 2s, 0, 0}, so:
+    With g = |C1|^2 + |C2|^2 + |C3|^2, s = |C4|^2, their `norm` N = g + 2s
+    and the battery ground population g' (g in ``paper`` mode, 1 - 2s in
+    ``trace_repaired`` mode), the battery spectrum is {g', 2s, 0, 0}, so:
 
     coherence = 2 (|C1 C2| + |C1 C3| + |C2 C3|)  (charger off-diagonal l1;
                 the one column that reads the (..., 4) `amplitudes`)
@@ -88,29 +95,35 @@ def _columns(g: np.ndarray, s: np.ndarray, omega_q: float, mode: AccountingMode 
                 weight omega_q (1 - N) as charge; 2 omega_q s in ``trace_repaired``
     ergotropy = omega_q * max(0, 2s - g')       (passive-state gap)
     purity    = g'^2 + 4 s^2
-    norm      = N = g + 2s
+    norm      = N
 
-    Energies and ergotropies within 1e-12 of zero report as 0.0.  Whatever
-    the selection, raises ValueError for omega_q < 0 (the excited level must
-    lie above |gg>), InconsistentStateError when the norm exceeds 1 + 1e-9
-    and ValueError when g' is below -1e-12 (not a density matrix); smaller
-    negative g' is roundoff and clamps to 0.
+    and the name "gap" selects the charge gap 2s - g' itself, whose maximum
+    over t `_ergotropy` turns into the maximum ergotropy.  Energies and
+    ergotropies within 1e-12 of zero report as 0.0.  Whatever the selection,
+    raises ValueError for omega_q < 0 (the excited level must lie above
+    |gg>), InconsistentStateError when the norm exceeds 1 + 1e-9 and
+    ValueError when g' is below -1e-12 (not a density matrix); smaller
+    negative g' is roundoff and clamps to 0.  Each guard is one reduction
+    that skips NaN, as a comparison does, and reads nothing from an empty
+    array; the clamp is taken only when that reduction finds a negative g'.
     """
     mode = _check_battery(omega_q, mode)
-    norm = g + 2.0 * s
-    if np.any(norm > 1.0 + _NORM_SLACK):
+    if np.fmax.reduce(norm, axis=None, initial=-np.inf) > 1.0 + _NORM_SLACK:
         raise InconsistentStateError(f"physical norm {norm.max()} exceeds 1")
     paper = mode is AccountingMode.PAPER
     ground = g if paper else 1.0 - 2.0 * s
-    if np.any(ground < _POPULATION_FLOOR):
+    lowest = np.fmin.reduce(ground, axis=None, initial=np.inf)
+    if lowest < _POPULATION_FLOOR:
         raise ValueError(f"density matrix is not positive semidefinite (eigenvalue {ground.min()})")
-    ground = np.maximum(ground, 0.0)
     if "coherence" in names:
         a1, a2, a3, _ = np.moveaxis(np.abs(amplitudes), -1, 0)  # faster than |Z1..3| alone
+    if lowest < 0.0:
+        ground = np.maximum(ground, 0.0)
     formulas = {
         "coherence": lambda: 2.0 * (a1 * a2 + a1 * a3 + a2 * a3),
         "energy": lambda: _snap(omega_q * (1.0 - g) if paper else 2.0 * omega_q * s),
-        "ergotropy": lambda: _snap(omega_q * np.maximum(2.0 * s - ground, 0.0)),
+        "gap": lambda: 2.0 * s - ground,
+        "ergotropy": lambda: _ergotropy(2.0 * s - ground, omega_q),
         "purity": lambda: ground**2 + 4.0 * s**2,
         "norm": lambda: norm,
     }

@@ -60,17 +60,24 @@ def physical_norm(c: Sequence[complex] | np.ndarray) -> np.ndarray:
     C4 is counted twice because it stands for both degenerate single-atom
     excitations.  Conserved without decay, non-increasing with decay.
     """
-    g, s = _population_sums(c)
-    return g + 2.0 * s
+    return _population_sums(c)[2]
 
 
-def _population_sums(z) -> tuple[np.ndarray, np.ndarray]:
-    """g = |Z1|^2 + |Z2|^2 + |Z3|^2 and s = |Z4|^2 of (..., 4) amplitudes, one pass each."""
+def _population_sums(z) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """g = |Z1|^2 + |Z2|^2 + |Z3|^2, s = |Z4|^2 and the physical norm g + 2s of
+    (..., 4) amplitudes: one pass for g, two products and a sum for s (the
+    bits of a two-term `einsum`, at half its cost on a kernel slice), and the
+    norm formed once."""
     v = np.ascontiguousarray(z, dtype=complex).view(float)
     if v.shape[-1] != 8:
         raise ValueError(f"amplitudes need 4 components in their last axis, got shape {np.shape(z)}")
-    field, atom = v[..., :6], v[..., 6:]
-    return np.einsum("...i,...i->...", field, field), np.einsum("...i,...i->...", atom, atom)
+    field, re, im = v[..., :6], v[..., 6], v[..., 7]
+    g = np.einsum("...i,...i->...", field, field)
+    s = re * re
+    s += im * im
+    norm = 2.0 * s
+    norm += g  # g + 2s, without a second temporary
+    return g, s, norm
 
 
 @dataclass(frozen=True)
@@ -100,40 +107,54 @@ def _expm_stack(m: np.ndarray) -> np.ndarray:
     ~ 7e-19 relative, and squared back by its own count, so its result does not
     depend on the others.  The polynomial sum_k X^k / k! is evaluated
     Paterson-Stockmeyer style, Horner in X^4 over blocks c_i + c_{i+1} X +
-    c_{i+2} X^2 + c_{i+3} X^3: 6 products, no solve, 7 stacks live."""
+    c_{i+2} X^2 + c_{i+3} X^3: 6 products, no solve.  It holds at most 7
+    stacks at once: its argument, X if a matrix is halved (else X is the
+    argument), X^2, X^3, X^4, the sum and one spare that takes each product
+    and term, so that no stack is allocated inside the Horner loop; only the
+    argument and the sum outlive it into the squarings."""
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix exponential argument has non-finite entries")
     norm = np.abs(m).sum(axis=-1).max(axis=-1)
     if not np.all(norm < 2.0**1022):  # the scaling 2**squarings below must stay finite
         raise ValueError(f"matrix exponential argument is too large (infinity norm {norm.max():g})")
     squarings = np.ceil(np.log2(np.maximum(norm, 0.5)) + 1.0).astype(int)  # 0 at norm <= 0.5
-    m = m / np.ldexp(1.0, squarings)[:, None, None]
+    if squarings.any():
+        m = m / np.ldexp(1.0, squarings)[:, None, None]
 
-    c = [1.0 / math.factorial(k) for k in range(16)]
+    c, d = [1.0 / math.factorial(k) for k in range(16)], m.shape[-1]
     m2 = m @ m
     m3, m4 = m2 @ m, m2 @ m2
     f = c[15] * m3
+    spare = np.empty_like(f)  # each product and each c_k X^j term is written here, not to a fresh stack
     for i in (12, 8, 4, 0):  # each block summed from its smallest term up, in place
         if i < 12:
-            f = f @ m4
-            f += c[i + 3] * m3
-        f += c[i + 2] * m2
-        f += c[i + 1] * m
-        f += c[i] * np.eye(m.shape[-1])
+            f, spare = np.matmul(f, m4, out=spare), f
+            f += np.multiply(c[i + 3], m3, out=spare)
+        f += np.multiply(c[i + 2], m2, out=spare)
+        f += np.multiply(c[i + 1], m, out=spare)
+        for j in range(d):  # numpy adds to each diagonal entry unbuffered, to the 2-D diagonal view through a copy
+            f[:, j, j] += c[i]
+    del m, m2, m3, m4, spare  # the squarings below hold f and two copies of its squared part
     for k in range(squarings.max(initial=0)):
         more = squarings > k
-        f[more] = f[more] @ f[more]
+        part = f[more]
+        f[more] = part @ part
     return f
 
 
-def _real_form(s: np.ndarray) -> np.ndarray:
-    """(..., 2d, 2d) real matrices M of (..., d, d) complex s such that x @ M is
-    the float view of z @ s.T for rows z with float view x: entry s_ij = a + ib
-    is the block [[a, b], [-b, a]] at rows 2j, 2j + 1 and columns 2i, 2i + 1.
-    M(s1 @ s2) = M(s2) @ M(s1), and exp(M(s)) = M(exp(s))."""
-    a, b = s.real.swapaxes(-1, -2), s.imag.swapaxes(-1, -2)
-    m = np.stack((np.stack((a, b), axis=-1), np.stack((-b, a), axis=-1)), axis=-3)
-    return m.reshape(*s.shape[:-2], 2 * s.shape[-1], 2 * s.shape[-1])
+def _real_form(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """(..., 2d, 2d) real matrices M of the (..., d, d) complex s = re + i im such
+    that x @ M is the float view of z @ s.T for rows z with float view x: entry
+    s_ij = a + ib is the block [[a, b], [-b, a]] at rows 2j, 2j + 1 and columns
+    2i, 2i + 1.  M(s1 @ s2) = M(s2) @ M(s1), and exp(M(s)) = M(exp(s)).  Taking
+    the parts lets the kernel pass those of -i A = Im A - i Re A without forming
+    it; the four block entries are strided copies into one fresh array."""
+    d = re.shape[-1]
+    m = np.empty((*re.shape[:-2], d, 2, d, 2))
+    m[..., 0, :, 0] = m[..., 1, :, 1] = re.swapaxes(-1, -2)
+    m[..., 0, :, 1] = im.swapaxes(-1, -2)
+    np.negative(im.swapaxes(-1, -2), out=m[..., 1, :, 0])
+    return m.reshape(*re.shape[:-2], 2 * d, 2 * d)
 
 
 def _validated_grid(t_grid) -> np.ndarray:
@@ -156,17 +177,43 @@ def _initial_vector(initial) -> np.ndarray:
     return z0
 
 
+def _runs(t: np.ndarray) -> tuple[list[int], list[float]]:
+    """The first index and the step of each run of the checked grid `t`, by the
+    position rule of `rotating_amplitudes`.  A grid that is one run, as every
+    `arange * dt` or `linspace` from 0 is, is checked in one vector pass; any
+    other is split point by point."""
+    first = int(t[0] == 0.0)  # a point at t = 0 is the initial state, no step
+    if first == t.size:
+        return [], []
+    origin = t[first - 1] if first else 0.0
+    h, rest = t[first] - origin, t[first + 1:]
+    ulp = np.spacing(np.minimum(rest, 2.0**1023))  # math.ulp: the top binade's spacing up to the largest float
+    with np.errstate(over="ignore"):  # a position past the grid's floats is off the run, as inf
+        off = np.abs(rest - (origin + np.arange(2, rest.size + 2) * h)) > 4.0 * ulp
+    if not off.any():
+        return [first], [float(h)]
+    tl, starts, hs = t.tolist(), [], []
+    for k in range(first, len(tl)):
+        if not hs or abs(tl[k] - (origin + (k - start + 1) * h)) > 4.0 * math.ulp(tl[k]):
+            start, origin = k, (tl[k - 1] if k else 0.0)
+            h = tl[k] - origin
+            starts.append(k)
+            hs.append(h)
+    return starts, hs
+
+
 def rotating_amplitudes(chunks: Callable[[int], Iterable[np.ndarray]], t_grid, *,
                         initial: Sequence[complex] | None = None) -> Iterator[tuple[np.ndarray, ...]]:
     """(n, T, 4) amplitudes Z, in the frame that turns at omega_q, of each slice
     of n points in turn, with their (n, T) population sums g = |Z1|^2 + |Z2|^2 +
-    |Z3|^2 and s = |Z4|^2.  `chunks(size)` gives the points as (n <= size, 11)
-    `model._field_array` chunks, in order.
+    |Z3|^2 and s = |Z4|^2 and the physical norm g + 2s, the one array that the
+    norm check below and the metrics' norm guard both read.  `chunks(size)`
+    gives the points as (n <= size, 11) `model._field_array` chunks, in order.
 
     Each point's evolution matrix A is constant there: Z(t_k) = exp(-i A h)
     Z(t_{k-1}) with h = t_k - t_{k-1} and t_{-1} = 0; a point at t = 0 is the
-    initial state.  The grid is checked and split into runs once, by position,
-    in one pass: the run from t_s takes the step h = t_s - t_{s-1} and holds
+    initial state.  The grid is checked and split into runs once, by position
+    (`_runs`): the run from t_s takes the step h = t_s - t_{s-1} and holds
     every later t_k within 4 ulps of t_{s-1} + (k - s + 1) h.  So rounding
     cannot split `arange * dt` or `linspace`, and a grid that changes its step
     splits.  The kernel runs on the real form of these maps (`_real_form`): Z
@@ -180,7 +227,8 @@ def rotating_amplitudes(chunks: Callable[[int], Iterable[np.ndarray]], t_grid, *
     chunk holds at most _BLOCK_SAMPLES // 16R points, a whole number of slices
     of _BLOCK_SAMPLES // max(T, 16R) points (at least one point), so its
     exponentials take at most _BLOCK_SAMPLES x 32 B, half a slice's
-    trajectory, and the 7 stacks the Taylor core holds at once 7 times that.
+    trajectory, and the at most 7 stacks the Taylor core holds at once, its
+    argument included, 7 times that.
     A slice is refused, after the slices before it are yielded, if one point
     fails: a step exponential that would need more than 22 squarings (its W is
     zeroed, so the rest of the chunk still runs), and a physical norm (|Z_n| =
@@ -192,27 +240,24 @@ def rotating_amplitudes(chunks: Callable[[int], Iterable[np.ndarray]], t_grid, *
     z0 = _initial_vector(initial)
     x0 = z0.view(float)[None]
     limit = float(physical_norm(z0)) * (1.0 + _NORM_SLACK)
-    tl, starts, hs = t.tolist(), [], []  # the first index and the step of each run
-    for k in range(int(tl[0] == 0.0), len(tl)):
-        if not hs or abs(tl[k] - (origin + (k - start + 1) * h)) > 4.0 * math.ulp(tl[k]):
-            start, origin = k, (tl[k - 1] if k else 0.0)
-            h = tl[k] - origin
-            starts.append(k)
-            hs.append(h)
+    starts, hs = _runs(t)
     dt, stepping = max(hs, default=0.0), max(1, len(hs))
     per_slice = max(1, _BLOCK_SAMPLES // max(t.size, 16 * stepping))
     per_chunk = max(1, _BLOCK_SAMPLES // (16 * stepping)) // per_slice * per_slice
     for fields in chunks(per_chunk):
         with np.errstate(over="ignore", invalid="ignore"):  # a norm that overflows is refused as too large
-            w = _real_form(-1j * evolution_matrices(fields)[0])
+            a = evolution_matrices(fields)[0]
+            w = _real_form(a.imag, -a.real)  # of -i A
+            del a
             fine = dt * np.abs(w).sum(axis=-1).max(axis=-1) <= _MAX_STEP_NORM
         w[~fine] = 0.0  # refused at its slice below
         exps = _expm_stack((np.reshape(hs, (-1, 1, 1, 1)) * w).reshape(-1, 8, 8)).reshape(len(hs), len(w), 8, 8)
-        for lo in range(0, len(w), per_slice):
+        del w  # the slices need only the step maps
+        for lo in range(0, len(fine), per_slice):
             if not fine[lo:lo + per_slice].all():
                 raise ValueError(f"one-step exponential exp(-i A dt) has no precision left for time step dt = {dt:g}: "
                                  "dt times the evolution matrix norm exceeds 2**21")
-            x = np.empty((min(per_slice, len(w) - lo), t.size, 8))
+            x = np.empty((min(per_slice, len(fine) - lo), t.size, 8))
             x[:, 0] = x0  # the state at t = 0, or overwritten by the first step
             for start, end, power in zip(starts, starts[1:] + [t.size], exps[:, lo:lo + len(x)]):
                 x[:, start:start + 1] = (x[:, start - 1:start] if start else x0) @ power
@@ -222,13 +267,13 @@ def rotating_amplitudes(chunks: Callable[[int], Iterable[np.ndarray]], t_grid, *
                     np.matmul(x[:, start:start + m], power, out=x[:, start + k:start + k + m])
                     power, k = (power @ power if 2 * k < end - start else power), 2 * k
             z = x.view(complex)
-            g, s = _population_sums(z)
-            peak = float((g + 2.0 * s).max())
+            g, s, norm = _population_sums(z)
+            peak = float(norm.max())
             if not peak <= limit:
                 raise ValueError(f"one-step exponential exp(-i A dt) lost precision over {t.size - starts[0]} steps "
                                  f"of dt = {dt:g}: the physical norm rose to {peak!r}, more than 1e-9 (relative) "
                                  "above its value at t = 0")
-            yield z, g, s
+            yield z, g, s, norm
         del exps  # before the next chunk takes its own
 
 
@@ -250,7 +295,7 @@ def evolve(
         raise ValueError("evolve needs at least one parameter point")
     slices = rotating_amplitudes(lambda size: (fields[lo:lo + size] for lo in range(0, len(fields), size)),
                                  t_grid, initial=initial)
-    c = np.concatenate([z for z, _, _ in slices])  # a fresh array, rotated in place
+    c = np.concatenate([z for z, *_ in slices])  # a fresh array, rotated in place
     t, f = np.asarray(t_grid, dtype=float), evolution_matrices(fields)[1]
     c *= np.exp(1j * t[:, None] * f[:, None, :])
     return Trajectory(times=t, amplitudes=c[0] if isinstance(p, SystemParams) else c)

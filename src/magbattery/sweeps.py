@@ -14,7 +14,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .metrics import METRIC_NAMES, _check_battery, _columns
+from .metrics import METRIC_NAMES, _check_battery, _columns, _ergotropy
 from .model import _FIELD_NAMES, SystemParams, _field_array, _omegas, derive_detunings
 from .propagator import rotating_amplitudes
 from .states import AccountingMode
@@ -175,8 +175,8 @@ def _evolve_points(base: SystemParams, axes: Sequence[VarySpec], t_grid, mode, m
                 apply_parameters(base, dict(zip(names, block[first])))  # as the one-point view does
             yield fields
 
-    return [out for z, g, s in rotating_amplitudes(chunks, t)
-            for out in reduce(t, *_columns(g, s, base.omega_q, mode, metrics, z))]
+    return [out for z, g, s, norm in rotating_amplitudes(chunks, t)
+            for out in reduce(t, *_columns(g, s, norm, base.omega_q, mode, metrics, z))]
 
 
 def _tables(t: np.ndarray, *columns: np.ndarray) -> list[np.ndarray]:
@@ -222,7 +222,9 @@ def max_ergotropy_grid(
         raise ValueError("contour axes must vary two different parameters")
     if shared := sorted(set(_FIELDS[x]) & set(_FIELDS[y])):  # one axis would overwrite the other
         raise ValueError(f"contour axes {x} and {y} both set {', '.join(shared)}")
-    z = _evolve_points(base, (vary_y, vary_x), t_grid, mode, ("ergotropy",), lambda _, e: e.max(axis=-1))
+    # the maximum charge gap of each point, then its ergotropy: the same bits as the maximum ergotropy
+    z = _evolve_points(base, (vary_y, vary_x), t_grid, mode, ("gap",),
+                       lambda _, gap: _ergotropy(gap.max(axis=-1), base.omega_q))
     return np.reshape(z, (len(vary_y.values), len(vary_x.values)))
 
 

@@ -13,7 +13,9 @@ the long way, so the tests can compare the two:
   the ergotropy (`passive_state`, `ergotropy`, with `purity` beside them);
 * `oracle_metrics`, the five CLI columns through those matrices;
 * `lindblad_metrics`, the five columns from the zero-temperature master
-  equation, which uses no no-jump amplitudes at all.
+  equation, which uses no no-jump amplitudes at all;
+* `runs_by_loop`, the kernel's split of a time grid into runs of one step,
+  point by point, against which its one-pass check is tested.
 
 Under decay the conditional amplitudes lose norm, so the literal
 partial-trace matrices are sub-normalized.  In ``paper`` accounting they
@@ -258,3 +260,18 @@ def lindblad_metrics(p, t, initial=DEFAULT_INITIAL):
             1.0 - rho[0, 0].real,  # the weight that has not decayed
         ))
     return np.array(rows)
+
+
+def runs_by_loop(t):
+    """(starts, steps) of the runs of a checked grid, point by point: the run
+    from t_s takes the step h = t_s - t_{s-1} (t_{-1} = 0) and holds every
+    later t_k within 4 ulps of t_{s-1} + (k - s + 1) h; a point at t = 0 is
+    the initial state.  The reference for `propagator._runs`."""
+    tl, starts, hs = list(map(float, t)), [], []
+    for k in range(int(tl[0] == 0.0), len(tl)):
+        if not hs or abs(tl[k] - (origin + (k - start + 1) * h)) > 4.0 * math.ulp(tl[k]):
+            start, origin = k, (tl[k - 1] if k else 0.0)
+            h = tl[k] - origin
+            starts.append(k)
+            hs.append(h)
+    return starts, hs

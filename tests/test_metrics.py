@@ -26,8 +26,8 @@ from magbattery import (
     stored_energy_series,
 )
 
-from magbattery.metrics import _columns
-from magbattery.propagator import _population_sums
+from magbattery.metrics import _POPULATION_FLOOR, _columns
+from magbattery.propagator import _NORM_SLACK, _population_sums
 
 from conftest import shell_amplitudes
 from oracles import (
@@ -323,6 +323,75 @@ class TestColumnSelection:
             got = selected(c, 1.0, mode, names)
             for name in set(want) & set(got):
                 assert got[name] == want[name], (c, mode, name)
+
+
+def any_form_refusal(g, s, mode):
+    """The error the norm and positivity guards raise on (g, s), or None, as
+    first written: a comparison array and `np.any` each."""
+    if np.any(g + 2.0 * s > 1.0 + _NORM_SLACK):
+        return InconsistentStateError
+    if np.any((g if AccountingMode(mode) is AccountingMode.PAPER else 1.0 - 2.0 * s) < _POPULATION_FLOOR):
+        return ValueError
+    return None
+
+
+def guard_cases():
+    """(g, s) arrays at and around both guards' thresholds, with NaN, +-inf and empty."""
+    def around(x, ulps=2):
+        out = [x]
+        for _ in range(ulps):
+            out = [np.nextafter(out[0], -np.inf), *out, np.nextafter(out[-1], np.inf)]
+        return out
+
+    norm_edge, floor = 1.0 + _NORM_SLACK, _POPULATION_FLOOR
+    # trace_repaired reads g' = 1 - 2s: the s that put it at the floor, and their neighbours
+    s_floor = around((1.0 - floor) / 2.0, 3)
+    g_values = [*around(norm_edge), *around(floor), 0.0, 0.25, 1.0, np.nan, np.inf, -np.inf]
+    s_values = [0.0, 0.25, *s_floor, *around(norm_edge / 2.0), np.nan, np.inf, -np.inf]
+    cases = [(np.array([g]), np.array([s])) for g in g_values for s in s_values]
+    # NaN beside a value that trips a guard, in either order, and 2-D and empty arrays
+    cases += [(np.array([np.nan, edge]), np.zeros(2)) for edge in around(norm_edge) + around(floor)]
+    cases += [(np.array([edge, np.nan]), np.zeros(2)) for edge in around(norm_edge) + around(floor)]
+    cases += [(np.zeros(2), np.array([np.nan, s])) for s in s_floor]
+    cases += [(np.full((2, 3), 0.5), np.full((2, 3), s)) for s in s_floor]
+    cases += [(np.empty(0), np.empty(0)), (np.empty((3, 0)), np.empty((3, 0)))]
+    return cases
+
+
+class TestGuards:
+    """Each guard is one reduction; it refuses exactly what a comparison array
+    and `np.any` refuse, NaN (which compares false) and empty arrays included."""
+
+    @pytest.mark.parametrize("names", (*SELECTIONS, ("gap",)), ids=lambda names: "+".join(names))
+    @pytest.mark.parametrize("mode", MODES)
+    def test_refuse_as_the_any_form(self, mode, names):
+        for g, s in guard_cases():
+            with np.errstate(invalid="ignore"):  # inf - inf in a column the guards let through
+                want = any_form_refusal(g, s, mode)
+                try:
+                    _columns(g, s, g + 2.0 * s, 1.0, mode, names, np.zeros((*g.shape, 4), dtype=complex))
+                    got = None
+                except ValueError as exc:  # InconsistentStateError is a ValueError
+                    got = type(exc)
+            assert got is want, (g, s)
+
+    def test_clamp_reaches_every_column_that_reads_the_ground_population(self):
+        # paper g' = g in [-1e-12, 0) is roundoff, down to the smallest
+        # subnormal: purity and the charge gap read it as 0
+        for g in (-5e-13, -1e-14, -5e-324):
+            g, s = np.array([g]), np.zeros(1)
+            for name in ("gap", "purity", "ergotropy"):
+                assert _columns(g, s, g + 2.0 * s, 1.0, "paper", (name,))[0].tolist() == [0.0], (name, g)
+
+    @pytest.mark.parametrize("g", [[-5e-13, 0.25, 0.0], [-0.0, 0.25, 0.0], [np.nan, 0.25, -0.0], [0.1, 0.25, 0.0]])
+    def test_columns_equal_an_eagerly_clamped_ground_population(self, g):
+        # the clamp is skipped when no g' is negative; -0.0 and NaN read the same either way
+        g, s = np.array(g), np.array([0.05, 0.1, 0.2])
+        clamped = np.maximum(g, 0.0)
+        want = {"gap": 2.0 * s - clamped, "purity": clamped**2 + 4.0 * s**2,
+                "ergotropy": np.where(np.maximum(2.0 * s - clamped, 0.0) <= 1e-12, 0.0, np.maximum(2.0 * s - clamped, 0.0))}
+        for name, column in want.items():
+            np.testing.assert_array_equal(_columns(g, s, g + 2.0 * s, 1.0, "paper", (name,))[0], column)
 
 
 class TestBatteryHamiltonian:

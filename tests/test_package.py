@@ -3,7 +3,7 @@
 The density-matrix and eigensolver routes are test oracles (`oracles.py`
 beside these tests); the package exports and defines none of them, and a CLI
 run imports numpy but no test-only library, no argparse and no OpenSSL,
-and no module names `linalg`.
+and beyond numpy's own modules only an allowlist; no module names `linalg`.
 Every export has a caller outside the tests, and each is declared in exactly
 one layer module's `__all__`.
 """
@@ -136,6 +136,25 @@ def test_cli_run_imports_no_test_only_library(tmp_path):
     assert dynamics.read_text(encoding="utf-8").startswith("t,coherence,energy,ergotropy,purity,norm\n")
     meta = json.loads((tmp_path / "contour.csv.meta.json").read_text(encoding="utf-8"))
     assert len(meta["config_sha256"]) == 64
+
+
+def test_cli_import_adds_only_allowed_modules():
+    # a cold run pays for every module it imports: beyond what numpy loads
+    # itself, the CLI may load only the package, json (for the contour's
+    # sidecar), dataclasses, copy, __future__ and CPython's own SHA-256
+    script = (
+        "import sys\n"
+        "import numpy\n"
+        "before = set(sys.modules)\n"
+        "import magbattery.cli\n"
+        "print(' '.join(sorted(set(sys.modules) - before)))\n"
+    )
+    result = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": str(PACKAGE_DIR.parent)},
+                            capture_output=True, text=True, check=True)
+    added = set(result.stdout.split())
+    allowed = {"json", "_json", "dataclasses", "copy", "__future__", "_sha2", "_sha256"}
+    assert "magbattery.cli" in added
+    assert {name for name in added if name.split(".")[0] not in allowed | {"magbattery"}} == set()
 
 
 def test_module_entry_reads_sys_argv():

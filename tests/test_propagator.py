@@ -11,7 +11,7 @@ import types
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from magbattery import (
     DEFAULT_INITIAL,
@@ -24,11 +24,11 @@ from magbattery import (
 
 from magbattery import propagator
 from magbattery.model import _field_array
-from magbattery.propagator import _expm_stack, _population_sums, _real_form, rotating_amplitudes
+from magbattery.propagator import _expm_stack, _population_sums, _real_form, _runs, rotating_amplitudes
 from magbattery.sweeps import time_grid
 
 from conftest import evolution_matrix, expm, frame_frequencies
-from oracles import lindblad_metrics
+from oracles import lindblad_metrics, runs_by_loop
 
 RABI = SystemParams(g_a=0.0, g_b=0.0, lam=1.0)  # resonant two-level reduction
 
@@ -130,6 +130,11 @@ class TestMatrixExponential:
             np.testing.assert_array_equal(_expm_stack(m).view(np.uint64), alone.view(np.uint64))
 
 
+def real_form(s):
+    """`_real_form` of a complex stack."""
+    return _real_form(s.real, s.imag)
+
+
 def unit_stack(rng, *shape):
     """Complex entries with parts uniform in [-0.5, 0.5], so products stay O(1)."""
     return rng.uniform(-0.5, 0.5, shape) + 1j * rng.uniform(-0.5, 0.5, shape)
@@ -146,11 +151,11 @@ class TestRealForm:
     def test_acts_as_the_complex_map(self, rng):
         s, z = unit_stack(rng, 300, 4, 4), unit_stack(rng, 300, 7, 4)
         want = (z @ s.swapaxes(-1, -2)).view(float)
-        np.testing.assert_allclose(z.view(float) @ _real_form(s), want, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(z.view(float) @ real_form(s), want, rtol=0, atol=1e-15)
 
     def test_products_reverse_order(self, rng):
         s1, s2 = unit_stack(rng, 300, 4, 4), unit_stack(rng, 300, 4, 4)
-        np.testing.assert_allclose(_real_form(s1 @ s2), _real_form(s2) @ _real_form(s1),
+        np.testing.assert_allclose(real_form(s1 @ s2), real_form(s2) @ real_form(s1),
                                    rtol=0, atol=1e-15)
 
     def test_exponential_commutes_with_the_form(self, rng):
@@ -159,9 +164,9 @@ class TestRealForm:
         scipy_expm = pytest.importorskip("scipy.linalg").expm
         m = rng.normal(size=(200, 4, 4)) + 1j * rng.normal(size=(200, 4, 4))
         m *= (np.geomspace(0.1, 40.0, 200) / np.abs(m).sum(axis=-1).max(axis=-1))[:, None, None]
-        got = _expm_stack(_real_form(m))
+        got = _expm_stack(real_form(m))
         scale = np.abs(got).max(axis=(-1, -2))
-        for want in (_real_form(_expm_stack(m)), _real_form(np.array([scipy_expm(x) for x in m]))):
+        for want in (real_form(_expm_stack(m)), real_form(np.array([scipy_expm(x) for x in m]))):
             assert (np.abs(got - want).max(axis=(-1, -2)) / scale).max() <= 1e-13
 
 
@@ -380,7 +385,7 @@ def test_norm_rise_refuses_its_slice_after_the_earlier_ones(monkeypatch):
     # by about 4e-7 over 2000 steps, far past the 1e-9 slack; at T = 2001 a
     # slice holds two points, so the fifth point's slice is the third
     t, fields = time_grid(20.0, 0.01), _field_array([SystemParams()] * 7)
-    want = [z for z, _, _ in rotating_amplitudes(lambda size: [fields], t)]
+    want = [z for z, *_ in rotating_amplitudes(lambda size: [fields], t)]
     exact = propagator._expm_stack
 
     def too_large(m):
@@ -392,7 +397,7 @@ def test_norm_rise_refuses_its_slice_after_the_earlier_ones(monkeypatch):
     got = []
     with pytest.raises(ValueError, match=r"lost precision over 2000 steps of dt = 0\.01: "
                                          r"the physical norm rose to "):
-        for z, _, _ in rotating_amplitudes(lambda size: [fields], t):
+        for z, *_ in rotating_amplitudes(lambda size: [fields], t):
             got.append(z)
     assert [len(z) for z in got] == [2, 2]
     for z, w in zip(got, want):
@@ -404,10 +409,10 @@ def test_step_norm_refuses_its_slice_after_the_earlier_ones(rng, draw_params):
     # T = 2001 a slice holds two points, so that point's slice is the third
     t, points = time_grid(20.0, 0.01), [draw_params(rng) for _ in range(6)]
     fields = _field_array(points[:4] + [SystemParams(g_a=2.0**30)] + points[4:])
-    want = [z for z, _, _ in rotating_amplitudes(lambda size: [np.delete(fields, 4, axis=0)], t)]
+    want = [z for z, *_ in rotating_amplitudes(lambda size: [np.delete(fields, 4, axis=0)], t)]
     got = []
     with pytest.raises(ValueError, match=r"has no precision left for time step dt = 0\.01: "):
-        for z, _, _ in rotating_amplitudes(lambda size: [fields], t):
+        for z, *_ in rotating_amplitudes(lambda size: [fields], t):
             got.append(z)
     assert [len(z) for z in got] == [2, 2]
     for z, w in zip(got, want):
@@ -435,6 +440,57 @@ def test_runs_are_found_by_position(monkeypatch, grid, runs):
     assert stacks == [3 * runs]
 
 
+@st.composite
+def run_grids(draw):
+    """Checked time grids of every shape the run planner meets: `arange * dt`,
+    `linspace` and `geomspace` grids, running sums, two such grids joined, and
+    uniform grids with each point moved by a few ulps."""
+    kind = draw(st.sampled_from(["arange", "linspace", "geomspace", "cumsum", "joined", "perturbed"]))
+    n = draw(st.integers(1, 2500))
+    dt = draw(st.floats(1e-4, 10.0))
+    t0 = draw(st.sampled_from([0.0, 0.05, 1.0]))
+    if kind == "arange":
+        t = t0 + np.arange(n) * dt
+    elif kind == "linspace":
+        t = np.linspace(t0, t0 + n * dt, n)
+    elif kind == "geomspace":
+        t = np.geomspace(dt, dt * draw(st.floats(1.5, 1e6)), n)
+    elif kind == "cumsum":
+        t = t0 + np.cumsum(np.full(n, dt))
+    elif kind == "joined":
+        head = np.arange(n) * dt
+        tail = head[-1] + draw(st.floats(0.1, 3.0)) * dt + np.arange(1, draw(st.integers(1, 2000))) * 2.0 * dt
+        t = np.concatenate((head, tail))
+    else:
+        spread, seed = draw(st.integers(1, 30)), draw(st.integers(0, 2**32 - 1))
+        t = np.arange(1, n + 1) * dt
+        t = t + np.random.default_rng(seed).integers(-spread, spread + 1, n) * np.spacing(t)
+    assume(np.all(np.diff(t) > 0) and t[0] >= 0.0)
+    return t
+
+
+class TestRunPlanner:
+    """`_runs` splits a grid into exactly the runs the point-by-point loop finds."""
+
+    @settings(max_examples=300)
+    @given(t=run_grids())
+    def test_equals_the_loop(self, t):
+        starts, steps = _runs(t)
+        assert (starts, steps) == runs_by_loop(t)
+        assert all(type(k) is int for k in starts)
+
+    @pytest.mark.parametrize("grid", [
+        [0.0], [5e-324], [0.0, 5e-324, 1e-323, 2e-323, 3e-323, 5e-323],
+        [1e307, 5e307, 9e307, 1.3e308, 1.7e308, np.finfo(float).max],
+        np.finfo(float).max * np.linspace(0.5, 1.0, 33),
+        np.arange(1, 4001) * 0.01 + np.where(np.arange(4000) % 3, 0.0, 1e-13),
+    ], ids=["origin", "subnormal", "subnormals", "largest", "top_binade", "every_third_moved"])
+    def test_equals_the_loop_at_the_ends_of_the_floats(self, grid):
+        t = np.asarray(grid, dtype=float)
+        with np.errstate(over="raise"):
+            assert _runs(t) == runs_by_loop(t)
+
+
 def test_amplitudes_match_a_40_digit_reference(rng, draw_params):
     # Z_ref = expm(-i A t) z0 at 40 digits on the T = 2001, dt = 0.01 grid.  Its
     # times 1, 2, ..., 20 are whole numbers in floats, so Z_ref(n) = E^n z0 with
@@ -448,7 +504,7 @@ def test_amplitudes_match_a_40_digit_reference(rng, draw_params):
                                           kappa_m=0.1, gamma=0.3),
               draw_params(rng), draw_params(rng)]
     fields = _field_array(points)
-    z = np.concatenate([z for z, _, _ in rotating_amplitudes(lambda size: [fields], t)])
+    z = np.concatenate([z for z, *_ in rotating_amplitudes(lambda size: [fields], t)])
     errors = []
     with mp.workdps(40):
         for row, p in zip(z, points):
@@ -471,7 +527,7 @@ def test_amplitudes_match_a_40_digit_reference_on_a_long_grid():
     points = [SystemParams.from_detunings(1.0, 1.0, 1.0),
               SystemParams.from_detunings(1.0, 1.0, 1.0, kappa_a=5e-4, kappa_b=2e-4, kappa_m=1e-4, gamma=3e-4)]
     fields = _field_array(points)
-    rows = [z[0, ks] for z, _, _ in rotating_amplitudes(lambda size: [fields], t)]  # a slice per point
+    rows = [z[0, ks] for z, *_ in rotating_amplitudes(lambda size: [fields], t)]  # a slice per point
     errors = []
     with mp.workdps(40):
         for row, p in zip(rows, points):
@@ -496,10 +552,19 @@ class TestPopulationSums:
         for c in (z, z[:, ::3], np.asfortranarray(z), z.swapaxes(0, 1), strided,
                   scaled, scaled[0, 0], scaled[0, 0].tolist()):
             p = np.abs(np.asarray(c)) ** 2
-            g, s = _population_sums(c)
+            g, s, norm = _population_sums(c)
             np.testing.assert_allclose(g, p[..., 0] + p[..., 1] + p[..., 2], rtol=1e-15, atol=0)
             np.testing.assert_allclose(s, p[..., 3], rtol=1e-15, atol=0)
-            np.testing.assert_array_equal(physical_norm(c), g + 2.0 * s)
+            np.testing.assert_array_equal(norm, g + 2.0 * s)
+            np.testing.assert_array_equal(physical_norm(c), norm)
+
+    def test_atom_sum_has_the_bits_of_the_einsum(self, rng):
+        # s is taken as two products and a sum: the same bits as the einsum
+        # the field sum keeps, over magnitudes from underflow to overflow
+        v = rng.normal(size=(7, 301, 8)) * 10.0 ** rng.uniform(-170, 160, (7, 301, 8))
+        with np.errstate(over="ignore", under="ignore"):
+            s = _population_sums(v.view(complex))[1]
+            np.testing.assert_array_equal(s, np.einsum("...i,...i->...", v[..., 6:], v[..., 6:]))
 
     def test_wrong_component_count_rejected(self):
         for c in ((1.0, 0.0, 0.0), np.zeros((2, 5), dtype=complex)):
@@ -509,11 +574,10 @@ class TestPopulationSums:
     def test_kernel_yields_each_blocks_own_sums(self, rng, draw_params):
         blocks = [_field_array([draw_params(rng) for _ in range(n)]) for n in (3, 1, 4)]
         out = list(rotating_amplitudes(lambda size: blocks, np.linspace(0.0, 5.0, 51)))
-        assert [z.shape[0] for z, _, _ in out] == [3, 1, 4]
-        for z, g, s in out:
-            want_g, want_s = _population_sums(z)
-            np.testing.assert_array_equal(g, want_g)
-            np.testing.assert_array_equal(s, want_s)
+        assert [z.shape[0] for z, *_ in out] == [3, 1, 4]
+        for z, *sums in out:
+            for got, want in zip(sums, _population_sums(z), strict=True):
+                np.testing.assert_array_equal(got, want)
 
 
 class TestOracleIntegrate:

@@ -16,6 +16,7 @@ from operator import attrgetter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from magbattery import (
     METRIC_NAMES,
@@ -54,10 +55,10 @@ def record_blocks(monkeypatch, handed=None) -> list:
     seen, handed, kernel = [], [] if handed is None else handed, sweeps.rotating_amplitudes
 
     def recorded(chunks, t, **kw):
-        for z, g, s in kernel(lambda size: (handed.append(f) or f for f in chunks(size)), t, **kw):
+        for z, *sums in kernel(lambda size: (handed.append(f) or f for f in chunks(size)), t, **kw):
             done = sum(map(len, seen))
             seen.append(np.concatenate(handed)[done:done + len(z)])
-            yield z, g, s
+            yield z, *sums
 
     monkeypatch.setattr(sweeps, "rotating_amplitudes", recorded)
     return seen
@@ -285,6 +286,27 @@ class TestMaxErgotropyGrid:
         z = max_ergotropy_grid(BASE, VarySpec.linspace("g_a", 0.1, 3.0, 4),
                                VarySpec.linspace("g_b", 0.1, 3.0, 4), time_grid(5, 0.05))
         assert np.all(z >= 0.0) and np.all(z <= BASE.omega_q + 1e-12)
+
+    @settings(max_examples=40)
+    @given(rates=st.lists(st.floats(0.0, 2.0), min_size=10, max_size=10),
+           omega_q=st.sampled_from([0.0, 1e-13, 0.6, 1.0]),
+           lams=st.lists(st.one_of(st.just(0.0), st.floats(0.0, 2.0)), min_size=1, max_size=3),
+           gbs=st.lists(st.floats(0.0, 2.0), min_size=1, max_size=2),
+           mode=st.sampled_from(["paper", "trace_repaired"]))
+    def test_equals_the_maximum_of_the_time_series(self, rates, omega_q, lams, gbs, mode):
+        # the grid takes the maximum charge gap over t and maps it to an
+        # ergotropy once: bit for bit the maximum of the ergotropy column.
+        # lambda = 0 cells never charge, and omega_q = 1e-13 snaps every
+        # positive gap to 0
+        d1, d2, d3, ga, gb, lam, ka, kb, km, gam = rates
+        base = SystemParams.from_detunings(d1, d2, d3, omega_q=omega_q, g_a=ga, g_b=gb, lam=lam,
+                                           kappa_a=ka, kappa_b=kb, kappa_m=km, gamma=gam)
+        t = time_grid(3, 0.05)
+        z = max_ergotropy_grid(base, VarySpec("lambda", lams), VarySpec("g_b", gbs), t, mode)
+        for i, y in enumerate(gbs):
+            for j, x in enumerate(lams):
+                column = time_series(apply_parameters(base, {"lambda": x, "g_b": y}), t, mode)[:, COLUMN["ergotropy"]]
+                assert z[i, j].tobytes() == column.max().tobytes()
 
     def test_same_parameter_rejected(self):
         # kappa_all sets kappa_a too: one axis would overwrite the other
