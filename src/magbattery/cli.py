@@ -5,9 +5,9 @@ argument is a ``--key value`` or ``--key=value`` pair: the flags --config (a
 flat key=value file, ``#`` comments), --out and --threads, or a config key,
 which overrides the file; direct detunings win over omegas when both are given.
 Output is CSV with numbers rendered to 12 significant digits, a pure function
-of the config: repeated runs are byte-identical.  It is written one table at a
-time, the same bytes to --out as to stdout, to a file opened only after every
-point is computed.  The contour's ``<out>.meta.json`` run record is built here.
+of the config: repeated runs are byte-identical.  It is written one row block
+at a time, the same bytes to --out as to stdout, to a file opened only after
+every point is computed.  The contour's ``<out>.meta.json`` run record is built here.
 ``--threads`` N >= 1 is accepted and has no effect: evaluation is serial.
 
 After the command line and config file are read, a run refuses the first fault
@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 try:  # CPython's own SHA-256 (3.12+, then 3.10-3.11): hashlib would load OpenSSL
     from _sha2 import sha256
@@ -88,6 +88,7 @@ _MODES = {
 
 _DYNAMICS_HEADER = ",".join(("t",) + METRIC_NAMES)
 _DYNAMICS_ROW = ",".join(["%.12g"] * (1 + len(METRIC_NAMES)))
+_BLOCK_ROWS = 2**12  # rows rendered per `%`: the text held at a time does not grow with a table
 
 
 def parse_config_file(path: str) -> dict[str, str]:
@@ -219,14 +220,14 @@ def _resolve(cfg: dict[str, str], prefixes: tuple[str, ...] = (), missing: str =
         raise ValueError(f"unknown mode {cfg['mode']!r}; expected one of {', '.join(_MODES)}") from None
 
 
-def _write_csv(out: str | None, header: str, blocks: Iterable[tuple[str, object]]) -> None:
-    """The header line, then the rows of each (template, table) block, one write
-    per block, to `out` or stdout: one table's text is held at a time."""
+def _write_csv(out: str | None, header: str, tables: Iterable[tuple[str, object]]) -> None:
+    """The header line, then the rows of each (template, table) pair to `out` or
+    stdout, one write per `_BLOCK_ROWS` rows: one row block's text is held at a time."""
     fh = sys.stdout if out is None else open(out, "w", encoding="utf-8", newline="")
     try:
         fh.write(header + "\n")
-        for template, table in blocks:
-            fh.write(_rows(template, table))
+        for template, table in tables:
+            fh.writelines(_rows(template, table))
     finally:
         if out is not None:
             fh.close()
@@ -237,12 +238,14 @@ def _config_digest(cfg: dict[str, str]) -> str:
     return sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def _rows(template: str, table) -> str:
-    """`template` % row and a newline per table row; %.12g is the shortest
-    locale-independent rendering within 12 significant digits, and + 0.0 turns
-    -0.0 into 0.0."""
-    line = template + "\n"
-    return "".join([line % tuple(row) for row in (np.asarray(table, dtype=float) + 0.0).tolist()])
+def _rows(template: str, table) -> Iterator[str]:
+    """`template` % row and a newline per table row, one `%` and one string per
+    `_BLOCK_ROWS` rows; %.12g is the shortest locale-independent rendering within
+    12 significant digits, and + 0.0 turns -0.0 into 0.0."""
+    table, line = np.asarray(table, dtype=float), template + "\n"
+    for start in range(0, len(table), _BLOCK_ROWS):
+        block = table[start:start + _BLOCK_ROWS] + 0.0
+        yield line * len(block) % tuple(block.ravel().tolist())
 
 
 def run_dynamics(cfg: dict[str, str], out: str | None) -> int:

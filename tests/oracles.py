@@ -15,7 +15,9 @@ the long way, so the tests can compare the two:
 * `lindblad_metrics`, the five columns from the zero-temperature master
   equation, which uses no no-jump amplitudes at all;
 * `runs_by_loop`, the kernel's split of a time grid into runs of one step,
-  point by point, against which its one-pass check is tested.
+  point by point, against which its one-pass check is tested;
+* `rows_by_row`, the CSV text of a table rendered one row at a time, against
+  which the CLI's row-block renderer is tested.
 
 Under decay the conditional amplitudes lose norm, so the literal
 partial-trace matrices are sub-normalized.  In ``paper`` accounting they
@@ -275,3 +277,11 @@ def runs_by_loop(t):
             starts.append(k)
             hs.append(h)
     return starts, hs
+
+
+def rows_by_row(template, table):
+    """`template` % row and a newline per row of `table`, one `%` per row, with
+    -0.0 turned into 0.0: the reference for `cli._rows`, which renders a block
+    of rows per `%`."""
+    line = template + "\n"
+    return "".join([line % tuple(row) for row in (np.asarray(table, dtype=float) + 0.0).tolist()])

@@ -11,16 +11,19 @@ import string
 import tracemalloc
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from magbattery import SystemParams
+from magbattery import SystemParams, cli
 from magbattery.cli import (
-    _ALL_KEYS, _DEFAULTS, _config_digest, _resolve, build_params, build_vary, main, parse_config_file, run_sweep,
+    _ALL_KEYS, _DEFAULTS, _DYNAMICS_ROW, _config_digest, _resolve, _rows, _write_csv, build_params, build_vary, main,
+    parse_config_file, run_sweep,
 )
 from magbattery.sweeps import PARAMETER_NAMES
+from oracles import rows_by_row
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -438,6 +441,73 @@ class TestNumberFormat:
         fields = [f for row in rows for f in row.split(",") if f[0] in "-0123456789"]
         assert len(fields) >= 2 * len(rows)
         assert all(f == format(float(f) + 0.0, ".12g") for f in fields)
+
+
+# the values whose rendering differs most: a sign, a subnormal, an exponent
+# switch, 13 significant digits, no fraction, and the non-finite ones
+EDGE_VALUES = (-0.0, 5e-324, 1e-5, 123456789012.5, 1e16, math.inf, math.nan, -1.5, 0.1)
+ROW_TEMPLATES = {
+    "1 column": "%.12g",
+    "3 columns": "g_b,%.12g,%.12g,%.12g",
+    "6 columns": "gamma,0.5," + _DYNAMICS_ROW,
+}
+
+
+class TestRowBlocks:
+    """`_rows` renders `_BLOCK_ROWS` rows per `%`; at 3 rows a block, tables of
+    1-7 rows end before, on and past block boundaries, and the text must be
+    the row-by-row text byte for byte."""
+
+    @pytest.fixture
+    def three_row_blocks(self, monkeypatch):
+        monkeypatch.setattr(cli, "_BLOCK_ROWS", 3)
+
+    @pytest.mark.parametrize("rows", [1, 2, 3, 4, 7])
+    @pytest.mark.parametrize("template", ROW_TEMPLATES.values(), ids=ROW_TEMPLATES)
+    def test_equals_the_row_by_row_text(self, three_row_blocks, template, rows):
+        table = np.resize(EDGE_VALUES, (rows, template.count("%")))
+        blocks = list(_rows(template, table))
+        assert len(blocks) == -(-rows // 3)
+        assert "".join(blocks) == rows_by_row(template, table)
+
+    @pytest.mark.parametrize("rows", [1, 2, 3, 4, 7])
+    def test_opt_time_tuples(self, three_row_blocks, rows):
+        table = [(float(k), EDGE_VALUES[k % 9], EDGE_VALUES[(k + 4) % 9]) for k in range(rows)]
+        text = "".join(_rows(ROW_TEMPLATES["3 columns"], table))
+        assert text == rows_by_row(ROW_TEMPLATES["3 columns"], table)
+        assert text.splitlines()[0] == "g_b,0,0,1e+16"
+
+    def test_every_edge_value_in_every_column(self, three_row_blocks):
+        template = ROW_TEMPLATES["6 columns"]
+        table = np.array([np.roll(EDGE_VALUES, k)[:6] for k in range(9)])
+        text = "".join(_rows(template, table))
+        assert text == rows_by_row(template, table)
+        assert text.startswith("gamma,0.5,0,4.94065645841e-324,1e-05,123456789012,1e+16,inf\n")
+
+    @settings(max_examples=300)
+    @given(block_rows=st.integers(1, 8), table=st.integers(1, 6).flatmap(
+        lambda columns: st.lists(st.tuples(*[st.floats()] * columns), min_size=1, max_size=20)))
+    def test_any_float_table(self, block_rows, table):
+        template = "x," + ",".join(["%.12g"] * len(table[0]))
+        with mock.patch.object(cli, "_BLOCK_ROWS", block_rows):
+            assert "".join(_rows(template, table)) == rows_by_row(template, table)
+
+    def test_rendering_peak_is_bounded_by_the_block_not_the_table(self, rng, tmp_path):
+        # 1e5 random rows of 6 columns are 9.1e6 B of text; rendered as one block
+        # they peak at 4.0e7 B.  Per cell of a block, rendering holds at most a
+        # Python float (24 B), its list and tuple slots (16 B), its part of the
+        # block's copy (8 B), of the format string (6 B) and of the text (15 B
+        # on average here): 64.6 B was measured, so 80 B is the bound
+        table = rng.standard_normal((100_000, 6))
+        out = tmp_path / "table.csv"
+        tracemalloc.start()
+        try:
+            _write_csv(str(out), "a,b,c,d,e,f", [(",".join(["%.12g"] * 6), table)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 80 * 6 * cli._BLOCK_ROWS
+        assert out.read_text(encoding="utf-8").count("\n") == 1 + 100_000
 
 
 class TestContour:

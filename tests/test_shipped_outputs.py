@@ -16,6 +16,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+from magbattery import cli
 from magbattery.cli import main
 
 TESTS_DIR = Path(__file__).resolve().parent
@@ -42,11 +43,22 @@ def shipped_digests(directory: Path) -> dict[str, str]:
     return {path.name: hashlib.sha256(path.read_bytes()).hexdigest() for path in sorted(directory.iterdir())}
 
 
-def test_shipped_outputs_match_their_digests(tmp_path):
+def check_digests(directory: Path) -> None:
     want = dict(reversed(line.split()) for line in DIGESTS.read_text(encoding="ascii").splitlines())
-    got = shipped_digests(tmp_path)
+    got = shipped_digests(directory)
     assert len(got) == 12
     assert got == want
+
+
+def test_shipped_outputs_match_their_digests(tmp_path):
+    check_digests(tmp_path)
+
+
+def test_shipped_outputs_match_their_digests_across_row_blocks(tmp_path, monkeypatch):
+    # 7 rows a block: every shipped table (8, 900 or 2001 rows) crosses a block
+    # boundary and ends in a partial block
+    monkeypatch.setattr(cli, "_BLOCK_ROWS", 7)
+    check_digests(tmp_path)
 
 
 if __name__ == "__main__":
