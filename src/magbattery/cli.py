@@ -94,7 +94,7 @@ _BLOCK_ROWS = 2**12  # rows rendered per `%`: the text held at a time does not g
 def parse_config_file(path: str) -> dict[str, str]:
     """Read `key = value` lines; `#` starts a comment; unknown keys are errors."""
     entries: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:  # a byte-order mark, as Notepad saves, is not a key
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
             if not line:

@@ -36,9 +36,8 @@ __all__ = [
 # Initial state: one photon, both atoms in the ground state.
 DEFAULT_INITIAL = (1.0 + 0.0j, 0.0j, 0.0j, 0.0j)
 
-# Largest infinity norm of the real form of -i A dt a step exponential may
-# take: more would need over 22 squarings, and 2**22 * eps ~ 1e-9 is the
-# whole norm-conservation budget.
+# Largest infinity norm of a step exponential's argument (22 squarings; 2**22
+# eps ~ 1e-9 is the whole norm budget): `_expm_stack` makes a larger one NaN.
 _MAX_STEP_NORM = 2.0**21
 # Rise of the physical norm left to roundoff: `evolve` refuses a larger rise
 # relative to the norm at t = 0, states and metrics a norm above 1 + this.
@@ -105,18 +104,18 @@ def _expm_stack(m: np.ndarray) -> np.ndarray:
     squaring with a degree-15 Taylor polynomial.  Each matrix is halved until its
     infinity norm is <= 0.5, where the truncation error is below 0.5**16 / 16!
     ~ 7e-19 relative, and squared back by its own count, so its result does not
-    depend on the others.  The polynomial sum_k X^k / k! is evaluated
-    Paterson-Stockmeyer style, Horner in X^4 over blocks c_i + c_{i+1} X +
-    c_{i+2} X^2 + c_{i+3} X^3: 6 products, no solve.  It holds at most 7
-    stacks at once: its argument, X if a matrix is halved (else X is the
-    argument), X^2, X^3, X^4, the sum and one spare that takes each product
-    and term, so that no stack is allocated inside the Horner loop; only the
-    argument and the sum outlive it into the squarings."""
-    if not np.all(np.isfinite(m)):
-        raise ValueError("matrix exponential argument has non-finite entries")
+    depend on the others; one whose norm is not <= _MAX_STEP_NORM (NaN and inf
+    too) is exponentiated as 0 and its result made NaN.  The polynomial sum_k
+    X^k / k! is evaluated Paterson-Stockmeyer style, Horner in X^4 over blocks
+    c_i + c_{i+1} X + c_{i+2} X^2 + c_{i+3} X^3: 6 products, no solve.  It
+    holds at most 7 stacks at once: its argument, X if a matrix is halved (else
+    X is the argument), X^2, X^3, X^4, the sum and one spare that takes each
+    product and term, so that no stack is allocated inside the Horner loop;
+    only the argument and the sum outlive it into the squarings."""
     norm = np.abs(m).sum(axis=-1).max(axis=-1)
-    if not np.all(norm < 2.0**1022):  # the scaling 2**squarings below must stay finite
-        raise ValueError(f"matrix exponential argument is too large (infinity norm {norm.max():g})")
+    refused = ~(norm <= _MAX_STEP_NORM)  # NaN too, which `>` would pass
+    if refused.any():
+        m, norm[refused] = np.where(refused[:, None, None], 0.0, m), 0.0
     squarings = np.ceil(np.log2(np.maximum(norm, 0.5)) + 1.0).astype(int)  # 0 at norm <= 0.5
     if squarings.any():
         m = m / np.ldexp(1.0, squarings)[:, None, None]
@@ -139,6 +138,7 @@ def _expm_stack(m: np.ndarray) -> np.ndarray:
         more = squarings > k
         part = f[more]
         f[more] = part @ part
+    f[refused] = np.nan
     return f
 
 
@@ -230,11 +230,11 @@ def rotating_amplitudes(chunks: Callable[[int], Iterable[np.ndarray]], t_grid, *
     trajectory, and the at most 7 stacks the Taylor core holds at once, its
     argument included, 7 times that.
     A slice is refused, after the slices before it are yielded, if one point
-    fails: a step exponential that would need more than 22 squarings (its W is
-    zeroed, so the rest of the chunk still runs), and a physical norm (|Z_n| =
-    |C_n|) that rises more than 1e-9 (relative) above its t = 0 value, as the
-    roundoff of many squarings does when T steps compound it; the check reads
-    g + 2s.
+    fails: a step exponential that would need more than 22 squarings (its step
+    maps are NaN, so the rest of the chunk still runs), and a physical norm
+    (|Z_n| = |C_n|) that rises more than 1e-9 (relative) above its t = 0
+    value, as the roundoff of many squarings does when T steps compound it;
+    the check reads g + 2s.
     """
     t = _validated_grid(t_grid)
     z0 = _initial_vector(initial)
@@ -249,10 +249,9 @@ def rotating_amplitudes(chunks: Callable[[int], Iterable[np.ndarray]], t_grid, *
             a = evolution_matrices(fields)[0]
             w = _real_form(a.imag, -a.real)  # of -i A
             del a
-            fine = dt * np.abs(w).sum(axis=-1).max(axis=-1) <= _MAX_STEP_NORM
-        w[~fine] = 0.0  # refused at its slice below
-        exps = _expm_stack((np.reshape(hs, (-1, 1, 1, 1)) * w).reshape(-1, 8, 8)).reshape(len(hs), len(w), 8, 8)
+            exps = _expm_stack((np.reshape(hs, (-1, 1, 1, 1)) * w).reshape(-1, 8, 8)).reshape(len(hs), len(w), 8, 8)
         del w  # the slices need only the step maps
+        fine = ~np.isnan(exps[..., 0, 0]).any(axis=0)  # a point's step maps are NaN past the budget
         for lo in range(0, len(fine), per_slice):
             if not fine[lo:lo + per_slice].all():
                 raise ValueError(f"one-step exponential exp(-i A dt) has no precision left for time step dt = {dt:g}: "

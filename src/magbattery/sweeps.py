@@ -29,9 +29,9 @@ __all__ = [
     "optimal_time_sweep",
 ]
 
-# Energy maxima are taken on the discrete grid; the 1e-9 window only absorbs
-# floating-point noise between exactly repeated values, so "earliest" wins
-# among true ties.
+# Energy maxima are taken on the discrete grid; the window of 1e-9 of each
+# point's maximum only absorbs floating-point noise between exactly repeated
+# values, so "earliest" wins among true ties at any energy unit.
 _PEAK_TIE_TOL = 1e-9
 
 # 500 times the 2001 points of the shipped configs; the (T, 4) trajectory of
@@ -185,7 +185,8 @@ def _tables(t: np.ndarray, *columns: np.ndarray) -> list[np.ndarray]:
 
 def _energy_peaks(t: np.ndarray, e: np.ndarray) -> Iterable[tuple[float, float]]:
     """(tau, e_max) per point: the earliest grid time of the grid-maximal energy."""
-    idx = np.argmax(e >= e.max(axis=-1, keepdims=True) - _PEAK_TIE_TOL, axis=-1)
+    peak = e.max(axis=-1, keepdims=True)
+    idx = np.argmax(e >= peak - _PEAK_TIE_TOL * peak, axis=-1)
     return zip(t[idx].tolist(), e[np.arange(idx.size), idx].tolist())
 
 

@@ -72,6 +72,17 @@ dt = 0.5
         assert code == 0
         assert out.splitlines()[0] == "t,coherence,energy,ergotropy,purity,norm"
 
+    @pytest.mark.parametrize("text", [
+        "t_max = 2\ndt = 0.5\ng_a = 0.5\n",
+        (CONFIG_DIR / "dynamics_detuned.cfg").read_text(encoding="utf-8"),
+    ], ids=["key_first", "comment_first"])
+    def test_byte_order_mark(self, tmp_path, capsys, text):
+        # Windows Notepad starts a UTF-8 file with U+FEFF; it is not part of the first line
+        plain, marked = write_cfg(tmp_path, text), write_cfg(tmp_path, "\ufeff" + text, "bom.cfg")
+        assert Path(marked).read_bytes()[:3] == b"\xef\xbb\xbf"
+        code, out, err = run(capsys, "dynamics", "--config", marked)
+        assert (code, out, err) == run(capsys, "dynamics", "--config", plain) and code == 0
+
     def test_unknown_key(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "frobnicate = 3\n")
         code, _, err = run(capsys, "dynamics", "--config", cfg)

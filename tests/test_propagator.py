@@ -108,26 +108,51 @@ class TestMatrixExponential:
         assert err <= 1e-12
 
     def test_nonfinite_rejected(self):
-        m = np.zeros((4, 4), dtype=complex)
-        m[2, 2] = np.nan
-        with pytest.raises(ValueError):
-            expm(m)
+        # a NaN or inf entry has no squaring count: no exponential comes back
+        for bad in (np.nan, np.inf):
+            m = np.zeros((4, 4), dtype=complex)
+            m[2, 2] = bad
+            assert np.isnan(expm(m)).all()
 
     def test_overflowing_norm_rejected(self):
         # the infinity norm overflows although every entry is finite
-        with np.errstate(over="ignore"), pytest.raises(ValueError, match="too large"):
-            expm(np.full((4, 4), 1e308))
+        with np.errstate(over="ignore"):
+            assert np.isnan(expm(np.full((4, 4), 1e308))).all()
 
-    def test_stack_equals_each_matrix_alone(self, rng):
-        # infinity norms 0.1-40 take 0 to 7 squarings: each matrix of one
-        # stack takes its own count, so its stack-mates change none of its bits;
-        # complex 4x4 stacks and the real 8x8 ones the kernel exponentiates
+    def test_budget_ends_at_22_squarings(self):
+        # a phase of infinity norm exactly 2**21 takes 22 squarings and keeps
+        # its modulus to 2**22 eps; the next float above would take 23
+        edge = np.diag([-1j * 2.0**21, 0.5j, 0, 0])
+        np.testing.assert_allclose(np.abs(expm(edge)), np.eye(4), rtol=0, atol=1e-8)
+        edge[0, 0] = -1j * np.nextafter(2.0**21, np.inf)
+        assert np.isnan(expm(edge)).all()
+
+    @staticmethod
+    def graded_stacks(rng):
+        """Stacks of 200 matrices of infinity norms 0.1-40 (0 to 7 squarings),
+        shuffled: complex 4x4 ones and the real 8x8 ones the kernel exponentiates."""
         for m in (rng.normal(size=(200, 4, 4)) + 1j * rng.normal(size=(200, 4, 4)),
                   rng.normal(size=(200, 8, 8))):
             m *= (np.geomspace(0.1, 40.0, 200) / np.abs(m).sum(axis=-1).max(axis=-1))[:, None, None]
             rng.shuffle(m)
+            yield m
+
+    def test_stack_equals_each_matrix_alone(self, rng):
+        # each matrix of one stack takes its own count, so its stack-mates
+        # change none of its bits
+        for m in self.graded_stacks(rng):
             alone = np.array([expm(x) for x in m])
             np.testing.assert_array_equal(_expm_stack(m).view(np.uint64), alone.view(np.uint64))
+
+    def test_refused_matrix_leaves_its_stack_mates_alone(self, rng):
+        # one NaN matrix comes back NaN; the others keep the bits they have alone
+        for m in self.graded_stacks(rng):
+            alone = np.array([expm(x) for x in m])
+            m[57, 1, 2] = np.nan
+            got = _expm_stack(m)
+            assert np.isnan(got[57]).all()
+            got, alone = np.delete(got, 57, axis=0), np.delete(alone, 57, axis=0)
+            np.testing.assert_array_equal(got.view(np.uint64), alone.view(np.uint64))
 
 
 def real_form(s):
@@ -469,13 +494,37 @@ def run_grids(draw):
     return t
 
 
+def check_position_rule(t, starts, steps):
+    """Asserts the position rule of `_runs` on its output for the grid `t`: the
+    first run starts at 1 if t[0] = 0, else at 0; the run from t_s takes the
+    step t_s - t_{s-1} (t_{-1} = 0) and holds every point up to the next start
+    within 4 ulps of t_{s-1} plus whole steps; each later start lies off the
+    line of the run before it."""
+    tl = [float(x) for x in t]
+    first = int(tl[0] == 0.0)
+    assert starts[:1] == ([first] if first < len(tl) else [])
+    assert starts == sorted(set(starts)) and len(steps) == len(starts)
+
+    def off(k, s, h):  # t_k against the line of the run from t_s with step h
+        return abs(tl[k] - ((tl[s - 1] if s else 0.0) + (k - s + 1) * h)) > 4.0 * math.ulp(tl[k])
+
+    for j, (s, h) in enumerate(zip(starts, steps)):
+        assert h == tl[s] - (tl[s - 1] if s else 0.0)
+        end = starts[j + 1] if j + 1 < len(starts) else len(tl)
+        assert not any(off(k, s, h) for k in range(s, end))
+        if end < len(tl):
+            assert off(end, s, h)
+
+
 class TestRunPlanner:
-    """`_runs` splits a grid into exactly the runs the point-by-point loop finds."""
+    """`_runs` splits a grid by the position rule, into exactly the runs the
+    point-by-point loop finds."""
 
     @settings(max_examples=300)
     @given(t=run_grids())
     def test_equals_the_loop(self, t):
         starts, steps = _runs(t)
+        check_position_rule(t, starts, steps)
         assert (starts, steps) == runs_by_loop(t)
         assert all(type(k) is int for k in starts)
 
@@ -488,7 +537,9 @@ class TestRunPlanner:
     def test_equals_the_loop_at_the_ends_of_the_floats(self, grid):
         t = np.asarray(grid, dtype=float)
         with np.errstate(over="raise"):
-            assert _runs(t) == runs_by_loop(t)
+            starts, steps = _runs(t)
+        check_position_rule(t, starts, steps)
+        assert (starts, steps) == runs_by_loop(t)
 
 
 def test_amplitudes_match_a_40_digit_reference(rng, draw_params):

@@ -2,7 +2,7 @@
 
 Horizon notes for the tau anchors: the lossless stored energy has exactly
 periodic maxima of equal height, so on a sampled grid the "earliest time
-within 1e-9 of the grid max" rule is only well-posed when the horizon
+within 1e-9 (relative) of the grid max" rule is only well-posed when the horizon
 contains a single principal peak (grid samples near different peaks differ
 at the 1e-4 level and silently reorder).  Anchor tests pick such horizons
 and say so inline.
@@ -345,6 +345,16 @@ class TestOptimalChargingTime:
             assert k.size == 1
             e = stored_energy_series(evolve(p, t).amplitudes, p.omega_q)
             assert e[k[0]] == emax
+
+    @pytest.mark.parametrize("lam", [1e-5, 1e-4])
+    def test_weak_charging_peaks_at_the_grid_maximum(self, lam):
+        # the energy still rises at t = 2 and peaks at 3e-10 and 3e-8: a tie
+        # window of 1e-9 absolute took in the whole curve (tau 0, e_max 0) and
+        # its last 7 points (tau 1.94); one relative to the peak takes neither
+        p, t = apply_parameters(BASE, {"lambda": lam}), time_grid(2, 0.01)
+        energy = time_series(p, t)[:, COLUMN["energy"]]
+        assert energy.argmax() == len(t) - 1
+        assert optimal_charging_time(p, t) == (2.0, energy.max())
 
     def test_earliest_tie_wins(self):
         # lossless Rabi over two full periods: peaks at tau and 3*tau are

@@ -12,6 +12,9 @@ over the shipped configs' grid of 2001 points:
 * time-rate scaling: every rate (the omegas, omega_q included, the couplings
   and the decay rates) times c and every time over c leave the populations
   the same, so energy and ergotropy scale by c and the other columns stay;
+* energy unit: omega_q times s at fixed detunings leaves A and the
+  populations the same up to the rounding of the omegas, so the charging time
+  stays and the peak energy scales by s;
 * contour axis swap: each point's result depends only on its own A, so
   swapping `vary` and `vary2` gives exactly the transposed grid.
 
@@ -25,7 +28,7 @@ import io
 import numpy as np
 import pytest
 
-from magbattery import SystemParams, VarySpec, max_ergotropy_grid, panel_sweep, time_grid
+from magbattery import SystemParams, VarySpec, max_ergotropy_grid, optimal_time_sweep, panel_sweep, time_grid
 from magbattery.cli import main
 
 GRID = time_grid(20.0, 0.01)
@@ -35,6 +38,9 @@ MODES = pytest.mark.parametrize("mode", ["paper", "trace_repaired"])
 # scaled run, 20 / c at 12 digits times c
 FLIP_TOL = 2e-13
 SCALE_TOL = 3e-13
+# largest relative |difference| of e_max / s over 40 seeded draws, s in
+# {1e-7, 1e-3, 1e3}: 2.9e-13, from the rounding of the omegas
+UNIT_TOL = 3e-12
 PRINTED_TOL = 2e-10
 ENERGY_COLUMNS = [2, 3]  # energy and ergotropy in a dynamics table (t first)
 
@@ -135,6 +141,21 @@ class TestTimeRateScaling:
             fast[:, 0] *= c
             fast[:, ENERGY_COLUMNS] /= c
             np.testing.assert_allclose(fast, table, rtol=0, atol=PRINTED_TOL)
+
+
+class TestEnergyUnit:
+    @MODES
+    def test_optimal_time_sweep(self, rng, mode):
+        # the earliest-peak rule's window is relative to each point's peak, so
+        # tau does not depend on the unit omega_q sets
+        deltas, omega_q, rates = lossy_draw(rng)
+        gs = VarySpec("g_b", (0.5, 1.0, 2.0, 4.0))
+        want = optimal_time_sweep(SystemParams.from_detunings(*deltas, omega_q=omega_q, **rates), gs, GRID, mode)
+        for s in (1e-7, 1e-3, 1e3):
+            got = optimal_time_sweep(SystemParams.from_detunings(*deltas, omega_q=s * omega_q, **rates),
+                                     gs, GRID, mode)
+            assert [tau for _, tau, _ in got] == [tau for _, tau, _ in want]
+            np.testing.assert_allclose([e / s for *_, e in got], [e for *_, e in want], rtol=UNIT_TOL, atol=0)
 
 
 class TestContourAxisSwap:
