@@ -286,7 +286,7 @@ def evolve(
     points advancing together (amplitudes (n, T, 4)) over the grid: the
     `rotating_amplitudes` Z of their one field array, slices joined, with its
     checks and refusals, rotated back to C_n = Z_n exp(+i f_n t) with f the
-    frame frequencies of `model.evolution_matrices`.
+    frame frequencies of `model.evolution_matrices`, which must be finite.
     `initial` (amplitudes at t=0, shared by all points) is a hook for testing only.
     """
     fields = _field_array([p] if isinstance(p, SystemParams) else p)
@@ -295,7 +295,11 @@ def evolve(
     slices = rotating_amplitudes(lambda size: (fields[lo:lo + size] for lo in range(0, len(fields), size)),
                                  t_grid, initial=initial)
     c = np.concatenate([z for z, *_ in slices])  # a fresh array, rotated in place
-    t, f = np.asarray(t_grid, dtype=float), evolution_matrices(fields)[1]
+    with np.errstate(over="ignore"):  # a frame frequency that overflows is refused below, not warned about
+        t, f = np.asarray(t_grid, dtype=float), evolution_matrices(fields)[1]
+    if not np.isfinite(f).all():
+        bad = [f"{w} - omega_q" for w, ok in zip(("omega_a", "omega_b", "omega_m"), np.isfinite(f).all(axis=0)) if not ok]
+        raise ValueError(f"frame frequencies must be finite, got an overflow in {' and '.join(bad)}")
     c *= np.exp(1j * t[:, None] * f[:, None, :])
     return Trajectory(times=t, amplitudes=c[0] if isinstance(p, SystemParams) else c)
 
@@ -312,11 +316,15 @@ def oracle_integrate(
     exp(+i (omega_k - omega_j) t), read off the omegas, left in place (no
     frame rotation), fixed substep <= `_ORACLE_STEP`, landing exactly on
     every grid point.  The equations are linear, so one RK4 pass over the
-    columns of the identity gives the RK4 map of every substep of a batch at
-    once.  Each piece of at most `_ORACLE_PIECE` substeps of one span is
-    multiplied down pairwise, later maps on the left, to one matrix that
-    advances the amplitudes, so memory is O(piece + T).  Deliberately shares
-    no code with `evolve` beyond the parameter container.
+    columns of the identity, on the four component rows (4 columns x a
+    batch's substeps), gives every substep's RK4 map at once; each exp(+i w t)
+    is taken once per point of a piece's half-step lattice t_prev + (first +
+    k/2) h.  Each piece of at most `_ORACLE_PIECE` substeps of one span is
+    multiplied down pairwise, later maps on the left, as real 8x8 maps, to
+    one that advances the float view of the amplitudes.  Stage rows, maps
+    and tree levels live in two buffers allocated once per call, so memory
+    is O(piece + T) and a batch's own arrays stay at tens of kB.
+    Deliberately shares no code with `evolve` beyond the parameter container.
     """
     t = _validated_grid(t_grid)
     z0 = _initial_vector(initial)
@@ -327,33 +335,48 @@ def oracle_integrate(
     ga, gb, lam = p.g_a, p.g_b, p.lam
     ka2, kb2, km2, gq2 = 0.5 * p.kappa_a, 0.5 * p.kappa_b, 0.5 * p.kappa_m, 0.5 * p.gamma
 
-    def deriv(tt: np.ndarray, x1, x2, x3, x4) -> np.ndarray:
-        pa = np.exp(1j * w_ab * tt)  # photon over magnon
-        pb = np.exp(1j * w_bm * tt)  # magnon over phonon
-        pq = np.exp(1j * w_aq * tt)  # photon under atom
-        dx1 = -1j * (ga * pa * x2 + 2.0 * lam * pq * x4) - ka2 * x1
-        dx2 = -1j * (ga * pa.conjugate() * x1 + gb * pb * x3) - kb2 * x2
-        dx3 = -1j * gb * pb.conjugate() * x2 - km2 * x3
-        dx4 = -1j * lam * pq.conjugate() * x1 - gq2 * x4
-        return np.array((dx1, dx2, dx3, dx4))
+    rates = np.reshape((ka2, kb2, km2, gq2), (4, 1, 1, 1))
+    links = ((0, 1), (0, 3), (1, 0), (1, 2), (2, 1), (3, 0))  # (k, j) of the couplings of C_j into C_k
+
+    def deriv(c, y, k) -> None:
+        # k = M(t) y on rows (4 columns, pieces, width); c holds the couplings
+        # -i g exp(+i (omega_k - omega_j) t) of the links at one stage time
+        np.multiply(-rates, y, out=k)
+        for (n, m), cnm in zip(links, c):
+            k[n] += cnm * y[m]
+
+    # per call: `whole` holds the stage rows y and k, then a batch's real maps; `half` the stage sum, then
+    # every second tree level
+    whole, half = np.empty((_ORACLE_PIECE, 8, 8)), np.empty((_ORACLE_PIECE // 2, 8, 8))
 
     def piece_maps(batch: list, width: int) -> np.ndarray:
-        # one row of `width` substeps t_prev + j h per piece; the padding
-        # substeps take h = 0, whose RK4 map is exactly the identity
+        # one row of `width` substeps per piece; substep j's stages take lattice points 2j, 2j + 1
+        # and 2j + 2; padding substeps take h = 0, whose RK4 map is exactly the identity
         t_prev, h, first, n = (np.array(col)[:, None] for col in list(zip(*batch))[1:])
-        i = np.arange(width)
-        tj = (t_prev + (first + i) * h).ravel()
-        h = np.where(i < n, h, 0.0).ravel()
-        h2, h6 = 0.5 * h, h / 6.0
-        x = np.eye(4)[:, :, None]  # component n of identity column c is x[n, c, 0]
-        a = deriv(tj, *x)
-        b = deriv(tj + h2, *(x + h2 * a))
-        f = deriv(tj + h2, *(x + h2 * b))
-        g = deriv(tj + h, *(x + h * f))
-        step = x + h6 * (a + 2.0 * (b + f) + g)  # entry (n, c) of substep j's map at [n, c, j]
-        maps = np.moveaxis(step, -1, 0).reshape(len(batch), width, 4, 4)
-        while maps.shape[1] > 1:
-            maps = maps[:, 1::2] @ maps[:, 0::2]
+        tk = t_prev + (first + 0.5 * np.arange(2 * width + 1)) * h
+        pa, pb, pq = (np.exp(1j * w * tk) for w in (w_ab, w_bm, w_aq))  # photon/magnon, magnon/phonon, photon/atom
+        c = (-1j * ga * pa, -2j * lam * pq, -1j * ga * pa.conj(),
+             -1j * gb * pb, -1j * gb * pb.conj(), -1j * lam * pq.conj())
+        start, mid, end = ([ck[:, j:j + 2 * width:2] for ck in c] for j in (0, 1, 2))
+        h = np.where(np.arange(width) < n, h, 0.0)
+        shape, x = (4, 4, *h.shape), np.eye(4)[:, :, None, None]  # component n of identity column c at [n, c]
+        y, k = whole.view(complex).reshape(2, -1)[:, :16 * h.size].reshape(2, *shape)
+        total = half.view(complex).reshape(-1)[:16 * h.size].reshape(shape)
+        deriv(start, x, total)  # stage a; total sums a + 2b + 2f + g
+        for coupling, step, weight, last in ((mid, 0.5 * h, 2.0, total), (mid, 0.5 * h, 2.0, k), (end, h, 1.0, k)):
+            np.add(x, np.multiply(step, last, out=y), out=y)  # stages b, f, g at I + step x the stage before
+            deriv(coupling, y, k)
+            total += np.multiply(weight, k, out=y)
+        total *= h / 6.0
+        total += x  # each substep's map S; in its real form R, with R(S S') = R(S) R(S'), S_nc = p + iq is the
+        # block [[p, -q], [q, p]] at rows 2n, 2n + 1 and columns 2c, 2c + 1: as complex rows, conj(S_n), i conj(S_n)
+        maps = whole[:h.size].reshape(*h.shape, 8, 8)
+        np.conjugate(total.transpose(2, 3, 0, 1), out=maps.view(complex)[..., 0::2, :])
+        np.multiply(maps.view(complex)[..., 0::2, :], 1j, out=maps.view(complex)[..., 1::2, :])
+        spare = half
+        while maps.shape[1] > 1:  # later maps on the left; each level goes to the other buffer
+            level = spare[:maps.size // 128].reshape(len(batch), -1, 8, 8)
+            maps, spare = np.matmul(maps[:, 1::2], maps[:, 0::2], out=level), maps.base
         return maps[:, 0]
 
     def pieces():
@@ -367,8 +390,8 @@ def oracle_integrate(
                     yield k, t_prev, span / n, j, min(n - j, _ORACLE_PIECE)
             t_prev = tk
 
-    out = np.empty((t.size, 4), dtype=complex)
-    out[0] = z = z0
+    out = np.empty((t.size, 8))  # the float view of the (T, 4) amplitudes
+    out[0] = z = z0.view(float)
     # consecutive pieces padded to one power-of-two width share a batch: a
     # dt = 0.01 grid has 10 substeps a span, and one array pass per span
     # would be slower than a scalar loop
@@ -376,4 +399,4 @@ def oracle_integrate(
         while batch := list(itertools.islice(run, _ORACLE_PIECE // width)):
             for (k, *_), m in zip(batch, piece_maps(batch, width)):
                 out[k] = z = m @ z
-    return Trajectory(times=t, amplitudes=out)
+    return Trajectory(times=t, amplitudes=out.view(complex))
