@@ -35,8 +35,9 @@ __all__ = [
 METRIC_NAMES = ("coherence", "energy", "ergotropy", "purity", "norm")
 
 _POPULATION_FLOOR = -1e-12
-# reported energies/ergotropies within this of zero collapse to exactly 0.0,
-# so states that analytically cannot charge print as true zeros
+# energies/ergotropies whose population-unit value (before the factor omega_q)
+# is within this of zero collapse to exactly 0.0, so states that analytically
+# cannot charge print as true zeros at any energy unit
 _ZERO_SNAP = 1e-12
 
 
@@ -75,10 +76,10 @@ def _check_battery(omega_q: float, mode: AccountingMode | str) -> AccountingMode
 
 
 def _ergotropy(gap: np.ndarray, omega_q: float) -> np.ndarray:
-    """omega_q max(0, gap) of the charge gap 2s - g', snapped: for omega_q >= 0
-    a non-decreasing map, so the maximum of its values over t is its value at
-    the maximum gap, bit for bit."""
-    return _snap(omega_q * np.maximum(gap, 0.0))
+    """omega_q max(0, gap) of the charge gap 2s - g', snapped in population
+    units: for omega_q >= 0 a non-decreasing map, so the maximum of its values
+    over t is its value at the maximum gap, bit for bit."""
+    return omega_q * _snap(np.maximum(gap, 0.0))
 
 
 def _columns(g: np.ndarray, s: np.ndarray, norm: np.ndarray, omega_q: float, mode: AccountingMode | str,
@@ -98,8 +99,9 @@ def _columns(g: np.ndarray, s: np.ndarray, norm: np.ndarray, omega_q: float, mod
     norm      = N
 
     and the name "gap" selects the charge gap 2s - g' itself, whose maximum
-    over t `_ergotropy` turns into the maximum ergotropy.  Energies and
-    ergotropies within 1e-12 of zero report as 0.0.  Whatever the selection,
+    over t `_ergotropy` turns into the maximum ergotropy.  An energy or
+    ergotropy whose population-unit value (1 - g, 2s or max(0, 2s - g')) is
+    within 1e-12 of zero reports as 0.0.  Whatever the selection,
     raises ValueError for omega_q < 0 (the excited level must lie above
     |gg>), InconsistentStateError when the norm exceeds 1 + 1e-9 and
     ValueError when g' is below -1e-12 (not a density matrix); smaller
@@ -121,7 +123,7 @@ def _columns(g: np.ndarray, s: np.ndarray, norm: np.ndarray, omega_q: float, mod
         ground = np.maximum(ground, 0.0)
     formulas = {
         "coherence": lambda: 2.0 * (a1 * a2 + a1 * a3 + a2 * a3),
-        "energy": lambda: _snap(omega_q * (1.0 - g) if paper else 2.0 * omega_q * s),
+        "energy": lambda: omega_q * _snap(1.0 - g if paper else 2.0 * s),
         "gap": lambda: 2.0 * s - ground,
         "ergotropy": lambda: _ergotropy(2.0 * s - ground, omega_q),
         "purity": lambda: ground**2 + 4.0 * s**2,

@@ -31,8 +31,6 @@ import numpy as np
 
 __all__ = [
     "SystemParams",
-    "Detunings",
-    "derive_detunings",
 ]
 
 _COUPLING_FIELDS = ("g_a", "g_b", "lam")
@@ -101,28 +99,12 @@ def _omegas(delta_1, delta_2, delta_3, omega_q):
     return omega_a, omega_b, omega_b - delta_1
 
 
-@dataclass(frozen=True)
-class Detunings:
-    """Frequency mismatches along the chain, each positive when the mode nearer
-    the atoms is the higher one:
-
-    delta_1 = omega_b - omega_m  (magnon above phonon),
-    delta_2 = omega_a - omega_b  (photon above magnon),
-    delta_3 = omega_q - omega_a  (atom above photon).
-    """
-
-    delta_1: float
-    delta_2: float
-    delta_3: float
-
-
-def derive_detunings(p: SystemParams) -> Detunings:
-    """delta_1 = omega_b - omega_m, delta_2 = omega_a - omega_b, delta_3 = omega_q - omega_a."""
-    return Detunings(
-        delta_1=p.omega_b - p.omega_m,
-        delta_2=p.omega_a - p.omega_b,
-        delta_3=p.omega_q - p.omega_a,
-    )
+def _detunings(p: SystemParams) -> dict[str, float]:
+    """The keyword detunings of `SystemParams.from_detunings` that give `p`'s
+    omegas, each positive when the mode nearer the atoms is the higher one:
+    delta_1 = omega_b - omega_m (magnon above phonon), delta_2 = omega_a -
+    omega_b (photon above magnon), delta_3 = omega_q - omega_a (atom above photon)."""
+    return {"delta_1": p.omega_b - p.omega_m, "delta_2": p.omega_a - p.omega_b, "delta_3": p.omega_q - p.omega_a}
 
 
 def _field_array(points: list[SystemParams]) -> np.ndarray:

@@ -15,7 +15,6 @@ frame algebra or in either integrator.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
@@ -44,10 +43,6 @@ _MAX_STEP_NORM = 2.0**21
 _NORM_SLACK = 1e-9
 # Longest RK4 substep of the oracle; its error stays far below the tests' 1e-6
 _ORACLE_STEP = 1e-3
-# Substeps the RK4 oracle evaluates in one batch, and the most substeps of
-# one span whose maps it multiplies down to one matrix; a batch's arrays
-# then peak below 1 MB
-_ORACLE_PIECE = 512
 # Points x time points of one trajectory slice of `rotating_amplitudes`, which
 # keeps its (n, T, 4) amplitudes at a few hundred kB
 _BLOCK_SAMPLES = 2**12
@@ -312,91 +307,58 @@ def oracle_integrate(
 ) -> Trajectory:
     """Independent verification path: classical RK4 on the C-frame equations.
 
-    Integrates the amplitude ODEs with their explicit oscillating factors
-    exp(+i (omega_k - omega_j) t), read off the omegas, left in place (no
-    frame rotation), fixed substep <= `_ORACLE_STEP`, landing exactly on
-    every grid point.  The equations are linear, so one RK4 pass over the
-    columns of the identity, on the four component rows (4 columns x a
-    batch's substeps), gives every substep's RK4 map at once; each exp(+i w t)
-    is taken once per point of a piece's half-step lattice t_prev + (first +
-    k/2) h.  Each piece of at most `_ORACLE_PIECE` substeps of one span is
-    multiplied down pairwise, later maps on the left, as real 8x8 maps, to
-    one that advances the float view of the amplitudes.  Stage rows, maps
-    and tree levels live in two buffers allocated once per call, so memory
-    is O(piece + T) and a batch's own arrays stay at tens of kB.
+    Integrates the amplitude ODEs C' = M(t) C with their explicit oscillating
+    factors exp(+i (omega_k - omega_j) t), read off the omegas, left in place
+    (no frame rotation), fixed substep <= `_ORACLE_STEP`, landing exactly on
+    every grid point: the span t_prev -> t_k takes n = ceil(span /
+    `_ORACLE_STEP`) substeps of h = span / n.  With w = omegas - omega_q and
+    D(s) = diag(exp(+i w s)), M(s + u) = D(s) M(u) D(s)^-1, and RK4 is built
+    from products and sums of M, so the RK4 map of the substep from s is
+    D(s) S D(s)^-1 with S the map of the substep from 0 (one RK4 pass over the
+    identity, phases at 0, h/2 and h).  The span's n substeps are then exactly
+    D(t_k) (D(-h) S)^n D(t_prev)^-1, one matrix power per distinct span length:
+    y = D(t)^-1 C is chained span by span and rotated back.  Memory is O(T)
+    plus a 4x4 map per distinct span length.
     Deliberately shares no code with `evolve` beyond the parameter container.
     """
     t = _validated_grid(t_grid)
     z0 = _initial_vector(initial)
 
-    # interaction picture C_n = psi_n exp(+i omega_n t): the coupling of
-    # C_j into C_k carries exp(+i (omega_k - omega_j) t)
-    w_ab, w_bm, w_aq = p.omega_a - p.omega_b, p.omega_b - p.omega_m, p.omega_a - p.omega_q
-    ga, gb, lam = p.g_a, p.g_b, p.lam
-    ka2, kb2, km2, gq2 = 0.5 * p.kappa_a, 0.5 * p.kappa_b, 0.5 * p.kappa_m, 0.5 * p.gamma
+    # interaction picture C_n = psi_n exp(+i omega_n t): the coupling of C_j
+    # into C_k carries exp(+i (omega_k - omega_j) t)
+    omegas = np.array([p.omega_a, p.omega_b, p.omega_m, p.omega_q])
+    g = np.zeros((4, 4))
+    g[0, 1] = g[1, 0] = p.g_a
+    g[1, 2] = g[2, 1] = p.g_b
+    g[0, 3], g[3, 0] = 2.0 * p.lam, p.lam
+    decay = np.diag(0.5 * np.array([p.kappa_a, p.kappa_b, p.kappa_m, p.gamma]))
 
-    rates = np.reshape((ka2, kb2, km2, gq2), (4, 1, 1, 1))
-    links = ((0, 1), (0, 3), (1, 0), (1, 2), (2, 1), (3, 0))  # (k, j) of the couplings of C_j into C_k
+    def m(u):  # M(u), for each u of an (L, 1, 1) array too
+        return -1j * g * np.exp(1j * (omegas[:, None] - omegas) * u) - decay
 
-    def deriv(c, y, k) -> None:
-        # k = M(t) y on rows (4 columns, pieces, width); c holds the couplings
-        # -i g exp(+i (omega_k - omega_j) t) of the links at one stage time
-        np.multiply(-rates, y, out=k)
-        for (n, m), cnm in zip(links, c):
-            k[n] += cnm * y[m]
+    # one RK4 pass over the identity per distinct span length.  The lengths are
+    # told apart by a dict and the products are einsums: np.unique's sort and
+    # complex matmul's BLAS would page in a few hundred kB of code on a cold call
+    lengths = {}
+    index = [lengths.setdefault(length, len(lengths)) for length in np.diff(t, prepend=0.0).tolist()]
+    span, product = np.array(list(lengths)), "...ij,...jk->...ik"
+    n = np.ceil(span / _ORACLE_STEP)
+    h = (span / np.maximum(n, 1.0))[:, None, None]  # a span of 0, a point at t = 0, takes no substep
+    one, k1, mid = np.eye(4), m(0.0), m(0.5 * h)
+    k2 = np.einsum(product, mid, one + 0.5 * h * k1)
+    k3 = np.einsum(product, mid, one + 0.5 * h * k2)
+    k4 = np.einsum(product, m(h), one + h * k3)
+    w = omegas - p.omega_q
+    steps = np.exp(-1j * w[:, None] * h) * (one + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4))  # D(-h) S
+    powers = np.broadcast_to(one, steps.shape).astype(complex)
+    while n.any():  # (D(-h) S)^n by binary powering, n halved exactly as a float; the powers commute
+        odd = n % 2 == 1
+        powers[odd] = np.einsum(product, steps[odd], powers[odd])
+        steps, n = np.einsum(product, steps, steps), n // 2
 
-    # per call: `whole` holds the stage rows y and k, then a batch's real maps; `half` the stage sum, then
-    # every second tree level
-    whole, half = np.empty((_ORACLE_PIECE, 8, 8)), np.empty((_ORACLE_PIECE // 2, 8, 8))
-
-    def piece_maps(batch: list, width: int) -> np.ndarray:
-        # one row of `width` substeps per piece; substep j's stages take lattice points 2j, 2j + 1
-        # and 2j + 2; padding substeps take h = 0, whose RK4 map is exactly the identity
-        t_prev, h, first, n = (np.array(col)[:, None] for col in list(zip(*batch))[1:])
-        tk = t_prev + (first + 0.5 * np.arange(2 * width + 1)) * h
-        pa, pb, pq = (np.exp(1j * w * tk) for w in (w_ab, w_bm, w_aq))  # photon/magnon, magnon/phonon, photon/atom
-        c = (-1j * ga * pa, -2j * lam * pq, -1j * ga * pa.conj(),
-             -1j * gb * pb, -1j * gb * pb.conj(), -1j * lam * pq.conj())
-        start, mid, end = ([ck[:, j:j + 2 * width:2] for ck in c] for j in (0, 1, 2))
-        h = np.where(np.arange(width) < n, h, 0.0)
-        shape, x = (4, 4, *h.shape), np.eye(4)[:, :, None, None]  # component n of identity column c at [n, c]
-        y, k = whole.view(complex).reshape(2, -1)[:, :16 * h.size].reshape(2, *shape)
-        total = half.view(complex).reshape(-1)[:16 * h.size].reshape(shape)
-        deriv(start, x, total)  # stage a; total sums a + 2b + 2f + g
-        for coupling, step, weight, last in ((mid, 0.5 * h, 2.0, total), (mid, 0.5 * h, 2.0, k), (end, h, 1.0, k)):
-            np.add(x, np.multiply(step, last, out=y), out=y)  # stages b, f, g at I + step x the stage before
-            deriv(coupling, y, k)
-            total += np.multiply(weight, k, out=y)
-        total *= h / 6.0
-        total += x  # each substep's map S; in its real form R, with R(S S') = R(S) R(S'), S_nc = p + iq is the
-        # block [[p, -q], [q, p]] at rows 2n, 2n + 1 and columns 2c, 2c + 1: as complex rows, conj(S_n), i conj(S_n)
-        maps = whole[:h.size].reshape(*h.shape, 8, 8)
-        np.conjugate(total.transpose(2, 3, 0, 1), out=maps.view(complex)[..., 0::2, :])
-        np.multiply(maps.view(complex)[..., 0::2, :], 1j, out=maps.view(complex)[..., 1::2, :])
-        spare = half
-        while maps.shape[1] > 1:  # later maps on the left; each level goes to the other buffer
-            level = spare[:maps.size // 128].reshape(len(batch), -1, 8, 8)
-            maps, spare = np.matmul(maps[:, 1::2], maps[:, 0::2], out=level), maps.base
-        return maps[:, 0]
-
-    def pieces():
-        # the n substeps of every span as (grid index, t_prev, h, first j, count)
-        t_prev = 0.0
-        for k, tk in enumerate(t.tolist()):
-            span = tk - t_prev
-            if span > 0.0:
-                n = math.ceil(span / _ORACLE_STEP)
-                for j in range(0, n, _ORACLE_PIECE):
-                    yield k, t_prev, span / n, j, min(n - j, _ORACLE_PIECE)
-            t_prev = tk
-
-    out = np.empty((t.size, 8))  # the float view of the (T, 4) amplitudes
-    out[0] = z = z0.view(float)
-    # consecutive pieces padded to one power-of-two width share a batch: a
-    # dt = 0.01 grid has 10 substeps a span, and one array pass per span
-    # would be slower than a scalar loop
-    for width, run in itertools.groupby(pieces(), key=lambda q: 1 << (q[-1] - 1).bit_length()):
-        while batch := list(itertools.islice(run, _ORACLE_PIECE // width)):
-            for (k, *_), m in zip(batch, piece_maps(batch, width)):
-                out[k] = z = m @ z
-    return Trajectory(times=t, amplitudes=out.view(complex))
+    out, y = np.empty((t.size, 4), dtype=complex), z0
+    for k, i in enumerate(index):  # y = D(t)^-1 C, span by span
+        out[k] = y = np.einsum("ij,j->i", powers[i], y)
+    for column, wn in zip(out.T, w):  # C = D(t) y, one column at a time
+        column *= np.exp(1j * wn * t)
+    return Trajectory(times=t, amplitudes=out)

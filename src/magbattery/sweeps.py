@@ -15,7 +15,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .metrics import METRIC_NAMES, _check_battery, _columns, _ergotropy
-from .model import _FIELD_NAMES, SystemParams, _field_array, _omegas, derive_detunings
+from .model import _FIELD_NAMES, SystemParams, _detunings, _field_array, _omegas
 from .propagator import rotating_amplitudes
 from .states import AccountingMode
 
@@ -67,7 +67,7 @@ def _substitute(base: SystemParams, names: Sequence[str], cells: np.ndarray) -> 
     for name, column in zip(names, cells.T):
         fields[:, [_FIELD_NAMES.index(field) for field in _FIELDS[name]]] = column[:, None]
     if deltas := {name: column for name, column in zip(names, cells.T) if not _FIELDS[name]}:
-        deltas = {**vars(derive_detunings(base)), **deltas}  # set as `from_detunings` sets them
+        deltas = {**_detunings(base), **deltas}  # set as `from_detunings` sets them
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused as not finite
             fields[:, :3] = np.column_stack(_omegas(**deltas, omega_q=fields[:, 3]))
     return fields

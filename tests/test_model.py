@@ -5,8 +5,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from magbattery import Detunings, SystemParams, derive_detunings
-from magbattery.model import _FIELD_NAMES, _field_array, evolution_matrices
+from magbattery import SystemParams
+from magbattery.model import _FIELD_NAMES, _detunings, _field_array, evolution_matrices
 
 from conftest import evolution_matrix, frame_frequencies
 
@@ -49,12 +49,9 @@ class TestSystemParams:
 
     def test_from_detunings_round_trip(self, rng):
         for _ in range(100):
-            d = Detunings(*rng.uniform(-3, 3, 3))
-            p = SystemParams.from_detunings(d.delta_1, d.delta_2, d.delta_3)
-            got = derive_detunings(p)
-            assert abs(got.delta_1 - d.delta_1) < 1e-12
-            assert abs(got.delta_2 - d.delta_2) < 1e-12
-            assert abs(got.delta_3 - d.delta_3) < 1e-12
+            d = rng.uniform(-3, 3, 3)
+            got = _detunings(SystemParams.from_detunings(*d))
+            np.testing.assert_allclose([got["delta_1"], got["delta_2"], got["delta_3"]], d, rtol=0, atol=1e-12)
 
     def test_from_detunings_keeps_omega_q_and_rates(self):
         p = SystemParams.from_detunings(1.0, -2.0, 0.5, omega_q=3.0, gamma=0.1)
@@ -65,15 +62,15 @@ class TestSystemParams:
 class TestDeriveDetunings:
     def test_resonant(self):
         p = SystemParams(omega_a=1, omega_b=1, omega_m=1, omega_q=1)
-        assert derive_detunings(p) == Detunings(0.0, 0.0, 0.0)
+        assert _detunings(p) == {"delta_1": 0.0, "delta_2": 0.0, "delta_3": 0.0}
 
     def test_unit_ladder(self):
         p = SystemParams(omega_m=1, omega_b=2, omega_a=3, omega_q=4)
-        assert derive_detunings(p) == Detunings(1.0, 1.0, 1.0)
+        assert _detunings(p) == {"delta_1": 1.0, "delta_2": 1.0, "delta_3": 1.0}
 
     def test_sign(self):
         p = SystemParams(omega_m=2, omega_b=1, omega_a=1, omega_q=1)
-        assert derive_detunings(p) == Detunings(-1.0, 0.0, 0.0)
+        assert _detunings(p) == {"delta_1": -1.0, "delta_2": 0.0, "delta_3": 0.0}
 
 
 class TestDeriveFrameShifts:
@@ -101,14 +98,13 @@ class TestDeriveFrameShifts:
         # f_b = f_a - d2, f_m = f_b - d1, f_q = f_a + d3 = 0 for 1000 random
         # draws (sign checked by TestShellHamiltonianOracle)
         for _ in range(1000):
-            d = Detunings(*rng.uniform(-5, 5, 3))
-            p = SystemParams.from_detunings(
-                d.delta_1, d.delta_2, d.delta_3, omega_q=rng.uniform(-5, 5))
+            d1, d2, d3 = rng.uniform(-5, 5, 3)
+            p = SystemParams.from_detunings(d1, d2, d3, omega_q=rng.uniform(-5, 5))
             f_a, f_b, f_m, f_q = frame_frequencies(p)
             assert f_q == 0.0
-            assert abs(f_b - (f_a - d.delta_2)) < 1e-12
-            assert abs(f_m - (f_b - d.delta_1)) < 1e-12
-            assert abs(f_q - (f_a + d.delta_3)) < 1e-12
+            assert abs(f_b - (f_a - d2)) < 1e-12
+            assert abs(f_m - (f_b - d1)) < 1e-12
+            assert abs(f_q - (f_a + d3)) < 1e-12
 
 
 class TestEvolutionMatrix:

@@ -711,23 +711,29 @@ class TestOracleIntegrate:
     def mixed_span_grid(rng):
         """A grid whose spans take 1, 2, 3, 7, 511, 512, 513 and 1025 substeps,
         shuffled, each repeated 1-3 times in a row, from t = 0 or a t0 > 0: so
-        batches of several pieces, padded substeps and spans cut into pieces."""
+        spans of many lengths, powers of one and of several bits, and lengths
+        that come back after others."""
         counts = np.repeat(rng.permutation([1, 2, 3, 7, 511, 512, 513, 1025]), rng.integers(1, 4, 8))
         spans = (counts - rng.uniform(0.0, 0.5, counts.size)) * 1e-3  # ceil(span / 1e-3) is the count
         return np.cumsum(np.concatenate(([rng.choice([0.0, 0.0137])], spans)))
 
-    # both take the same substeps: over 96 such draws with these unnormalized
-    # initial states the worst |dC| measured is 1.1e-13
+    # grids on which span lengths repeat, as the rounding of `t0 + arange(n) * dt`
+    # and `linspace` leaves a few distinct lengths, each taken as one power
+    GRIDS = {
+        "mixed": lambda rng: TestOracleIntegrate.mixed_span_grid(rng),
+        "arange": lambda rng: rng.uniform(0.01, 0.5) + np.arange(80) * rng.uniform(0.003, 0.05),
+        "linspace": lambda rng: np.linspace(0.0, rng.uniform(1.0, 4.0), 101),
+    }
+    # both take the same substeps: over 96 draws of each grid with these
+    # unnormalized initial states the worst |dC| measured is 3.7e-13 (linspace)
     SPAN_TOL = 1e-12
 
-    @pytest.mark.parametrize("piece", [propagator._ORACLE_PIECE, 128, 64])
-    def test_spans_are_plain_rk4_span_by_span(self, rng, draw_params, monkeypatch, piece):
-        # smaller pieces cut the spans more often and put fewer substeps in a batch
-        monkeypatch.setattr(propagator, "_ORACLE_PIECE", piece)
+    @pytest.mark.parametrize("grid", sorted(GRIDS))
+    def test_spans_are_plain_rk4_span_by_span(self, rng, draw_params, grid):
         for _ in range(2):
             p = draw_params(rng)
             z0 = rng.normal(size=4) + 1j * rng.normal(size=4)
-            t = self.mixed_span_grid(rng)
+            t = self.GRIDS[grid](rng)
             got = oracle_integrate(p, t, initial=z0).amplitudes
             np.testing.assert_allclose(got, self.rk4_spans(p, z0, t), rtol=0, atol=self.SPAN_TOL)
 
@@ -740,7 +746,7 @@ class TestOracleIntegrate:
         assert np.abs(got - shell_populations(p, t)).max() <= 1e-10
 
     def test_memory_bounded_by_the_piece(self):
-        # 50 000 substeps in one span: a few pieces of maps at a time
+        # 50 000 substeps in one span: one 4x4 matrix power
         tracemalloc.start()
         try:
             oracle_integrate(SystemParams(), [0.0, 50.0])
@@ -749,15 +755,21 @@ class TestOracleIntegrate:
             tracemalloc.stop()
         assert peak < 2e6
 
+    def test_span_of_1e20_substeps_ends(self):
+        # the substep count, past int64, stays a float and is halved exactly,
+        # so its powering ends after 67 rounds
+        c = oracle_integrate(SystemParams(kappa_a=0.3), [0.0, 1e17]).amplitudes[-1]
+        assert np.abs(c).max() <= 1e-12  # no dark state: all of it decays through the photon
+
     def test_shares_no_code_with_evolve(self):
         names, codes = set(), [oracle_integrate.__code__]
         while codes:
             code = codes.pop()
             names.update(code.co_names)
             codes += [c for c in code.co_consts if isinstance(c, types.CodeType)]
-        assert "exp" in names  # the walk reached the nested derivative
+        assert "exp" in names  # the walk reached the nested M(u)
         shared = {"evolve", "rotating_amplitudes", "_expm_stack", "evolution_matrices",
-                  "_population_sums", "_real_form"}
+                  "_population_sums", "_real_form", "_field_array", "_runs", "physical_norm"}
         assert not names & shared
 
 

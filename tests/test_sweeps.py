@@ -23,7 +23,6 @@ from magbattery import (
     SystemParams,
     VarySpec,
     apply_parameters,
-    derive_detunings,
     evolve,
     max_ergotropy_grid,
     metric_columns,
@@ -34,7 +33,7 @@ from magbattery import (
     time_series,
 )
 from magbattery import metrics, propagator, sweeps
-from magbattery.model import _FIELD_NAMES
+from magbattery.model import _FIELD_NAMES, _detunings
 from magbattery.propagator import _BLOCK_SAMPLES
 from magbattery.sweeps import MAX_SWEEP_SAMPLES, PARAMETER_NAMES
 
@@ -80,8 +79,7 @@ class TestApplyParameter:
     @pytest.mark.parametrize("name,idx", [("delta_1", 0), ("delta_2", 1), ("delta_3", 2)])
     def test_detuning_substitution(self, name, idx):
         p = apply_parameters(BASE, {name: 4.0})
-        d = derive_detunings(p)
-        got = (d.delta_1, d.delta_2, d.delta_3)
+        got = list(_detunings(p).values())
         want = [1.0, 1.0, 1.0]
         want[idx] = 4.0
         np.testing.assert_allclose(got, want, atol=1e-12)
@@ -118,7 +116,7 @@ def written_out(base: SystemParams, cell: dict) -> SystemParams:
     if not deltas:
         return p
     held = {k: v for k, v in vars(p).items() if k not in ("omega_a", "omega_b", "omega_m")}
-    return SystemParams.from_detunings(**{**vars(derive_detunings(p)), **deltas}, **held)
+    return SystemParams.from_detunings(**{**_detunings(p), **deltas}, **held)
 
 
 class TestBlockFields:

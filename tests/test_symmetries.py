@@ -14,7 +14,12 @@ over the shipped configs' grid of 2001 points:
   the same, so energy and ergotropy scale by c and the other columns stay;
 * energy unit: omega_q times s at fixed detunings leaves A and the
   populations the same up to the rounding of the omegas, so the charging time
-  stays and the peak energy scales by s;
+  stays, energy and ergotropy scale by s (zeros are snapped in population
+  units, so a small energy at a small s is not zeroed) and the other columns
+  stay;
+* gauge: all four omegas plus a common c leave every frequency difference,
+  and with them the populations of both integrators, the same up to the
+  rounding of the omegas;
 * contour axis swap: each point's result depends only on its own A, so
   swapping `vary` and `vary2` gives exactly the transposed grid.
 
@@ -23,12 +28,14 @@ draws; the library runs are compared unrendered, the CLI runs at their 12
 printed digits.
 """
 
+import dataclasses
 import io
 
 import numpy as np
 import pytest
 
-from magbattery import SystemParams, VarySpec, max_ergotropy_grid, optimal_time_sweep, panel_sweep, time_grid
+from magbattery import (SystemParams, VarySpec, evolve, max_ergotropy_grid, optimal_time_sweep, oracle_integrate,
+                        panel_sweep, time_grid, time_series)
 from magbattery.cli import main
 
 GRID = time_grid(20.0, 0.01)
@@ -41,6 +48,17 @@ SCALE_TOL = 3e-13
 # largest relative |difference| of e_max / s over 40 seeded draws, s in
 # {1e-7, 1e-3, 1e3}: 2.9e-13, from the rounding of the omegas
 UNIT_TOL = 3e-12
+# largest |difference| of any column of a time series, energies over s, over
+# 40 seeded draws in both modes: 4.2e-13 (s = 1e3)
+UNIT_COLUMN_TOL = 5e-12
+# GRID with nine points 1e-6 apart before its second one: there every energy
+# is far below a population of 1e-5, which a snap in energy units zeroed at
+# s = 1e-7
+UNIT_GRID = np.concatenate((np.arange(10) * 1e-6, GRID[1:]))
+# largest |difference| of a population over 20 seeded draws, c in {-7.5, 1e3,
+# 1e6}: 3.1e-11 at c = 1e6, from the rounding of the shifted omegas, in both
+# integrators
+GAUGE_TOL = 3e-10
 PRINTED_TOL = 2e-10
 ENERGY_COLUMNS = [2, 3]  # energy and ergotropy in a dynamics table (t first)
 
@@ -144,18 +162,80 @@ class TestTimeRateScaling:
 
 
 class TestEnergyUnit:
+    UNITS = (1e-7, 1e-3, 1e3)
+
+    @staticmethod
+    def base(deltas, omega_q, rates, s=1.0):
+        return SystemParams.from_detunings(*deltas, omega_q=s * omega_q, **rates)
+
+    @staticmethod
+    def check_scaled(table, other, s):
+        """`other`, a table at unit s, is `table` with energy and ergotropy times s, zeros included."""
+        other[:, ENERGY_COLUMNS] /= s
+        np.testing.assert_allclose(other, table, rtol=0, atol=UNIT_COLUMN_TOL)
+        np.testing.assert_array_equal(other[:, ENERGY_COLUMNS] == 0.0, table[:, ENERGY_COLUMNS] == 0.0)
+
     @MODES
     def test_optimal_time_sweep(self, rng, mode):
         # the earliest-peak rule's window is relative to each point's peak, so
         # tau does not depend on the unit omega_q sets
         deltas, omega_q, rates = lossy_draw(rng)
         gs = VarySpec("g_b", (0.5, 1.0, 2.0, 4.0))
-        want = optimal_time_sweep(SystemParams.from_detunings(*deltas, omega_q=omega_q, **rates), gs, GRID, mode)
-        for s in (1e-7, 1e-3, 1e3):
-            got = optimal_time_sweep(SystemParams.from_detunings(*deltas, omega_q=s * omega_q, **rates),
-                                     gs, GRID, mode)
+        want = optimal_time_sweep(self.base(deltas, omega_q, rates), gs, GRID, mode)
+        for s in self.UNITS:
+            got = optimal_time_sweep(self.base(deltas, omega_q, rates, s), gs, GRID, mode)
             assert [tau for _, tau, _ in got] == [tau for _, tau, _ in want]
             np.testing.assert_allclose([e / s for *_, e in got], [e for *_, e in want], rtol=UNIT_TOL, atol=0)
+
+    @MODES
+    def test_time_series(self, rng, mode):
+        deltas, omega_q, rates = lossy_draw(rng)
+        want = time_series(self.base(deltas, omega_q, rates), UNIT_GRID, mode)
+        for s in self.UNITS:
+            self.check_scaled(want, time_series(self.base(deltas, omega_q, rates, s), UNIT_GRID, mode), s)
+
+    @MODES
+    def test_panel_sweep(self, rng, mode):
+        deltas, omega_q, rates = lossy_draw(rng)
+        gammas = VarySpec("gamma", (0.0, 0.1, 0.5))
+        runs = panel_sweep(self.base(deltas, omega_q, rates), gammas, UNIT_GRID, mode)
+        for s in self.UNITS:
+            scaled_runs = panel_sweep(self.base(deltas, omega_q, rates, s), gammas, UNIT_GRID, mode)
+            for (_, table), (_, other) in zip(runs, scaled_runs):
+                self.check_scaled(table, other, s)
+
+    @MODES
+    def test_max_ergotropy_grid(self, rng, mode):
+        deltas, omega_q, rates = lossy_draw(rng)
+        axes = VarySpec("g_b", (0.5, 1.0, 2.0)), VarySpec("lambda", (0.01, 0.3, 1.0))
+        z = max_ergotropy_grid(self.base(deltas, omega_q, rates), *axes, UNIT_GRID, mode)
+        for s in self.UNITS:
+            got = max_ergotropy_grid(self.base(deltas, omega_q, rates, s), *axes, UNIT_GRID, mode)
+            np.testing.assert_allclose(got / s, z, rtol=0, atol=UNIT_COLUMN_TOL)
+
+    def test_cli_dynamics(self, rng, capsys):
+        # a grid of 2e-5 steps: the early energies sit below a population of
+        # 1e-5, which prints as 0 at s = 1e-7 if zeros are snapped in energy units
+        deltas, omega_q, rates = lossy_draw(rng)
+        grid = {"t_max": 2e-3, "dt": 2e-5}
+        for mode in ("paper", "repaired"):
+            table = cli_table(capsys, "dynamics", mode=mode, **grid, **cli_keys(deltas, omega_q, rates))
+            for s in self.UNITS:
+                other = cli_table(capsys, "dynamics", mode=mode, **grid, **cli_keys(deltas, s * omega_q, rates))
+                other[:, ENERGY_COLUMNS] /= s
+                np.testing.assert_allclose(other, table, rtol=0, atol=PRINTED_TOL)
+
+
+class TestGauge:
+    @pytest.mark.parametrize("route", [evolve, oracle_integrate])
+    def test_common_frequency_shift(self, rng, route):
+        deltas, omega_q, rates = lossy_draw(rng)
+        p = SystemParams.from_detunings(*deltas, omega_q=omega_q, **rates)
+        want = np.abs(route(p, GRID).amplitudes) ** 2
+        for c in (-7.5, 1e3, 1e6):
+            shifted = dataclasses.replace(p, **{name: getattr(p, name) + c
+                                                for name in ("omega_a", "omega_b", "omega_m", "omega_q")})
+            np.testing.assert_allclose(np.abs(route(shifted, GRID).amplitudes) ** 2, want, rtol=0, atol=GAUGE_TOL)
 
 
 class TestContourAxisSwap:
