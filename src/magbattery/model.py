@@ -112,6 +112,11 @@ def _field_array(points: list[SystemParams]) -> np.ndarray:
     return np.array(list(map(attrgetter(*_FIELD_NAMES), points)), dtype=float)
 
 
+def _frame_frequencies(fields: np.ndarray) -> np.ndarray:
+    """(n, 4) frame frequencies (omega_a, omega_b, omega_m, omega_q) - omega_q of an (n, 11) `_field_array`."""
+    return fields[:, :4] - fields[:, 3:4]
+
+
 def evolution_matrices(fields: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(n, 4, 4) matrices A of the rotated amplitude equations z' = -i A z and
     (n, 4) frame frequencies f = (omega_a, omega_b, omega_m, omega_q) - omega_q
@@ -123,10 +128,9 @@ def evolution_matrices(fields: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     g_b, photon-battery 2*lam (forward) / lam (backward) — the factor 2
     counts the two degenerate atomic target states.
     """
-    omegas, (g_a, g_b, lam), rates = fields[:, :4], fields[:, 4:7].T, fields[:, 7:]
-    f = omegas - omegas[:, 3:]
+    (g_a, g_b, lam), rates, f = fields[:, 4:7].T, fields[:, 7:], _frame_frequencies(fields)
     a = np.zeros((len(fields), 4, 4), dtype=complex)
-    a[:, range(4), range(4)] = f - 0.5j * rates
+    a.reshape(-1, 16)[:, ::5] = f - 0.5j * rates  # the diagonal, as a strided view
     a[:, 0, 1] = a[:, 1, 0] = g_a
     a[:, 1, 2] = a[:, 2, 1] = g_b
     a[:, 0, 3] = 2.0 * lam

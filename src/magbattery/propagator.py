@@ -21,7 +21,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .model import SystemParams, _field_array, evolution_matrices
+from .model import SystemParams, _field_array, _frame_frequencies, evolution_matrices
 
 __all__ = [
     "AmplitudeState",
@@ -46,6 +46,7 @@ _ORACLE_STEP = 1e-3
 # Points x time points of one trajectory slice of `rotating_amplitudes`, which
 # keeps its (n, T, 4) amplitudes at a few hundred kB
 _BLOCK_SAMPLES = 2**12
+_TAYLOR = tuple(1.0 / math.factorial(k) for k in range(16))  # 1 / k!, the coefficients of the Taylor core
 
 
 def physical_norm(c: Sequence[complex] | np.ndarray) -> np.ndarray:
@@ -105,8 +106,8 @@ def _expm_stack(m: np.ndarray) -> np.ndarray:
     c_i + c_{i+1} X + c_{i+2} X^2 + c_{i+3} X^3: 6 products, no solve.  It
     holds at most 7 stacks at once: its argument, X if a matrix is halved (else
     X is the argument), X^2, X^3, X^4, the sum and one spare that takes each
-    product and term, so that no stack is allocated inside the Horner loop;
-    only the argument and the sum outlive it into the squarings."""
+    product and term, so that the Horner loop allocates no stack, only (n, d)
+    diagonals; only the argument and the sum outlive it into the squarings."""
     norm = np.abs(m).sum(axis=-1).max(axis=-1)
     refused = ~(norm <= _MAX_STEP_NORM)  # NaN too, which `>` would pass
     if refused.any():
@@ -115,7 +116,7 @@ def _expm_stack(m: np.ndarray) -> np.ndarray:
     if squarings.any():
         m = m / np.ldexp(1.0, squarings)[:, None, None]
 
-    c, d = [1.0 / math.factorial(k) for k in range(16)], m.shape[-1]
+    c, diagonal = _TAYLOR, np.arange(m.shape[-1])
     m2 = m @ m
     m3, m4 = m2 @ m, m2 @ m2
     f = c[15] * m3
@@ -126,11 +127,10 @@ def _expm_stack(m: np.ndarray) -> np.ndarray:
             f += np.multiply(c[i + 3], m3, out=spare)
         f += np.multiply(c[i + 2], m2, out=spare)
         f += np.multiply(c[i + 1], m, out=spare)
-        for j in range(d):  # numpy adds to each diagonal entry unbuffered, to the 2-D diagonal view through a copy
-            f[:, j, j] += c[i]
-    del m, m2, m3, m4, spare  # the squarings below hold f and two copies of its squared part
-    for k in range(squarings.max(initial=0)):
-        more = squarings > k
+        f[:, diagonal, diagonal] += c[i]  # gathered, added and scattered back as one (n, d) array
+    del m, m2, m3, m4, spare  # the squarings below hold f and at most two copies of its squared part
+    for k in range(squarings.max(initial=0)):  # a round that every matrix takes squares the whole stack, unmasked
+        more = squarings > k if k >= squarings.min() else slice(None)
         part = f[more]
         f[more] = part @ part
     f[refused] = np.nan
@@ -156,11 +156,11 @@ def _validated_grid(t_grid) -> np.ndarray:
     t = np.asarray(t_grid, dtype=float)
     if t.ndim != 1 or t.size == 0:
         raise ValueError("time grid must be a non-empty 1-D sequence")
-    if not np.all(np.isfinite(t)):
+    if not np.isfinite(t).all():
         raise ValueError("time grid must be finite")
     if t[0] < 0:
         raise ValueError(f"time grid must start at t >= 0, got {t[0]}")
-    if t.size > 1 and not np.all(np.diff(t) > 0):
+    if not (t[1:] > t[:-1]).all():
         raise ValueError("time grid must be strictly increasing")
     return t
 
@@ -281,7 +281,7 @@ def evolve(
     points advancing together (amplitudes (n, T, 4)) over the grid: the
     `rotating_amplitudes` Z of their one field array, slices joined, with its
     checks and refusals, rotated back to C_n = Z_n exp(+i f_n t) with f the
-    frame frequencies of `model.evolution_matrices`, which must be finite.
+    frame frequencies of `model._frame_frequencies`, which must be finite.
     `initial` (amplitudes at t=0, shared by all points) is a hook for testing only.
     """
     fields = _field_array([p] if isinstance(p, SystemParams) else p)
@@ -291,7 +291,7 @@ def evolve(
                                  t_grid, initial=initial)
     c = np.concatenate([z for z, *_ in slices])  # a fresh array, rotated in place
     with np.errstate(over="ignore"):  # a frame frequency that overflows is refused below, not warned about
-        t, f = np.asarray(t_grid, dtype=float), evolution_matrices(fields)[1]
+        t, f = np.asarray(t_grid, dtype=float), _frame_frequencies(fields)
     if not np.isfinite(f).all():
         bad = [f"{w} - omega_q" for w, ok in zip(("omega_a", "omega_b", "omega_m"), np.isfinite(f).all(axis=0)) if not ok]
         raise ValueError(f"frame frequencies must be finite, got an overflow in {' and '.join(bad)}")
@@ -316,9 +316,9 @@ def oracle_integrate(
     from products and sums of M, so the RK4 map of the substep from s is
     D(s) S D(s)^-1 with S the map of the substep from 0 (one RK4 pass over the
     identity, phases at 0, h/2 and h).  The span's n substeps are then exactly
-    D(t_k) (D(-h) S)^n D(t_prev)^-1, one matrix power per distinct span length:
-    y = D(t)^-1 C is chained span by span and rotated back.  Memory is O(T)
-    plus a 4x4 map per distinct span length.
+    D(t_k) (D(-h) S)^n D(t_prev)^-1; the powers of all span lengths are taken at
+    once by binary powering, and y = D(t)^-1 C is chained span by span and rotated
+    back.  Memory is O(T) plus a 4x4 map per distinct span length.
     Deliberately shares no code with `evolve` beyond the parameter container.
     """
     t = _validated_grid(t_grid)
@@ -336,29 +336,30 @@ def oracle_integrate(
     def m(u):  # M(u), for each u of an (L, 1, 1) array too
         return -1j * g * np.exp(1j * (omegas[:, None] - omegas) * u) - decay
 
-    # one RK4 pass over the identity per distinct span length.  The lengths are
-    # told apart by a dict and the products are einsums: np.unique's sort and
-    # complex matmul's BLAS would page in a few hundred kB of code on a cold call
-    lengths = {}
-    index = [lengths.setdefault(length, len(lengths)) for length in np.diff(t, prepend=0.0).tolist()]
-    span, product = np.array(list(lengths)), "...ij,...jk->...ik"
-    n = np.ceil(span / _ORACLE_STEP)
-    h = (span / np.maximum(n, 1.0))[:, None, None]  # a span of 0, a point at t = 0, takes no substep
+    # one RK4 pass over the identity per distinct span length, longest first, told apart by a set and
+    # Python's sort and multiplied by einsums (np.unique and complex matmul page in a few hundred kB cold)
+    spans = t - np.concatenate(([0.0], t[:-1]))  # np.diff(t, prepend=0.0), without its cold set-up
+    lengths, product = np.array(sorted(set(spans.tolist()), reverse=True)), "...ij,...jk->...ik"
+    n = np.ceil(lengths / _ORACLE_STEP)
+    h = (lengths / np.maximum(n, 1.0))[:, None, None]  # a span of 0, a point at t = 0, takes no substep
     one, k1, mid = np.eye(4), m(0.0), m(0.5 * h)
     k2 = np.einsum(product, mid, one + 0.5 * h * k1)
     k3 = np.einsum(product, mid, one + 0.5 * h * k2)
     k4 = np.einsum(product, m(h), one + h * k3)
     w = omegas - p.omega_q
     steps = np.exp(-1j * w[:, None] * h) * (one + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4))  # D(-h) S
-    powers = np.broadcast_to(one, steps.shape).astype(complex)
-    while n.any():  # (D(-h) S)^n by binary powering, n halved exactly as a float; the powers commute
-        odd = n % 2 == 1
-        powers[odd] = np.einsum(product, steps[odd], powers[odd])
-        steps, n = np.einsum(product, steps, steps), n // 2
+    powers = np.eye(4, dtype=complex) * np.ones((len(lengths), 1, 1))  # an identity per length
+    # (D(-h) S)^n by binary powering, bits read up front (n / 2^k floors exactly as a float); round k squares
+    # and multiplies on the prefix of lengths with n >= 2^k, counted in floats (an int sum pages in 64 kB)
+    scaled = n // np.ldexp(1.0, np.arange(int(n.max()).bit_length()))[:, None]
+    lives = np.minimum(scaled, 1.0).sum(axis=1).astype(int).tolist()
+    for k, (live, odd) in enumerate(zip(lives, scaled % 2 == 1)):
+        steps = np.einsum(product, steps[:live], steps[:live]) if k else steps[:live]
+        powers[:live] = np.where(odd[:live, None, None], np.einsum(product, steps, powers[:live]), powers[:live])
 
-    out, y = np.empty((t.size, 4), dtype=complex), z0
-    for k, i in enumerate(index):  # y = D(t)^-1 C, span by span
-        out[k] = y = np.einsum("ij,j->i", powers[i], y)
+    out, y, power = np.empty((t.size, 4), dtype=complex), z0, dict(zip(lengths, powers))
+    for k, length in enumerate(spans):  # y = D(t)^-1 C, span by span
+        out[k] = y = np.einsum("ij,j->i", power[length], y)
     for column, wn in zip(out.T, w):  # C = D(t) y, one column at a time
         column *= np.exp(1j * wn * t)
     return Trajectory(times=t, amplitudes=out)

@@ -144,6 +144,15 @@ class TestMatrixExponential:
             alone = np.array([expm(x) for x in m])
             np.testing.assert_array_equal(_expm_stack(m).view(np.uint64), alone.view(np.uint64))
 
+    def test_uniform_stack_equals_each_matrix_alone(self, rng):
+        # norms in [2.1, 3.9] take 3 squarings each, so every round squares the
+        # whole stack unmasked; each matrix still keeps the bits it has alone
+        for m in (rng.normal(size=(200, 4, 4)) + 1j * rng.normal(size=(200, 4, 4)),
+                  rng.normal(size=(200, 8, 8))):
+            m *= (rng.uniform(2.1, 3.9, 200) / np.abs(m).sum(axis=-1).max(axis=-1))[:, None, None]
+            alone = np.array([expm(x) for x in m])
+            np.testing.assert_array_equal(_expm_stack(m).view(np.uint64), alone.view(np.uint64))
+
     def test_refused_matrix_leaves_its_stack_mates_alone(self, rng):
         # one NaN matrix comes back NaN; the others keep the bits they have alone
         for m in self.graded_stacks(rng):
@@ -368,9 +377,9 @@ class TestBatchedEvolve:
         batch = evolve(points, grid, initial=initial)
         np.testing.assert_array_equal(batch.times, grid)
         assert batch.amplitudes.shape == (6, len(grid), 4)
-        for row, p in zip(batch.amplitudes, points):
+        for row, p in zip(batch.amplitudes, points):  # bit for bit: a point's stack-mates change none of its bits
             single = evolve(p, grid, initial=initial).amplitudes
-            np.testing.assert_allclose(row, single, rtol=0, atol=1e-13)
+            np.testing.assert_array_equal(row.view(np.uint64), single.view(np.uint64))
 
     @pytest.mark.parametrize("bad, grid, cause", [
         (SystemParams(g_a=2.0**21), [0.0, 1.0], r"no precision left .* dt = 1:"),
@@ -768,7 +777,7 @@ class TestOracleIntegrate:
             names.update(code.co_names)
             codes += [c for c in code.co_consts if isinstance(c, types.CodeType)]
         assert "exp" in names  # the walk reached the nested M(u)
-        shared = {"evolve", "rotating_amplitudes", "_expm_stack", "evolution_matrices",
+        shared = {"evolve", "rotating_amplitudes", "_expm_stack", "evolution_matrices", "_frame_frequencies",
                   "_population_sums", "_real_form", "_field_array", "_runs", "physical_norm"}
         assert not names & shared
 
