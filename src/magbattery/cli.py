@@ -113,21 +113,13 @@ def parse_config_file(path: str) -> dict[str, str]:
 def parse_overrides(tokens: list[str], keys: frozenset[str]) -> dict[str, str]:
     """Turn `--key value` (or `--key=value`) pairs into entries; each key must be in `keys`."""
     out: dict[str, str] = {}
-    i = 0
-    while i < len(tokens):
-        tok = tokens[i]
+    rest = iter(tokens)
+    for tok in rest:
         if not tok.startswith("--"):
             raise ValueError(f"unexpected argument {tok!r}")
-        body = tok[2:]
-        if "=" in body:
-            key, value = body.split("=", 1)
-            i += 1
-        else:
-            key = body
-            if i + 1 >= len(tokens):
-                raise ValueError(f"missing value for --{key}")
-            value = tokens[i + 1]
-            i += 2
+        key, joined, value = tok[2:].partition("=")
+        if not joined and (value := next(rest, None)) is None:
+            raise ValueError(f"missing value for --{key}")
         if key not in keys:
             raise ValueError(f"unknown config key --{key}")
         out[key] = value
@@ -153,20 +145,19 @@ def _read_vary(cfg: dict[str, str], prefix: str) -> tuple[int, Callable[[], Vary
     """Value count of `<prefix>` + `<prefix>_values` or `<prefix>_min/_max/_count`
     and a callable that builds its VarySpec, or None without `<prefix>`; a range
     is counted without building its values, so a sweep can refuse its size first."""
-    spec_keys = [f"{prefix}_{suffix}" for suffix in _VARY_SUFFIXES]
+    values_key, min_key, max_key, count_key = spec_keys = [f"{prefix}_{suffix}" for suffix in _VARY_SUFFIXES]
+    given = [key for key in spec_keys if key in cfg]  # in `_VARY_SUFFIXES` order, the values key first
     if prefix not in cfg:
-        if given := [k for k in spec_keys if k in cfg]:
+        if given:
             raise ValueError(f"{given[0]} given without {prefix}")
         return None
     name = cfg[prefix]
-    values_key, min_key, max_key, count_key = spec_keys
-    has_values = values_key in cfg
-    has_range = any(key in cfg for key in (min_key, max_key, count_key))
-    if has_values and has_range:
-        raise ValueError(f"give either {values_key} or {min_key}/{max_key}/{count_key}, not both")
-    if has_values:
-        items = [item.strip() for item in cfg[values_key].split(",")]
-        values = [item for item in items if item]
+    if not given:
+        raise ValueError(f"{prefix} = {name} given without {values_key} or a {min_key}/{max_key}/{count_key} range")
+    if given[0] == values_key:
+        if given[1:]:
+            raise ValueError(f"give either {values_key} or {min_key}/{max_key}/{count_key}, not both")
+        values = [item for item in map(str.strip, cfg[values_key].split(",")) if item]
         if not values:
             raise ValueError(f"{values_key} is empty")
         try:
@@ -174,20 +165,16 @@ def _read_vary(cfg: dict[str, str], prefix: str) -> tuple[int, Callable[[], Vary
         except ValueError:
             raise ValueError(f"config key {values_key!r}: not a number list: {cfg[values_key]!r}") from None
         return len(parsed), lambda: VarySpec(name, parsed)
-    if has_range:
-        missing = [key for key in (min_key, max_key, count_key) if key not in cfg]
-        if missing:
-            raise ValueError(f"incomplete range: missing {', '.join(missing)}")
-        try:
-            count = int(cfg[count_key])
-        except ValueError:
-            raise ValueError(f"config key {count_key!r}: not an integer: {cfg[count_key]!r}") from None
-        if count < 2:  # before any product of counts is taken
-            raise ValueError("linear range needs count >= 2")
-        _check_size(count)  # the count alone first, as `VarySpec.linspace` checks it
-        return count, lambda: VarySpec.linspace(
-            name, _as_float(cfg, min_key), _as_float(cfg, max_key), count)
-    raise ValueError(f"{prefix} = {name} given without {values_key} or a {min_key}/{max_key}/{count_key} range")
+    if missing := [key for key in spec_keys[1:] if key not in given]:
+        raise ValueError(f"incomplete range: missing {', '.join(missing)}")
+    try:
+        count = int(cfg[count_key])
+    except ValueError:
+        raise ValueError(f"config key {count_key!r}: not an integer: {cfg[count_key]!r}") from None
+    if count < 2:  # before any product of counts is taken
+        raise ValueError("linear range needs count >= 2")
+    _check_size(count)  # the count alone first, as `VarySpec.linspace` checks it
+    return count, lambda: VarySpec.linspace(name, _as_float(cfg, min_key), _as_float(cfg, max_key), count)
 
 
 def _build_axes(cfg: dict[str, str], prefixes: Iterable[str], time_points: int | None) -> list[VarySpec] | None:

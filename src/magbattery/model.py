@@ -117,22 +117,21 @@ def _frame_frequencies(fields: np.ndarray) -> np.ndarray:
     return fields[:, :4] - fields[:, 3:4]
 
 
-def evolution_matrices(fields: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(n, 4, 4) matrices A of the rotated amplitude equations z' = -i A z and
-    (n, 4) frame frequencies f = (omega_a, omega_b, omega_m, omega_q) - omega_q
-    of the n points of an (n, 11) `_field_array`.
+def evolution_matrices(fields: np.ndarray) -> np.ndarray:
+    """(n, 4, 4) matrices A of z' = -i A z at the n points of an (n, 11) `_field_array`.
 
-    In the frame that turns at omega_q, C_n = Z_n exp(+i f_n t).  Basis order
-    (Z1, Z2, Z3, Z4).  Diagonal: f - i*kappa_n/2 with kappa = (kappa_a,
-    kappa_b, kappa_m, gamma).  Couplings: photon-magnon g_a, magnon-phonon
-    g_b, photon-battery 2*lam (forward) / lam (backward) — the factor 2
-    counts the two degenerate atomic target states.
+    In the frame that turns at omega_q, C_n = Z_n exp(+i f_n t) with f the
+    `_frame_frequencies`.  Basis order (Z1, Z2, Z3, Z4).  Diagonal:
+    f - i*kappa_n/2 with kappa = (kappa_a, kappa_b, kappa_m, gamma).
+    Couplings: photon-magnon g_a, magnon-phonon g_b, photon-battery 2*lam
+    (forward) / lam (backward) — the factor 2 counts the two degenerate
+    atomic target states.
     """
-    (g_a, g_b, lam), rates, f = fields[:, 4:7].T, fields[:, 7:], _frame_frequencies(fields)
+    (g_a, g_b, lam), rates = fields[:, 4:7].T, fields[:, 7:]
     a = np.zeros((len(fields), 4, 4), dtype=complex)
-    a.reshape(-1, 16)[:, ::5] = f - 0.5j * rates  # the diagonal, as a strided view
+    a.reshape(-1, 16)[:, ::5] = _frame_frequencies(fields) - 0.5j * rates  # the diagonal, as a strided view
     a[:, 0, 1] = a[:, 1, 0] = g_a
     a[:, 1, 2] = a[:, 2, 1] = g_b
     a[:, 0, 3] = 2.0 * lam
     a[:, 3, 0] = lam
-    return a, f
+    return a

@@ -241,7 +241,7 @@ def rotating_amplitudes(chunks: Callable[[int], Iterable[np.ndarray]], t_grid, *
     per_chunk = max(1, _BLOCK_SAMPLES // (16 * stepping)) // per_slice * per_slice
     for fields in chunks(per_chunk):
         with np.errstate(over="ignore", invalid="ignore"):  # a norm that overflows is refused as too large
-            a = evolution_matrices(fields)[0]
+            a = evolution_matrices(fields)
             w = _real_form(a.imag, -a.real)  # of -i A
             del a
             exps = _expm_stack((np.reshape(hs, (-1, 1, 1, 1)) * w).reshape(-1, 8, 8)).reshape(len(hs), len(w), 8, 8)
@@ -319,7 +319,8 @@ def oracle_integrate(
     D(t_k) (D(-h) S)^n D(t_prev)^-1; the powers of all span lengths are taken at
     once by binary powering, and y = D(t)^-1 C is chained span by span and rotated
     back.  Memory is O(T) plus a 4x4 map per distinct span length.
-    Deliberately shares no code with `evolve` beyond the parameter container.
+    Deliberately shares no numerical code with `evolve`: only the parameter
+    container and the input checks `_validated_grid` and `_initial_vector`.
     """
     t = _validated_grid(t_grid)
     z0 = _initial_vector(initial)
@@ -340,6 +341,8 @@ def oracle_integrate(
     # Python's sort and multiplied by einsums (np.unique and complex matmul page in a few hundred kB cold)
     spans = t - np.concatenate(([0.0], t[:-1]))  # np.diff(t, prepend=0.0), without its cold set-up
     lengths, product = np.array(sorted(set(spans.tolist()), reverse=True)), "...ij,...jk->...ik"
+    if not math.isfinite(lengths[0].item() / _ORACLE_STEP):  # before the substep counts overflow
+        raise ValueError(f"time span {lengths[0]:g} has more RK4 substeps of {_ORACLE_STEP:g} than a float holds")
     n = np.ceil(lengths / _ORACLE_STEP)
     h = (lengths / np.maximum(n, 1.0))[:, None, None]  # a span of 0, a point at t = 0, takes no substep
     one, k1, mid = np.eye(4), m(0.0), m(0.5 * h)

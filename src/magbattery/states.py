@@ -41,8 +41,6 @@ class InconsistentStateError(ValueError):
 
 
 def _coerce_mode(mode: AccountingMode | str) -> AccountingMode:
-    if isinstance(mode, AccountingMode):
-        return mode
     try:
         return AccountingMode(mode)
     except ValueError:

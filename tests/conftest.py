@@ -13,7 +13,7 @@ import pytest
 from hypothesis import settings, strategies as st
 
 from magbattery import AccountingMode, SystemParams, VarySpec, evolve, optimal_time_sweep
-from magbattery.model import _field_array, evolution_matrices
+from magbattery.model import _field_array, _frame_frequencies, evolution_matrices
 from magbattery.propagator import _expm_stack
 
 # property tests replay the same examples on every run, like the seeded rng
@@ -36,12 +36,12 @@ def pytest_terminal_summary(terminalreporter):
 
 def evolution_matrix(p):
     """Constant matrix A of z' = -i A z at one point: row 0 of the batched build."""
-    return evolution_matrices(_field_array([p]))[0][0]
+    return evolution_matrices(_field_array([p]))[0]
 
 
 def frame_frequencies(p):
     """(omega_a, omega_b, omega_m, omega_q) - omega_q at one point: row 0 of the batched build."""
-    return evolution_matrices(_field_array([p]))[1][0]
+    return _frame_frequencies(_field_array([p]))[0]
 
 
 def expm(m):

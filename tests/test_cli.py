@@ -5,6 +5,7 @@ observable without spawning interpreters.
 """
 
 import hashlib
+import itertools
 import json
 import math
 import string
@@ -20,7 +21,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 from magbattery import SystemParams, cli
 from magbattery.cli import (
     _ALL_KEYS, _DEFAULTS, _DYNAMICS_ROW, _config_digest, _resolve, _rows, _write_csv, build_params, build_vary, main,
-    parse_config_file, run_sweep,
+    parse_config_file, parse_overrides, run_sweep,
 )
 from magbattery.sweeps import PARAMETER_NAMES
 from oracles import rows_by_row
@@ -55,6 +56,16 @@ class TestConfigDigest:
     @example({"label": "\u00e9nergie \u2192 \U0001d53c", "note": "a=b\n#c"})
     def test_equals_hashlib(self, cfg):
         assert _config_digest(cfg) == hashlib_digest(cfg)
+
+
+OVERRIDE_KEYS = frozenset({"t_max", "dt", "out", "vary"})
+# known keys, near misses and any text without "="; a value is any text, "=" and "--" included
+OVERRIDE_NAMES = st.sampled_from(sorted(OVERRIDE_KEYS) + ["tmax", "", "-dt", "t max"]) | st.text(
+    st.characters(blacklist_characters="="), max_size=4)
+OVERRIDE_VALUES = st.sampled_from(("1", "", "=", "a=b", "--dt", "-h")) | st.text(max_size=4)
+# (kind, key, value): --key=value, --key value, or a bare token that does not start with "--"
+OVERRIDE_PIECES = st.tuples(st.sampled_from(("joined", "split")), OVERRIDE_NAMES, OVERRIDE_VALUES) | st.tuples(
+    st.just("bare"), st.just(""), OVERRIDE_VALUES.filter(lambda value: not value.startswith("--")))
 
 
 class TestConfigParsing:
@@ -128,6 +139,29 @@ dt = 0.5
         assert with_cfg != overridden
         assert all(line.split(",")[2] == "0"
                    for line in overridden.splitlines()[1:])
+
+    @settings(max_examples=200, derandomize=True)
+    @given(pieces=st.lists(OVERRIDE_PIECES, max_size=6), trailing=st.none() | OVERRIDE_NAMES)
+    def test_overrides_equal_a_model_of_the_pieces(self, pieces, trailing):
+        # the first fault in token order gives the message; else the last value of each key
+        tokens, want, fault = [], {}, None
+        for kind, key, value in pieces:
+            tokens += {"joined": [f"--{key}={value}"], "split": [f"--{key}", value], "bare": [value]}[kind]
+            if fault is None and kind == "bare":
+                fault = f"unexpected argument {value!r}"
+            elif fault is None and key not in OVERRIDE_KEYS:
+                fault = f"unknown config key --{key}"
+            elif fault is None:
+                want[key] = value
+        if trailing is not None:
+            tokens.append(f"--{trailing}")
+            fault = fault or f"missing value for --{trailing}"
+        if fault is None:
+            assert parse_overrides(tokens, OVERRIDE_KEYS) == want
+        else:
+            with pytest.raises(ValueError) as info:
+                parse_overrides(tokens, OVERRIDE_KEYS)
+            assert str(info.value) == fault
 
     def test_deltas_beat_omegas(self, capsys):
         # omega ladder encodes deltas (1,1,1); direct delta_2 must win
@@ -661,6 +695,33 @@ SMALL_GRID = ("--t_max", "1", "--dt", "0.5")
 TOO_MANY = ("--vary_min", "0", "--vary_max", "1", "--vary_count", "4000000")
 
 
+# One valid value per key of the first axis; the range spells 0, 0.5, 1
+AXIS = {"vary": "g_a", "vary_values": "0.5, 1", "vary_min": "0", "vary_max": "1", "vary_count": "3"}
+RANGE_KEYS = ("vary_min", "vary_max", "vary_count")
+
+
+def _axis_verdict(keys: set[str]) -> tuple[int, str, list[str]]:
+    """(exit code, stderr, swept values) of a sweep given `keys` of AXIS: a key of
+    the axis without `vary` is named, the first of values, min, max and count;
+    with no axis key the sweep is missing its axis; `vary` needs the values or
+    the whole range, not both."""
+    ranged = [key for key in RANGE_KEYS if key in keys]
+    if "vary" not in keys:
+        if given := [key for key in ("vary_values", *RANGE_KEYS) if key in keys]:
+            return 2, f"error: {given[0]} given without vary\n", []
+        return 2, "error: sweep needs a swept parameter (config key 'vary')\n", []
+    if "vary_values" in keys:
+        if ranged:
+            return 2, "error: give either vary_values or vary_min/vary_max/vary_count, not both\n", []
+        return 0, "", ["0.5", "1"]
+    if not ranged:
+        return 2, "error: vary = g_a given without vary_values or a vary_min/vary_max/vary_count range\n", []
+    if len(ranged) < len(RANGE_KEYS):
+        missing = ", ".join(key for key in RANGE_KEYS if key not in keys)
+        return 2, f"error: incomplete range: missing {missing}\n", []
+    return 0, "", ["0", "0.5", "1"]
+
+
 class TestRefusals:
     @pytest.mark.parametrize("argv, message", [
         (("dynamics", "stray"), "unexpected argument 'stray'"),
@@ -712,6 +773,14 @@ class TestRefusals:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert message in err
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("keys", [keys for r in range(6) for keys in itertools.combinations(AXIS, r)],
+                             ids=lambda keys: "+".join(keys) or "none")
+    def test_every_subset_of_the_axis_keys(self, capsys, keys):
+        code, out, err = run(capsys, "sweep", *SMALL_GRID, *(f"--{key}={AXIS[key]}" for key in keys))
+        want_code, want_err, values = _axis_verdict(set(keys))
+        assert (code, err) == (want_code, want_err)
+        assert [row.split(",")[1] for row in out.splitlines()[1:]] == [v for v in values for _ in range(3)]
 
 
 # Values that number parsers disagree on, the edges of float64 and separators

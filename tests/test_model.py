@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from magbattery import SystemParams
-from magbattery.model import _FIELD_NAMES, _detunings, _field_array, evolution_matrices
+from magbattery.model import _FIELD_NAMES, _detunings, _field_array, _frame_frequencies, evolution_matrices
 
 from conftest import evolution_matrix, frame_frequencies
 
@@ -157,7 +157,7 @@ class TestEvolutionMatrix:
                                               kappa_b=rng.uniform(0, 2), kappa_m=rng.uniform(0, 2),
                                               gamma=rng.uniform(0, 2)) for _ in range(7)]
         assert _FIELD_NAMES == tuple(field.name for field in dataclasses.fields(SystemParams))
-        a, f = evolution_matrices(_field_array(points))
+        a, f = evolution_matrices(_field_array(points)), _frame_frequencies(_field_array(points))
         assert a.shape == (7, 4, 4) and f.shape == (7, 4)
         for p, a_p, f_p in zip(points, a, f):
             np.testing.assert_array_equal(a_p, evolution_matrix(p))

@@ -770,6 +770,16 @@ class TestOracleIntegrate:
         c = oracle_integrate(SystemParams(kappa_a=0.3), [0.0, 1e17]).amplitudes[-1]
         assert np.abs(c).max() <= 1e-12  # no dark state: all of it decays through the photon
 
+    def test_span_of_1_7e308_substeps_ends(self):
+        # the largest substep counts a float holds: 1024 powering rounds
+        c = oracle_integrate(SystemParams(kappa_a=0.3), [0.0, 1.7e305]).amplitudes[-1]
+        assert np.abs(c).max() <= 1e-12
+
+    def test_span_past_a_float_of_substeps_is_refused(self):
+        # span / 1e-3 overflows: refused at its cause, before any numpy warning
+        with pytest.raises(ValueError, match=r"^time span 1e\+306 has more RK4 substeps of 0\.001 than a float holds$"):
+            oracle_integrate(SystemParams(kappa_a=0.3), [0.0, 1e306])
+
     def test_shares_no_code_with_evolve(self):
         names, codes = set(), [oracle_integrate.__code__]
         while codes:
