@@ -5,9 +5,9 @@ argument is a ``--key value`` or ``--key=value`` pair: the flags --config (a
 flat key=value file, ``#`` comments), --out and --threads, or a config key,
 which overrides the file; direct detunings win over omegas when both are given.
 Output is CSV with numbers rendered to 12 significant digits, a pure function
-of the config: repeated runs are byte-identical.  It is written one row block
-at a time, the same bytes to --out as to stdout, to a file opened only after
-every point is computed.  The contour's ``<out>.meta.json`` run record is built here.
+of the config: repeated runs are byte-identical.  It is rendered as bytes, one row
+block at a time, to --out (a binary file opened only after every point is computed)
+or decoded to stdout, the same bytes.  The contour's ``<out>.meta.json`` run record is built here.
 ``--threads`` N >= 1 is accepted and has no effect: evaluation is serial.
 
 After the command line and config file are read, a run refuses the first fault
@@ -88,7 +88,7 @@ _MODES = {
 
 _DYNAMICS_HEADER = ",".join(("t",) + METRIC_NAMES)
 _DYNAMICS_ROW = ",".join(["%.12g"] * (1 + len(METRIC_NAMES)))
-_BLOCK_ROWS = 2**12  # rows rendered per `%`: the text held at a time does not grow with a table
+_BLOCK_ROWS = 2**12  # rows rendered per `%`: the bytes held at a time do not grow with a table
 
 
 def parse_config_file(path: str) -> dict[str, str]:
@@ -110,15 +110,23 @@ def parse_config_file(path: str) -> dict[str, str]:
     return entries
 
 
+def _pieces(tokens: Iterable[str]) -> Iterator[tuple[str, str | None]]:
+    """(token, value) per piece: a token that starts with `--` and has no `=` takes the next
+    token as its value (None when none is left); any other, the text after its first `=`."""
+    rest = iter(tokens)
+    for tok in rest:
+        _, joined, value = tok.partition("=")
+        yield tok, (value if joined or not tok.startswith("--") else next(rest, None))
+
+
 def parse_overrides(tokens: list[str], keys: frozenset[str]) -> dict[str, str]:
     """Turn `--key value` (or `--key=value`) pairs into entries; each key must be in `keys`."""
     out: dict[str, str] = {}
-    rest = iter(tokens)
-    for tok in rest:
+    for tok, value in _pieces(tokens):
         if not tok.startswith("--"):
             raise ValueError(f"unexpected argument {tok!r}")
-        key, joined, value = tok[2:].partition("=")
-        if not joined and (value := next(rest, None)) is None:
+        key = tok[2:].partition("=")[0]
+        if value is None:
             raise ValueError(f"missing value for --{key}")
         if key not in keys:
             raise ValueError(f"unknown config key --{key}")
@@ -208,15 +216,16 @@ def _resolve(cfg: dict[str, str], prefixes: tuple[str, ...] = (), missing: str =
 
 
 def _write_csv(out: str | None, header: str, tables: Iterable[tuple[str, object]]) -> None:
-    """The header line, then the rows of each (template, table) pair to `out` or
-    stdout, one write per `_BLOCK_ROWS` rows: one row block's text is held at a time."""
-    fh = sys.stdout if out is None else open(out, "w", encoding="utf-8", newline="")
+    """The header line, then the rows of each (template, table) pair, as bytes to `out` or
+    decoded to stdout, one write per `_BLOCK_ROWS` rows: one row block is held at a time."""
+    fh = None if out is None else open(out, "wb")
+    writelines = fh.writelines if fh is not None else lambda blocks: sys.stdout.writelines(map(bytes.decode, blocks))
     try:
-        fh.write(header + "\n")
+        writelines([f"{header}\n".encode()])
         for template, table in tables:
-            fh.writelines(_rows(template, table))
+            writelines(_rows(template, table))
     finally:
-        if out is not None:
+        if fh is not None:
             fh.close()
 
 
@@ -225,11 +234,11 @@ def _config_digest(cfg: dict[str, str]) -> str:
     return sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def _rows(template: str, table) -> Iterator[str]:
-    """`template` % row and a newline per table row, one `%` and one string per
-    `_BLOCK_ROWS` rows; %.12g is the shortest locale-independent rendering within
-    12 significant digits, and + 0.0 turns -0.0 into 0.0."""
-    table, line = np.asarray(table, dtype=float), template + "\n"
+def _rows(template: str, table) -> Iterator[bytes]:
+    """`template` % row and a newline per table row, one bytes `%` and one bytes object per
+    `_BLOCK_ROWS` rows; %.12g is the shortest locale-independent rendering within 12
+    significant digits (as bytes, the text str gives), and + 0.0 turns -0.0 into 0.0."""
+    table, line = np.asarray(table, dtype=float), f"{template}\n".encode()
     for start in range(0, len(table), _BLOCK_ROWS):
         block = table[start:start + _BLOCK_ROWS] + 0.0
         yield line * len(block) % tuple(block.ravel().tolist())
@@ -270,8 +279,8 @@ def run_contour(cfg: dict[str, str], out: str | None) -> int:
         "base_params": vars(params),
         "config_sha256": _config_digest(cfg),
     }
-    with open(out + ".meta.json", "w", encoding="utf-8", newline="") as fh:
-        fh.write(json.dumps(record, sort_keys=True, indent=2) + "\n")
+    with open(out + ".meta.json", "wb") as fh:
+        fh.write(f"{json.dumps(record, sort_keys=True, indent=2)}\n".encode())
     return 0
 
 
@@ -315,10 +324,8 @@ Exit codes: 0 success, 2 config/validation error, 3 I/O error.
 
 def main(argv: list[str] | None = None) -> int:
     args = sys.argv[1:] if argv is None else argv
-    i = 0  # -h/--help asks for the usage where the subcommand or a --key stands, not as a value
-    while i < len(args) and args[i] not in ("-h", "--help"):
-        i += 2 if i and args[i].startswith("--") and "=" not in args[i] else 1
-    if i < len(args):
+    # -h/--help asks for the usage where the subcommand or a --key stands, not as a value
+    if {"-h", "--help"} & {*args[:1], *(tok for tok, _ in _pieces(args[1:]))}:
         sys.stdout.write(_USAGE)
         return 0
     try:
