@@ -63,22 +63,9 @@ _ALL_KEYS = frozenset(
     _OMEGA_KEYS + PARAMETER_NAMES + ("t_max", "dt", "mode") + _SWEEP_KEYS
 ) - {"kappa_all"}
 
-_DEFAULTS = {
-    "omega_a": "1",
-    "omega_b": "1",
-    "omega_m": "1",
-    "omega_q": "1",
-    "g_a": "1",
-    "g_b": "1",
-    "lambda": "1",
-    "kappa_a": "0",
-    "kappa_b": "0",
-    "kappa_m": "0",
-    "gamma": "0",
-    "t_max": "20",
-    "dt": "0.01",
-    "mode": "paper",
-}
+# the model's default point as config strings (its field `lam` is the key `lambda`), then the CLI's own keys
+_DEFAULTS = {("lambda" if name == "lam" else name): f"{value:g}" for name, value in vars(SystemParams()).items()} | {
+    "t_max": "20", "dt": "0.01", "mode": "paper"}
 
 _MODES = {
     "paper": AccountingMode.PAPER,
@@ -244,21 +231,19 @@ def _rows(template: str, table) -> Iterator[bytes]:
         yield line * len(block) % tuple(block.ravel().tolist())
 
 
-def run_dynamics(cfg: dict[str, str], out: str | None) -> int:
+def run_dynamics(cfg: dict[str, str], out: str | None) -> None:
     times, _, params, mode = _resolve(cfg)
     _write_csv(out, _DYNAMICS_HEADER, [(_DYNAMICS_ROW, time_series(params, times, mode))])
-    return 0
 
 
-def run_sweep(cfg: dict[str, str], out: str | None) -> int:
+def run_sweep(cfg: dict[str, str], out: str | None) -> None:
     times, (vary,), params, mode = _resolve(cfg, ("vary",), "sweep needs a swept parameter (config key 'vary')")
     curves = panel_sweep(params, vary, times, mode)
     _write_csv(out, "param_name,param_value," + _DYNAMICS_HEADER, (
         (f"{vary.parameter_name},{value + 0.0:.12g},{_DYNAMICS_ROW}", table) for value, table in curves))
-    return 0
 
 
-def run_contour(cfg: dict[str, str], out: str | None) -> int:
+def run_contour(cfg: dict[str, str], out: str | None) -> None:
     if out is None:
         raise ValueError("contour needs --out (a sidecar metadata file accompanies the CSV)")
     times, (vary_x, vary_y), params, mode = _resolve(
@@ -281,15 +266,13 @@ def run_contour(cfg: dict[str, str], out: str | None) -> int:
     }
     with open(out + ".meta.json", "wb") as fh:
         fh.write(f"{json.dumps(record, sort_keys=True, indent=2)}\n".encode())
-    return 0
 
 
-def run_opt_time(cfg: dict[str, str], out: str | None) -> int:
+def run_opt_time(cfg: dict[str, str], out: str | None) -> None:
     times, (vary,), params, mode = _resolve(cfg, ("vary",), "opt-time needs a swept parameter (config key 'vary')")
     rows = optimal_time_sweep(params, vary, times, mode)
     template = f"{vary.parameter_name},%.12g,%.12g,%.12g"
     _write_csv(out, "param_name,param_value,tau,e_max", [(template, rows)])
-    return 0
 
 
 _COMMANDS = {
@@ -341,7 +324,8 @@ def main(argv: list[str] | None = None) -> int:
         if "config" in flags:
             cfg.update(parse_config_file(flags.pop("config")))
         cfg.update(flags)
-        return _COMMANDS[args[0]](cfg, out)
+        _COMMANDS[args[0]](cfg, out)
+        return 0
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -20,7 +20,7 @@ import numpy as np
 
 from .model import SystemParams
 from .propagator import _NORM_SLACK, AmplitudeState, _population_sums
-from .states import AccountingMode, InconsistentStateError, _coerce_mode
+from .states import AccountingMode, InconsistentStateError
 
 __all__ = [
     "METRIC_NAMES",
@@ -63,13 +63,15 @@ def metric_columns(
     mode: AccountingMode | str = AccountingMode.PAPER,
 ) -> np.ndarray:
     """All five `_columns` of (..., 4) amplitudes as a (..., 5) array, in METRIC_NAMES order."""
-    c = np.asarray(c, dtype=complex)
     return np.stack(_columns(*_population_sums(c), omega_q, mode, METRIC_NAMES, c), axis=-1)
 
 
 def _check_battery(omega_q: float, mode: AccountingMode | str) -> AccountingMode:
-    """`mode` as an AccountingMode; ValueError for an unknown mode or omega_q < 0."""
-    mode = _coerce_mode(mode)
+    """`mode` turned into an AccountingMode, here alone; ValueError for an unknown mode or omega_q < 0."""
+    try:
+        mode = AccountingMode(mode)
+    except ValueError:
+        raise ValueError(f"unknown accounting mode {mode!r}; expected 'paper' or 'trace_repaired'") from None
     if not omega_q >= 0.0:  # the excited level must lie above |gg>
         raise ValueError(f"battery metrics need omega_q >= 0, got {omega_q!r}")
     return mode

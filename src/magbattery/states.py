@@ -38,12 +38,3 @@ class AccountingMode(str, Enum):
 
 class InconsistentStateError(ValueError):
     """Amplitudes carry more than one excitation worth of probability."""
-
-
-def _coerce_mode(mode: AccountingMode | str) -> AccountingMode:
-    try:
-        return AccountingMode(mode)
-    except ValueError:
-        raise ValueError(
-            f"unknown accounting mode {mode!r}; expected 'paper' or 'trace_repaired'"
-        ) from None

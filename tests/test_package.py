@@ -5,7 +5,8 @@ beside these tests); the package exports and defines none of them, and a CLI
 run imports numpy but no test-only library, no argparse and no OpenSSL,
 and beyond numpy's own modules only an allowlist; no module names `linalg`.
 Every export has a caller outside the tests, and each is declared in exactly
-one layer module's `__all__`.
+one layer module's `__all__`; every private module-level name has a reader in
+the package.
 """
 
 import ast
@@ -79,6 +80,28 @@ def test_every_export_has_a_caller_outside_the_tests():
                 read.add(node.attr)
     assert set(magbattery.__all__) - {"__version__"} - read == set()
 
+
+def test_every_private_name_has_a_reader_in_the_package():
+    # a module-level `_name` (function, class or constant) that only the tests
+    # read belongs in tests/; an import alone is no reader
+    defined, read = set(), set()
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined.update(name.id for target in targets for name in ast.walk(target)
+                               if isinstance(name, ast.Name))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    private = {name for name in defined if name.startswith("_") and not name.startswith("__")}
+    assert len(private) >= 40  # the walk finds the package's helpers
+    assert private - read == set()
 
 def test_no_module_defines_an_oracle():
     modules = [importlib.import_module(f"magbattery.{info.name}")

@@ -28,7 +28,7 @@ from magbattery.propagator import _expm_stack, _population_sums, _real_form, _ru
 from magbattery.sweeps import time_grid
 
 from conftest import evolution_matrix, expm, frame_frequencies
-from oracles import lindblad_metrics, runs_by_loop
+from oracles import lindblad_metrics
 
 RABI = SystemParams(g_a=0.0, g_b=0.0, lam=1.0)  # resonant two-level reduction
 
@@ -539,15 +539,14 @@ def check_position_rule(t, starts, steps):
 
 
 class TestRunPlanner:
-    """`_runs` splits a grid by the position rule, into exactly the runs the
-    point-by-point loop finds."""
+    """`_runs` splits a grid by the position rule: `check_position_rule` pins
+    its one greedy split, point by point, whichever of its two paths ran."""
 
     @settings(max_examples=300)
     @given(t=run_grids())
     def test_equals_the_loop(self, t):
         starts, steps = _runs(t)
         check_position_rule(t, starts, steps)
-        assert (starts, steps) == runs_by_loop(t)
         assert all(type(k) is int for k in starts)
 
     @pytest.mark.parametrize("grid", [
@@ -561,7 +560,7 @@ class TestRunPlanner:
         with np.errstate(over="raise"):
             starts, steps = _runs(t)
         check_position_rule(t, starts, steps)
-        assert (starts, steps) == runs_by_loop(t)
+        assert all(type(k) is int for k in starts)
 
 
 def test_amplitudes_match_a_40_digit_reference(rng, draw_params):
