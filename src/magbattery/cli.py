@@ -9,6 +9,7 @@ of the config: repeated runs are byte-identical.  It is rendered as bytes, one r
 block at a time, to --out (a binary file opened only after every point is computed)
 or decoded to stdout, the same bytes.  The contour's ``<out>.meta.json`` run record is built here.
 ``--threads`` N >= 1 is accepted and has no effect: evaluation is serial.
+A run's garbage collections skip the objects that existed before `main` was called; the GC state is restored on return.
 
 After the command line and config file are read, a run refuses the first fault
 it meets in one order (`_resolve`): ``contour`` without --out; the time grid;
@@ -20,6 +21,7 @@ Exit codes: 0 success, 2 config/validation error, 3 I/O error.
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 import sys
@@ -311,6 +313,8 @@ def main(argv: list[str] | None = None) -> int:
     if {"-h", "--help"} & {*args[:1], *(tok for tok, _ in _pieces(args[1:]))}:
         sys.stdout.write(_USAGE)
         return 0
+    if own_freeze := gc.get_freeze_count() == 0:  # a host that froze objects keeps its frozen set
+        gc.freeze()  # so the run's collections scan only the objects the run creates
     try:
         if not args or args[0] not in _COMMANDS:
             got = repr(args[0]) if args else "none"
@@ -332,3 +336,6 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if own_freeze:
+            gc.unfreeze()

@@ -5,6 +5,7 @@ observable without spawning interpreters.
 """
 
 import contextlib
+import gc
 import hashlib
 import io
 import itertools
@@ -475,6 +476,55 @@ class TestSweep:
                          "--vary", "g_a", "--vary_values", "1",
                          "--vary_min", "0", "--vary_max", "1", "--vary_count", "2")
         assert code == 2
+
+
+def is_frozen(obj) -> bool:
+    """Whether the tracked `obj` sits in the permanent generation, outside every collection."""
+    return not any(o is obj for generation in range(3) for o in gc.get_objects(generation))
+
+
+class TestGcState:
+    """A run's collections skip the objects that existed before `main` was called,
+    and `main` leaves the caller's GC state as it found it on every exit path."""
+
+    @pytest.mark.parametrize("outcome", [0, 2, 3, "raises"])
+    @pytest.mark.parametrize("host", ["plain", "frozen", "disabled"])
+    def test_main_restores_the_gc_state(self, tmp_path, monkeypatch, capsys, host, outcome):
+        argv = ["opt-time", "--t_max", "1", "--dt", "0.5", "--vary", "g_b", "--vary_values", "1,2"]
+        argv += {2: ["--bogus", "1"], 3: ["--out", str(tmp_path / "no_such_dir" / "out.csv")]}.get(outcome, [])
+        sweep, seen = cli.optimal_time_sweep, []
+
+        def recording(*args):
+            seen.append((is_frozen(early), is_frozen(late)))
+            if outcome == "raises":
+                raise RuntimeError("not a config or I/O fault")
+            return sweep(*args)
+
+        monkeypatch.setattr(cli, "optimal_time_sweep", recording)
+        # a frozen object that dies lowers the freeze count, so a host's frozen
+        # set is followed through `early`, made before the host's own freeze
+        early = []
+        try:
+            if host == "frozen":
+                gc.freeze()
+            elif host == "disabled":
+                gc.disable()
+            late = []
+            enabled = gc.isenabled()
+            if outcome == "raises":
+                with pytest.raises(RuntimeError, match="not a config or I/O fault"):
+                    main(argv)
+            else:
+                assert run(capsys, *argv)[0] == outcome
+            assert gc.isenabled() == enabled
+            assert (gc.get_freeze_count() > 0, is_frozen(early), is_frozen(late)) == (host == "frozen",) * 2 + (False,)
+        finally:
+            gc.unfreeze()
+            gc.enable()
+        if outcome == 2:  # the key is refused before any point is computed
+            assert seen == []
+        else:  # during the run every object older than it is frozen, or only the host's set
+            assert seen == [(True, host != "frozen")]
 
 
 @pytest.mark.parametrize("argv", [

@@ -324,6 +324,19 @@ class TestColumnSelection:
             for name in set(want) & set(got):
                 assert got[name] == want[name], (c, mode, name)
 
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("omega_q", [1e-3, 1.0, 7.0])
+    def test_energy_snap_is_1e_12_in_population_units(self, mode, omega_q):
+        # 1 - g and 2s both equal x for these amplitudes: 5e-12 prints non-zero
+        # at every energy unit, 5e-13 prints 0
+        for x, kept in ((5e-12, True), (5e-13, False)):
+            c = np.array([math.sqrt(1.0 - x), 0, 0, math.sqrt(x / 2.0)])
+            energy = selected(c, omega_q, mode, ("energy",))["energy"]
+            if kept:
+                assert energy == pytest.approx(omega_q * x, rel=1e-4, abs=0)
+            else:
+                assert energy == 0.0
+
 
 def any_form_refusal(g, s, mode):
     """The error the norm and positivity guards raise on (g, s), or None, as
@@ -382,6 +395,22 @@ class TestGuards:
             g, s = np.array([g]), np.zeros(1)
             for name in ("gap", "purity", "ergotropy"):
                 assert _columns(g, s, g + 2.0 * s, 1.0, "paper", (name,))[0].tolist() == [0.0], (name, g)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_ground_population_floor_is_minus_1e_12(self, mode):
+        # g' = -5e-12 is refused, g' = -5e-13 is roundoff and clamps to 0, in both
+        # modes: paper reads g' = g, trace_repaired g' = 1 - 2s
+        for ground, refused in ((-5e-12, True), (-5e-13, False)):
+            if mode == "paper":
+                g, s = np.array([ground]), np.zeros(1)
+            else:
+                g, s = np.zeros(1), np.array([(1.0 - ground) / 2.0])
+            assert (g if mode == "paper" else 1.0 - 2.0 * s)[0] == pytest.approx(ground, rel=1e-3, abs=0)
+            if refused:
+                with pytest.raises(ValueError, match="not positive semidefinite"):
+                    _columns(g, s, g + 2.0 * s, 1.0, mode, ("gap",))
+            else:
+                assert _columns(g, s, g + 2.0 * s, 1.0, mode, ("gap",))[0].tolist() == (2.0 * s).tolist()
 
     @pytest.mark.parametrize("g", [[-5e-13, 0.25, 0.0], [-0.0, 0.25, 0.0], [np.nan, 0.25, -0.0], [0.1, 0.25, 0.0]])
     def test_columns_equal_an_eagerly_clamped_ground_population(self, g):

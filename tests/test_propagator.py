@@ -544,7 +544,7 @@ class TestRunPlanner:
 
     @settings(max_examples=300)
     @given(t=run_grids())
-    def test_equals_the_loop(self, t):
+    def test_position_rule_and_int_starts(self, t):
         starts, steps = _runs(t)
         check_position_rule(t, starts, steps)
         assert all(type(k) is int for k in starts)
@@ -555,7 +555,7 @@ class TestRunPlanner:
         np.finfo(float).max * np.linspace(0.5, 1.0, 33),
         np.arange(1, 4001) * 0.01 + np.where(np.arange(4000) % 3, 0.0, 1e-13),
     ], ids=["origin", "subnormal", "subnormals", "largest", "top_binade", "every_third_moved"])
-    def test_equals_the_loop_at_the_ends_of_the_floats(self, grid):
+    def test_position_rule_and_int_starts_at_edges(self, grid):
         t = np.asarray(grid, dtype=float)
         with np.errstate(over="raise"):
             starts, steps = _runs(t)

@@ -35,7 +35,7 @@ from magbattery import (
 from magbattery import metrics, propagator, sweeps
 from magbattery.model import _FIELD_NAMES, _detunings
 from magbattery.propagator import _BLOCK_SAMPLES
-from magbattery.sweeps import MAX_SWEEP_SAMPLES, PARAMETER_NAMES
+from magbattery.sweeps import MAX_SWEEP_SAMPLES, PARAMETER_NAMES, _energy_peaks
 
 from conftest import optimal_charging_time
 from oracles import oracle_metrics
@@ -361,6 +361,16 @@ class TestOptimalChargingTime:
         t = np.linspace(0, 2 * math.pi / math.sqrt(2), 401)  # two periods
         tau, _ = optimal_charging_time(RABI, t)
         assert tau <= t[-1] / 2
+
+    @pytest.mark.parametrize("rise, later", [(1e-8, True), (1e-10, False)])
+    def test_tie_window_is_1e_9_of_the_peak(self, rise, later):
+        # a later peak 1e-8 (relative) above an earlier one is taken; one within
+        # 1e-10 is noise, and the earlier time and its energy are reported, at any unit
+        t = np.arange(4.0)
+        for unit in (1e-3, 1.0, 7.0):
+            e = unit * np.array([[0.0, 1.0, 0.5, 1.0 + rise]])
+            k = 3 if later else 1
+            assert list(_energy_peaks(t, e)) == [(t[k], e[0, k])]
 
 
 class TestOptimalTimeSweep:
