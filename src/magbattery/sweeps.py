@@ -10,7 +10,7 @@ import dataclasses
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -183,11 +183,11 @@ def _tables(t: np.ndarray, *columns: np.ndarray) -> list[np.ndarray]:
     return [np.column_stack((t, point)) for point in np.stack(columns, axis=-1)]
 
 
-def _energy_peaks(t: np.ndarray, e: np.ndarray) -> Iterable[tuple[float, float]]:
-    """(tau, e_max) per point: the earliest grid time of the grid-maximal energy."""
+def _energy_peaks(t: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """(n, 2) rows (tau, e_max), one per point: the earliest grid time of the grid-maximal energy."""
     peak = e.max(axis=-1, keepdims=True)
     idx = np.argmax(e >= peak - _PEAK_TIE_TOL * peak, axis=-1)
-    return zip(t[idx].tolist(), e[np.arange(idx.size), idx].tolist())
+    return np.column_stack((t[idx], e[np.arange(idx.size), idx]))
 
 
 def time_series(
@@ -234,7 +234,7 @@ def optimal_time_sweep(
     vary: VarySpec,
     t_grid: Sequence[float] | np.ndarray,
     mode: AccountingMode | str = AccountingMode.PAPER,
-) -> list[tuple[float, float, float]]:
-    """(value, tau, e_max) per swept value, in the given order."""
+) -> np.ndarray:
+    """(n, 3) float array of (value, tau, e_max) rows, one per swept value, in the given order."""
     peaks = _evolve_points(base, (vary,), t_grid, mode, ("energy",), _energy_peaks)
-    return [(v, tau, e_max) for v, (tau, e_max) in zip(vary.values, peaks)]
+    return np.column_stack((vary.values, peaks))

@@ -370,7 +370,7 @@ class TestOptimalChargingTime:
         for unit in (1e-3, 1.0, 7.0):
             e = unit * np.array([[0.0, 1.0, 0.5, 1.0 + rise]])
             k = 3 if later else 1
-            assert list(_energy_peaks(t, e)) == [(t[k], e[0, k])]
+            np.testing.assert_array_equal(_energy_peaks(t, e), [[t[k], e[0, k]]], strict=True)
 
 
 class TestOptimalTimeSweep:
@@ -447,10 +447,13 @@ class TestBlocks:
     def test_opt_time_equals_per_point(self):
         vary = VarySpec.linspace("g_b", 0.1, 5.0, 50)
         rows = optimal_time_sweep(BASE, vary, self.T, "trace_repaired")
-        assert [v for v, _, _ in rows] == list(vary.values)
-        for v, tau, emax in rows:
-            p = apply_parameters(BASE, {"g_b": v})
-            assert (tau, emax) == optimal_charging_time(p, self.T, "trace_repaired")
+        assert isinstance(rows, np.ndarray) and rows.dtype == np.float64 and rows.shape == (50, 3)
+        np.testing.assert_array_equal(rows[:, 0].view(np.uint64), np.array(vary.values).view(np.uint64))
+        for row in rows:
+            one = optimal_time_sweep(BASE, VarySpec("g_b", (row[0],)), self.T, "trace_repaired")
+            np.testing.assert_array_equal(row.view(np.uint64), one[0].view(np.uint64))
+            p = apply_parameters(BASE, {"g_b": row[0]})
+            assert tuple(row[1:]) == optimal_charging_time(p, self.T, "trace_repaired")
 
     def test_contour_equals_single_cells(self):
         xs, ys = VarySpec.linspace("g_a", 0.1, 3.0, 10), VarySpec.linspace("g_b", 0.1, 3.0, 5)
