@@ -227,7 +227,7 @@ def _rows(template: str, table) -> Iterator[bytes]:
     """`template` % row and a newline per table row, one bytes `%` and one bytes object per
     `_BLOCK_ROWS` rows; %.12g is the shortest locale-independent rendering within 12
     significant digits (as bytes, the text str gives), and + 0.0 turns -0.0 into 0.0."""
-    table, line = np.asarray(table, dtype=float), f"{template}\n".encode()
+    line = f"{template}\n".encode()
     for start in range(0, len(table), _BLOCK_ROWS):
         block = table[start:start + _BLOCK_ROWS] + 0.0
         yield line * len(block) % tuple(block.ravel().tolist())

@@ -153,7 +153,7 @@ def time_grid(t_max: float = 20.0, dt: float = 0.01) -> np.ndarray:
 
 def _evolve_points(base: SystemParams, axes: Sequence[VarySpec], t_grid, mode, metrics, reduce) -> list:
     """`reduce(times, *columns)` of each slice of the axes' product, first axis
-    outermost, with one (n, T) column per name in `metrics`.
+    outermost, with one (n, T) column per name in `metrics`: a list, one result per slice.
 
     The points go to `rotating_amplitudes` as chunks of the size it asks for,
     each one (n, 11) field array built and checked when it is asked for; the
@@ -175,12 +175,12 @@ def _evolve_points(base: SystemParams, axes: Sequence[VarySpec], t_grid, mode, m
                 apply_parameters(base, dict(zip(names, block[first])))  # as the one-point view does
             yield fields
 
-    return [out for z, g, s, norm in rotating_amplitudes(chunks, t)
-            for out in reduce(t, *_columns(g, s, norm, base.omega_q, mode, metrics, z))]
+    return [reduce(t, *_columns(g, s, norm, base.omega_q, mode, metrics, z))
+            for z, g, s, norm in rotating_amplitudes(chunks, t)]
 
 
-def _tables(t: np.ndarray, *columns: np.ndarray) -> list[np.ndarray]:
-    return [np.column_stack((t, point)) for point in np.stack(columns, axis=-1)]
+def _tables(t: np.ndarray, *columns: np.ndarray) -> np.ndarray:
+    return np.stack(np.broadcast_arrays(t, *columns), axis=-1)  # (n, T, 6): rows (t, *columns) per point
 
 
 def _energy_peaks(t: np.ndarray, e: np.ndarray) -> np.ndarray:
@@ -196,7 +196,7 @@ def time_series(
     mode: AccountingMode | str = AccountingMode.PAPER,
 ) -> np.ndarray:
     """(T, 6) table with rows (t, coherence, energy, ergotropy, purity, norm)."""
-    return _evolve_points(p, (), t_grid, mode, METRIC_NAMES, _tables)[0]
+    return _evolve_points(p, (), t_grid, mode, METRIC_NAMES, _tables)[0][0]
 
 
 def panel_sweep(
@@ -205,8 +205,8 @@ def panel_sweep(
     t_grid: Sequence[float] | np.ndarray,
     mode: AccountingMode | str = AccountingMode.PAPER,
 ) -> list[tuple[float, np.ndarray]]:
-    """One `time_series` table per swept value, in the given order."""
-    return list(zip(vary.values, _evolve_points(base, (vary,), t_grid, mode, METRIC_NAMES, _tables)))
+    """One `time_series` table per swept value, in the given order: views into each slice's tables."""
+    return list(zip(vary.values, itertools.chain(*_evolve_points(base, (vary,), t_grid, mode, METRIC_NAMES, _tables))))
 
 
 def max_ergotropy_grid(
@@ -226,7 +226,7 @@ def max_ergotropy_grid(
     # the maximum charge gap of each point, then its ergotropy: the same bits as the maximum ergotropy
     z = _evolve_points(base, (vary_y, vary_x), t_grid, mode, ("gap",),
                        lambda _, gap: _ergotropy(gap.max(axis=-1), base.omega_q))
-    return np.reshape(z, (len(vary_y.values), len(vary_x.values)))
+    return np.concatenate(z).reshape(len(vary_y.values), len(vary_x.values))
 
 
 def optimal_time_sweep(
@@ -237,4 +237,4 @@ def optimal_time_sweep(
 ) -> np.ndarray:
     """(n, 3) float array of (value, tau, e_max) rows, one per swept value, in the given order."""
     peaks = _evolve_points(base, (vary,), t_grid, mode, ("energy",), _energy_peaks)
-    return np.column_stack((vary.values, peaks))
+    return np.column_stack((vary.values, np.concatenate(peaks)))

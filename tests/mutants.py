@@ -61,8 +61,8 @@ MUTANTS = (
            ("tests/test_propagator.py::TestMatrixExponential::test_budget_ends_at_22_squarings",
             "tests/test_propagator.py::TestEvolve::test_step_exponential_needs_at_most_22_squarings")),
     Mutant("contour_x_major", "sweeps.py",
-           "np.reshape(z, (len(vary_y.values), len(vary_x.values)))",
-           "np.reshape(z, (len(vary_x.values), len(vary_y.values))).T",
+           "np.concatenate(z).reshape(len(vary_y.values), len(vary_x.values))",
+           "np.concatenate(z).reshape(len(vary_x.values), len(vary_y.values)).T",
            ("tests/test_sweeps.py::TestMaxErgotropyGrid::test_cell_independence",
             "tests/test_symmetries.py::TestContourAxisSwap")),
     Mutant("oracle_step_1e-2", "propagator.py", "_ORACLE_STEP = 1e-3", "_ORACLE_STEP = 1e-2",
@@ -84,6 +84,215 @@ MUTANTS = (
     Mutant("taylor_15_dropped", "propagator.py", "f = c[15] * m3", "f = 0.0 * m3",
            equivalent="the X^15 / 15! term is below 2e-17 relative at norm <= 0.5, "
                       "under the last bit that 12 digits or any test tolerance reads"),
+    Mutant("decay_without_i", "model.py",
+           "_frame_frequencies(fields) - 0.5j * rates",
+           "_frame_frequencies(fields) - 0.5 * rates",
+           ("tests/test_model.py::TestEvolutionMatrix::test_decay_enters_diagonal",
+            "tests/test_cli.py::TestDynamics::test_mode_changes_numbers_under_decay")),
+    Mutant("g_a_squared", "model.py",
+           "a[:, 0, 1] = a[:, 1, 0] = g_a",
+           "a[:, 0, 1] = a[:, 1, 0] = g_a**2",
+           ("tests/test_model.py::TestEvolutionMatrix::test_stacked_build_equals_each_point",
+            "tests/test_propagator.py::TestShellHamiltonianOracle::test_random_draws")),
+    Mutant("substitute_axes_reversed", "sweeps.py",
+           "for name, column in zip(names, cells.T):",
+           "for name, column in zip(names, cells.T[::-1]):",
+           ("tests/test_sweeps.py::TestApplyParameter::test_later_name_wins",
+            "tests/test_symmetries.py::TestContourAxisSwap")),
+    Mutant("paper_energy_without_omega_q", "metrics.py",
+           "omega_q * _snap(1.0 - g if paper else 2.0 * s)",
+           "(_snap(1.0 - g) if paper else omega_q * _snap(2.0 * s))",
+           ("tests/test_metrics.py::TestStoredEnergy::test_scales_with_omega_q",
+            "tests/test_symmetries.py::TestEnergyUnit::test_cli_dynamics")),
+    Mutant("contour_evolved_x_outer", "sweeps.py",
+           "(vary_y, vary_x), t_grid",
+           "(vary_x, vary_y), t_grid",
+           ("tests/test_sweeps.py::TestMaxErgotropyGrid::test_cell_independence",
+            "tests/test_symmetries.py::TestContourAxisSwap")),
+    Mutant("contour_labels_swapped", "cli.py",
+           'template = f"{vary_x.parameter_name},%.12g,{vary_y.parameter_name},%.12g,%.12g"',
+           'template = f"{vary_y.parameter_name},%.12g,{vary_x.parameter_name},%.12g,%.12g"',
+           ("tests/test_cli.py::TestContour::test_single_cell",
+            "tests/test_end_to_end.py::test_contour_matches_a_python_max_of_the_reference_ergotropy")),
+    Mutant("frame_against_photon", "model.py",
+           "fields[:, :4] - fields[:, 3:4]",
+           "fields[:, :4] - fields[:, 0:1]",
+           ("tests/test_model.py::TestEvolutionMatrix::test_diagonal_is_frame_frequencies",
+            "tests/test_propagator.py::TestZToC::test_unit_phase_rotation")),
+    Mutant("substitute_omega_a_m_swapped", "sweeps.py",
+           "fields[:, :3] = np.column_stack(",
+           "fields[:, 2::-1] = np.column_stack(",
+           ("tests/test_cli.py::TestConfigParsing::test_build_params_substitutes_detunings_together",
+            "tests/test_sweeps.py::TestBlockFields::test_one_axis")),
+    Mutant("delta_3_sign", "model.py",
+           "omega_a = omega_q - delta_3",
+           "omega_a = omega_q + delta_3",
+           ("tests/test_model.py::TestSystemParams::test_from_detunings_round_trip",
+            "tests/test_sweeps.py::TestApplyParameter::test_detuning_substitution")),
+    Mutant("one_pass_ulp_64", "propagator.py",
+           "> 4.0 * ulp",
+           "> 64.0 * ulp",
+           ("tests/test_propagator.py::TestRunPlanner::test_position_rule_and_int_starts",)),
+    Mutant("one_pass_ulp_8", "propagator.py",
+           "> 4.0 * ulp",
+           "> 8.0 * ulp",
+           ("tests/test_propagator.py::TestRunPlanner::test_position_rule_and_int_starts",
+            "tests/test_propagator.py::TestRunPlanner::test_position_rule_and_int_starts_at_edges")),
+    Mutant("one_pass_last_unchecked", "propagator.py",
+           "if not off.any():",
+           "if not off[:-1].any():",
+           ("tests/test_propagator.py::TestRunPlanner::test_position_rule_and_int_starts",
+            "tests/test_propagator.py::TestRunPlanner::test_position_rule_and_int_starts_at_edges")),
+    Mutant("one_pass_positions_one_step_off", "propagator.py",
+           "np.arange(2, rest.size + 2)",
+           "np.arange(1, rest.size + 1)",
+           equivalent="every grid then fails the one-pass check and falls to the point-by-point loop, "
+                      "which returns the same runs: only the path changes"),
+    Mutant("loop_positions_one_step_off", "propagator.py",
+           "(origin + (k - start + 1) * h)",
+           "(origin + (k - start) * h)",
+           ("tests/test_propagator.py::test_runs_are_found_by_position",
+            "tests/test_propagator.py::TestRunPlanner::test_position_rule_and_int_starts_at_edges")),
+    Mutant("loop_ulp_8", "propagator.py",
+           "> 4.0 * math.ulp(tl[k])",
+           "> 8.0 * math.ulp(tl[k])",
+           ("tests/test_propagator.py::TestRunPlanner::test_position_rule_and_int_starts",
+            "tests/test_propagator.py::test_runs_are_found_by_position")),
+    Mutant("norm_guard_max", "metrics.py",
+           "np.fmax.reduce(norm, axis=None, initial=-np.inf) > 1.0",
+           "norm.max() > 1.0",
+           ("tests/test_metrics.py::TestGuards::test_refuse_as_the_any_form",)),
+    Mutant("ground_guard_no_initial", "metrics.py",
+           "np.fmin.reduce(ground, axis=None, initial=np.inf)",
+           "np.fmin.reduce(ground, axis=None)",
+           ("tests/test_metrics.py::TestGuards::test_refuse_as_the_any_form",)),
+    Mutant("clamp_below_-1e-13", "metrics.py",
+           "if lowest < 0.0:",
+           "if lowest < -1e-13:",
+           ("tests/test_metrics.py::TestGuards::test_clamp_reaches_every_column_that_reads_the_ground_population",)),
+    Mutant("clamp_below_-1e-300", "metrics.py",
+           "if lowest < 0.0:",
+           "if lowest < -1e-300:",
+           ("tests/test_metrics.py::TestGuards::test_clamp_reaches_every_column_that_reads_the_ground_population",)),
+    Mutant("last_block_dropped", "cli.py",
+           "for start in range(0, len(table), _BLOCK_ROWS):",
+           "for start in range(0, len(table) - _BLOCK_ROWS + 1, _BLOCK_ROWS):",
+           ("tests/test_cli.py::TestRowBlocks::test_equals_the_row_by_row_text",
+            "tests/test_cli.py::TestDynamics::test_initial_row")),
+    Mutant("table_as_one_block", "cli.py",
+           "for start in range(0, len(table), _BLOCK_ROWS):\n        block = table[start:start + _BLOCK_ROWS] + 0.0",
+           "for start in range(0, len(table), len(table)):\n        block = table[start:] + 0.0",
+           ("tests/test_cli.py::TestRowBlocks::test_equals_the_row_by_row_text",
+            "tests/test_cli.py::TestRowBlocks::test_rendering_peak_is_bounded_by_the_block_not_the_table")),
+    Mutant("negative_zero_kept", "cli.py",
+           "block = table[start:start + _BLOCK_ROWS] + 0.0",
+           "block = table[start:start + _BLOCK_ROWS]",
+           ("tests/test_cli.py::TestRowBlocks::test_every_edge_value_in_every_column",
+            "tests/test_cli.py::TestNumberFormat::test_shortest_12_digit_rendering_without_negative_zero")),
+    Mutant("oracle_d_plus_h", "propagator.py",
+           "np.exp(-1j * w[:, None] * h)",
+           "np.exp(1j * w[:, None] * h)",
+           ("tests/test_propagator.py::TestOracleIntegrate::test_matches_evolve",
+            "tests/test_propagator.py::TestOracleIntegrate::test_one_and_two_substeps_are_plain_rk4")),
+    Mutant("oracle_d_on_columns", "propagator.py",
+           "np.exp(-1j * w[:, None] * h)",
+           "np.exp(-1j * w[None, :] * h)",
+           ("tests/test_propagator.py::TestOracleIntegrate::test_matches_evolve",
+            "tests/test_propagator.py::TestOracleIntegrate::test_one_and_two_substeps_are_plain_rk4")),
+    Mutant("oracle_midpoint_at_h", "propagator.py",
+           "m(0.5 * h)",
+           "m(h)",
+           ("tests/test_propagator.py::TestOracleIntegrate::test_matches_evolve",
+            "tests/test_propagator.py::TestOracleIntegrate::test_one_and_two_substeps_are_plain_rk4")),
+    Mutant("oracle_rotate_back_minus_w", "propagator.py",
+           "column *= np.exp(1j * wn * t)",
+           "column *= np.exp(-1j * wn * t)",
+           ("tests/test_propagator.py::TestOracleIntegrate::test_matches_evolve",
+            "tests/test_propagator.py::TestOracleIntegrate::test_spans_are_plain_rk4_span_by_span")),
+    Mutant("oracle_n_minus_1_substeps", "propagator.py",
+           "scaled = n // np.ldexp",
+           "scaled = np.where(n > 1, n - 1, n) // np.ldexp",
+           ("tests/test_propagator.py::TestOracleIntegrate::test_long_and_mixed_spans",
+            "tests/test_propagator.py::TestOracleIntegrate::test_rabi_closed_form")),
+    Mutant("unmasked_round_skips_last", "propagator.py",
+           "else slice(None)",
+           "else slice(None, -1 if len(f) > 1 else None)",
+           ("tests/test_propagator.py::TestMatrixExponential::test_uniform_stack_equals_each_matrix_alone",
+            "tests/test_propagator.py::TestBatchedEvolve::test_rows_match_single_points")),
+    Mutant("vary_error_names_last_key", "cli.py",
+           'raise ValueError(f"{given[0]} given without {prefix}")',
+           'raise ValueError(f"{given[-1]} given without {prefix}")',
+           ("tests/test_cli.py::TestRefusals::test_every_subset_of_the_axis_keys",)),
+    Mutant("override_key_checked_first", "cli.py",
+           "if value is None:",
+           "if value is None and key in keys:",
+           ("tests/test_cli.py::TestConfigParsing::test_overrides_equal_a_model_of_the_pieces",)),
+    Mutant("help_scan_all_argv", "cli.py",
+           "{*args[:1], *(tok for tok, _ in _pieces(args[1:]))}",
+           "{*(tok for tok, _ in _pieces(args))}",
+           ("tests/test_cli.py::TestConfigParsing::test_help_where_a_token_stands_wins",)),
+    Mutant("help_scan_from_third", "cli.py",
+           "_pieces(args[1:])",
+           "_pieces(args[2:])",
+           ("tests/test_cli.py::TestConfigParsing::test_help_prints_usage",
+            "tests/test_cli.py::TestConfigParsing::test_help_where_a_token_stands_wins")),
+    Mutant("pieces_single_dash", "cli.py",
+           'not tok.startswith("--") else next',
+           'not tok.startswith("-") else next',
+           ("tests/test_cli.py::TestConfigParsing::test_help_where_a_token_stands_wins",)),
+    Mutant("rendering_list_kept", "cli.py",
+           "% tuple(block.ravel().tolist())",
+           "% tuple(cells := block.ravel().tolist())",
+           ("tests/test_cli.py::TestRowBlocks::test_rendering_peak_is_bounded_by_the_block_not_the_table",)),
+    Mutant("dynamics_last_row_dropped", "cli.py",
+           "time_series(params, times, mode))])",
+           "time_series(params, times, mode)[:-1])])",
+           ("tests/test_cli.py::TestDynamics::test_initial_row",
+            "tests/test_cli.py::TestSweep::test_matches_dynamics_modulo_prefix")),
+    Mutant("defaults_key_lam", "cli.py",
+           '{("lambda" if name == "lam" else name):',
+           "{name:",
+           ("tests/test_shipped_outputs.py::test_shipped_outputs_match_their_digests",)),
+    Mutant("private_name_without_reader", "metrics.py",
+           "_ZERO_SNAP = 1e-12\n",
+           "_ZERO_SNAP = 1e-12\n_ONLY_TESTS_READ = 1\n",
+           ("tests/test_package.py::test_every_private_name_has_a_reader_in_the_package",)),
+    Mutant("gc_not_frozen", "cli.py",
+           "gc.freeze()",
+           "pass",
+           ("tests/test_cli.py::TestGcState::test_main_restores_the_gc_state",)),
+    Mutant("host_freeze_taken_over", "cli.py",
+           "if own_freeze := gc.get_freeze_count() == 0:",
+           "if own_freeze := True:",
+           ("tests/test_cli.py::TestGcState::test_main_restores_the_gc_state",)),
+    Mutant("extra_unfreeze", "cli.py",
+           "_COMMANDS[args[0]](cfg, out)\n",
+           "_COMMANDS[args[0]](cfg, out)\n        gc.unfreeze()\n",
+           ("tests/test_cli.py::TestGcState::test_main_restores_the_gc_state",)),
+    Mutant("unfreeze_not_in_finally", "cli.py",
+           "    finally:\n        if own_freeze:\n            gc.unfreeze()",
+           "    finally:\n        pass",
+           ("tests/test_cli.py::TestGcState::test_main_restores_the_gc_state",)),
+    Mutant("contour_labels_swapped_unequal", "cli.py",
+           'template = f"{vary_x.parameter_name},%.12g,{vary_y.parameter_name},%.12g,%.12g"',
+           'a, b = (vary_x, vary_y) if len(vary_x.values) == len(vary_y.values) else (vary_y, vary_x)\n'
+           '    template = f"{a.parameter_name},%.12g,{b.parameter_name},%.12g,%.12g"',
+           ("tests/test_end_to_end.py::test_contour_matches_a_python_max_of_the_reference_ergotropy",)),
+    Mutant("peak_tie_window_absolute", "sweeps.py",
+           "e >= peak - _PEAK_TIE_TOL * peak",
+           "e >= peak - _PEAK_TIE_TOL",
+           ("tests/test_sweeps.py::TestOptimalChargingTime::test_weak_charging_peaks_at_the_grid_maximum",
+            "tests/test_end_to_end.py::test_opt_time_matches_an_earliest_peak_loop")),
+    Mutant("energy_modes_swapped", "metrics.py",
+           "_snap(1.0 - g if paper else 2.0 * s)",
+           "_snap(2.0 * s if paper else 1.0 - g)",
+           ("tests/test_metrics.py::TestStoredEnergy::test_accounting_divergence",
+            "tests/test_claims.py::test_paper_energy_rises_with_cavity_loss")),
+    Mutant("e_max_is_the_peak", "sweeps.py",
+           "e[np.arange(idx.size), idx]",
+           "peak[:, 0]",
+           ("tests/test_sweeps.py::TestOptimalChargingTime::test_tie_window_is_1e_9_of_the_peak",
+            "tests/test_end_to_end.py::test_opt_time_matches_an_earliest_peak_loop")),
 )
 
 
@@ -116,7 +325,7 @@ def main(argv: list[str]) -> int:
         return 2
     chosen = [m for m in MUTANTS if not argv or m.name in argv]
     failed, start = 0, time.perf_counter()
-    print(f"{'mutant':<26} {'verdict':<9} {'s':>6}  expected")
+    print(f"{'mutant':<32} {'verdict':<9} {'s':>6}  expected")
     for mutant in chosen:
         began = time.perf_counter()
         verdict = run(mutant)
@@ -124,7 +333,7 @@ def main(argv: list[str]) -> int:
         bad = verdict == "error" or (verdict == "survived" and not mutant.equivalent)
         failed += bad
         seconds, mark = time.perf_counter() - began, "  <- FAIL" if bad else ""
-        print(f"{mutant.name:<26} {verdict:<9} {seconds:6.1f}  {expected}{mark}", flush=True)
+        print(f"{mutant.name:<32} {verdict:<9} {seconds:6.1f}  {expected}{mark}", flush=True)
     print(f"{len(chosen)} mutants, {failed} failing, {time.perf_counter() - start:.1f} s")
     return 1 if failed else 0
 

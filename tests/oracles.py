@@ -14,6 +14,8 @@ the long way, so the tests can compare the two:
 * `oracle_metrics`, the five CLI columns through those matrices;
 * `lindblad_metrics`, the five columns from the zero-temperature master
   equation, which uses no no-jump amplitudes at all;
+* `shell_amplitudes`, the no-jump amplitudes from scipy's expm of the
+  five-level shell Hamiltonian, with one amplitude per atom;
 * `rows_by_row`, the CSV text of a table rendered one row at a time, against
   which the CLI's row-block renderer is tested.
 
@@ -259,6 +261,28 @@ def lindblad_metrics(p, t, initial=DEFAULT_INITIAL):
             1.0 - rho[0, 0].real,  # the weight that has not decayed
         ))
     return np.array(rows)
+
+
+def shell_amplitudes(p, t, initial=DEFAULT_INITIAL):
+    """(T, 4) amplitudes C1..C4 from scipy's expm of the five-level shell Hamiltonian.
+
+    Basis: photon, magnon, phonon, atom 1 excited, atom 2 excited.  The
+    diagonal is omega_n - i kappa_n / 2 and the couplings are g_a, g_b and lam
+    to each atom, all read straight from the omegas and rates of `p`: no
+    detunings, no frame shifts, no factor-2 bookkeeping for the two atoms.
+    The amplitudes are in the lab frame: their moduli are the package's.
+    """
+    expm = pytest.importorskip("scipy.linalg").expm
+    omegas = np.array([p.omega_a, p.omega_b, p.omega_m, p.omega_q, p.omega_q])
+    rates = np.array([p.kappa_a, p.kappa_b, p.kappa_m, p.gamma, p.gamma])
+    h = np.diag(omegas - 0.5j * rates)
+    h[0, 1] = h[1, 0] = p.g_a
+    h[1, 2] = h[2, 1] = p.g_b
+    h[0, 3] = h[3, 0] = h[0, 4] = h[4, 0] = p.lam
+    c0 = np.asarray(initial, dtype=complex)
+    psi = np.array([expm(-1j * tt * h) @ np.append(c0, c0[3]) for tt in t])
+    np.testing.assert_allclose(psi[:, 3], psi[:, 4], atol=1e-12)  # atoms stay alike
+    return psi[:, :4]
 
 
 def rows_by_row(template, table):

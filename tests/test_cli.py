@@ -592,8 +592,8 @@ class TestRowBlocks:
         assert b"".join(blocks) == rows_by_row(template, table).encode("ascii")
 
     @pytest.mark.parametrize("rows", [1, 2, 3, 4, 7])
-    def test_opt_time_tuples(self, three_row_blocks, rows):
-        table = [(float(k), EDGE_VALUES[k % 9], EDGE_VALUES[(k + 4) % 9]) for k in range(rows)]
+    def test_opt_time_rows(self, three_row_blocks, rows):
+        table = np.array([(float(k), EDGE_VALUES[k % 9], EDGE_VALUES[(k + 4) % 9]) for k in range(rows)])
         text = b"".join(_rows(ROW_TEMPLATES["3 columns"], table))
         assert text == rows_by_row(ROW_TEMPLATES["3 columns"], table).encode("ascii")
         assert text.splitlines()[0] == b"g_b,0,0,1e+16"
@@ -610,6 +610,7 @@ class TestRowBlocks:
         lambda columns: st.lists(st.tuples(*[st.floats()] * columns), min_size=1, max_size=20)))
     def test_any_float_table(self, block_rows, table):
         template = "x," + ",".join(["%.12g"] * len(table[0]))
+        table = np.array(table)  # every CLI caller passes a float array
         with mock.patch.object(cli, "_BLOCK_ROWS", block_rows):
             assert b"".join(_rows(template, table)) == rows_by_row(template, table).encode("ascii")
 

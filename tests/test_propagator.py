@@ -28,7 +28,7 @@ from magbattery.propagator import _expm_stack, _population_sums, _real_form, _ru
 from magbattery.sweeps import time_grid
 
 from conftest import evolution_matrix, expm, frame_frequencies
-from oracles import lindblad_metrics
+from oracles import lindblad_metrics, shell_amplitudes
 
 RABI = SystemParams(g_a=0.0, g_b=0.0, lam=1.0)  # resonant two-level reduction
 
@@ -751,7 +751,7 @@ class TestOracleIntegrate:
         p = TestShellHamiltonianOracle.CASES["lossy_mixed"]
         t = np.array([0.0, 0.0005, 3.7, 3.75, 4.0, 4.2])
         got = np.abs(oracle_integrate(p, t).amplitudes) ** 2
-        assert np.abs(got - shell_populations(p, t)).max() <= 1e-10
+        assert np.abs(got - np.abs(shell_amplitudes(p, t)) ** 2).max() <= 1e-10
 
     def test_memory_bounded_by_the_piece(self):
         # 50 000 substeps in one span: one 4x4 matrix power
@@ -791,27 +791,6 @@ class TestOracleIntegrate:
         assert not names & shared
 
 
-def shell_populations(p, t, initial=DEFAULT_INITIAL):
-    """|C1|^2..|C4|^2 from scipy's expm of the five-level shell Hamiltonian.
-
-    Basis: photon, magnon, phonon, atom 1 excited, atom 2 excited.  The
-    diagonal is omega_n - i kappa_n / 2 and the couplings are g_a, g_b and lam
-    to each atom, all read straight from the omegas and rates of `p`: no
-    detunings, no frame shifts, no factor-2 bookkeeping for the two atoms.
-    """
-    expm = pytest.importorskip("scipy.linalg").expm
-    omegas = np.array([p.omega_a, p.omega_b, p.omega_m, p.omega_q, p.omega_q])
-    rates = np.array([p.kappa_a, p.kappa_b, p.kappa_m, p.gamma, p.gamma])
-    h = np.diag(omegas - 0.5j * rates)
-    h[0, 1] = h[1, 0] = p.g_a
-    h[1, 2] = h[2, 1] = p.g_b
-    h[0, 3] = h[3, 0] = h[0, 4] = h[4, 0] = p.lam
-    c0 = np.asarray(initial, dtype=complex)
-    psi = np.array([expm(-1j * tt * h) @ np.append(c0, c0[3]) for tt in t])
-    np.testing.assert_allclose(psi[:, 3], psi[:, 4], atol=1e-12)  # atoms stay alike
-    return np.abs(psi[:, :4]) ** 2
-
-
 class TestShellHamiltonianOracle:
     """Both integrators against the Hamiltonian the parameters describe.
 
@@ -832,7 +811,7 @@ class TestShellHamiltonianOracle:
 
     @staticmethod
     def check_both_routes(p, t):
-        want = shell_populations(p, t)
+        want = np.abs(shell_amplitudes(p, t)) ** 2
         for route in (evolve, oracle_integrate):
             got = np.abs(route(p, t).amplitudes) ** 2
             assert np.abs(got - want).max() <= 1e-10, route.__name__
@@ -860,7 +839,7 @@ class TestShellHamiltonianOracle:
                 kappa_m=rates[2], gamma=rates[3])
             c0 = rng.normal(size=4) + 1j * rng.normal(size=4)
             c0 /= math.sqrt(physical_norm(c0))
-            want = shell_populations(p, t, c0)
+            want = np.abs(shell_amplitudes(p, t, c0)) ** 2
             routes = (evolve, oracle_integrate) if k < 4 else (evolve,)
             for route in routes:
                 got = np.abs(route(p, t, initial=c0).amplitudes) ** 2
