@@ -8,6 +8,9 @@ Output is CSV with numbers rendered to 12 significant digits, a pure function
 of the config: repeated runs are byte-identical.  It is rendered as bytes, one row
 block at a time, to --out (a binary file opened only after every point is computed)
 or decoded to stdout, the same bytes.  The contour's ``<out>.meta.json`` run record is built here.
+An existing --out file or sidecar is written over from its start and cut at close to what was
+written; a run killed mid-write (SIGKILL) can leave the new rows followed by the old file's
+tail, and nothing is synced to disk.
 ``--threads`` N >= 1 is accepted and has no effect: evaluation is serial.
 A run's garbage collections skip the objects that existed before `main` was called; the GC state is restored on return.
 
@@ -22,8 +25,10 @@ Exit codes: 0 success, 2 config/validation error, 3 I/O error.
 from __future__ import annotations
 
 import gc
+import itertools
 import json
 import math
+import os
 import sys
 from typing import Callable, Iterable, Iterator
 
@@ -204,18 +209,26 @@ def _resolve(cfg: dict[str, str], prefixes: tuple[str, ...] = (), missing: str =
         raise ValueError(f"unknown mode {cfg['mode']!r}; expected one of {', '.join(_MODES)}") from None
 
 
+def _write(path: str, blocks: Iterable[bytes]) -> None:
+    """Write `blocks` over `path` from its start, with no O_TRUNC (on ext4, closing a file
+    truncated over old data starts its writeback), and cut it at close to what was written
+    when it is longer, also after an error mid-write; a file that cannot seek is never cut."""
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
+        try:
+            fh.writelines(blocks)
+        finally:
+            if fh.seekable() and os.fstat(fh.fileno()).st_size > fh.tell():
+                fh.truncate()
+
+
 def _write_csv(out: str | None, header: str, tables: Iterable[tuple[str, object]]) -> None:
     """The header line, then the rows of each (template, table) pair, as bytes to `out` or
     decoded to stdout, one write per `_BLOCK_ROWS` rows: one row block is held at a time."""
-    fh = None if out is None else open(out, "wb")
-    writelines = fh.writelines if fh is not None else lambda blocks: sys.stdout.writelines(map(bytes.decode, blocks))
-    try:
-        writelines([f"{header}\n".encode()])
-        for template, table in tables:
-            writelines(_rows(template, table))
-    finally:
-        if fh is not None:
-            fh.close()
+    blocks = itertools.chain([f"{header}\n".encode()], itertools.chain.from_iterable(itertools.starmap(_rows, tables)))
+    if out is None:
+        sys.stdout.writelines(map(bytes.decode, blocks))
+    else:
+        _write(out, blocks)
 
 
 def _config_digest(cfg: dict[str, str]) -> str:
@@ -266,8 +279,7 @@ def run_contour(cfg: dict[str, str], out: str | None) -> None:
         "base_params": vars(params),
         "config_sha256": _config_digest(cfg),
     }
-    with open(out + ".meta.json", "wb") as fh:
-        fh.write(f"{json.dumps(record, sort_keys=True, indent=2)}\n".encode())
+    _write(out + ".meta.json", [f"{json.dumps(record, sort_keys=True, indent=2)}\n".encode()])
 
 
 def run_opt_time(cfg: dict[str, str], out: str | None) -> None:

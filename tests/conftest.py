@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import settings, strategies as st
+from hypothesis import Phase, settings, strategies as st
 
 from magbattery import AccountingMode, SystemParams, VarySpec, evolve, optimal_time_sweep
 from magbattery.model import _field_array, _frame_frequencies, evolution_matrices
@@ -18,6 +18,9 @@ from magbattery.propagator import _expm_stack
 
 # property tests replay the same examples on every run, like the seeded rng
 settings.register_profile("seeded", derandomize=True, database=None, deadline=None)
+# the same examples with no shrinking (`tests/mutants.py`): a killed mutant needs a failure, not a minimal one
+settings.register_profile("seeded_no_shrink", settings.get_profile("seeded"),
+                          phases=[phase for phase in Phase if phase not in (Phase.shrink, Phase.explain)])
 settings.load_profile("seeded")
 
 ACCEPTANCE_VERDICTS: list[str] = []

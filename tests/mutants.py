@@ -9,7 +9,9 @@ that kill it, or is marked equivalent with the reason no test can.
 
 copies the tree into a temporary directory per mutant, applies it and runs
 its killers; only if they all pass does it run the full Tier-1 suite, less
-`test_mutants.py`.  An equivalent mutant runs the full suite alone.  It
+`test_mutants.py`.  An equivalent mutant runs the full suite alone.  Property
+tests run their seeded examples unshrunk (the `seeded_no_shrink` profile of
+`conftest.py`): a verdict needs a failure, not a minimal one.  It
 prints one line per mutant and exits 1 if a mutant not marked equivalent
 survives or a run errs (2 on an unknown name).  pytest does not collect
 this file.
@@ -293,11 +295,44 @@ MUTANTS = (
            "peak[:, 0]",
            ("tests/test_sweeps.py::TestOptimalChargingTime::test_tie_window_is_1e_9_of_the_peak",
             "tests/test_end_to_end.py::test_opt_time_matches_an_earliest_peak_loop")),
+    Mutant("write_cut_dropped", "cli.py",
+           "fh.truncate()",
+           "pass",
+           ("tests/test_cli.py::TestOverwrite::test_bytes_of_a_run_into_a_fresh_path[contour-longer]",
+            "tests/test_cli.py::TestOverwrite::test_failure_mid_write_leaves_only_the_rows_written_before_it")),
+    Mutant("write_cut_unconditional", "cli.py",
+           "if fh.seekable() and os.fstat(fh.fileno()).st_size > fh.tell():",
+           "if True:",
+           ("tests/test_cli.py::TestOverwrite::test_devnull_is_written_and_never_cut",
+            "tests/test_cli.py::TestOverwrite::test_pipe_is_written_and_never_cut")),
+    Mutant("write_cut_skipped_on_error", "cli.py",
+           "fh.writelines(blocks)\n        finally:",
+           "fh.writelines(blocks)\n        except BaseException:\n            raise\n        else:",
+           ("tests/test_cli.py::TestOverwrite::test_failure_mid_write_leaves_only_the_rows_written_before_it",)),
+    Mutant("write_cut_unguarded", "cli.py",
+           "if fh.seekable() and os.fstat",
+           "if os.fstat",
+           ("tests/test_cli.py::TestOverwrite::test_pipe_is_written_and_never_cut",)),
+    Mutant("write_appends", "cli.py",
+           "os.O_WRONLY | os.O_CREAT,",
+           "os.O_WRONLY | os.O_CREAT | os.O_APPEND,",
+           ("tests/test_cli.py::TestOverwrite::test_bytes_of_a_run_into_a_fresh_path[dynamics-shorter]",
+            "tests/test_cli.py::TestOverwrite::test_bytes_of_a_run_into_a_fresh_path[contour-shorter]")),
+    Mutant("write_unlinks_a_regular_file", "cli.py",
+           "open(os.open(path,",
+           "open((os.path.isfile(path) and os.unlink(path)) or os.open(path,",
+           ("tests/test_cli.py::TestOverwrite::test_symlink_is_written_through_and_stays_a_link",
+            "tests/test_cli.py::TestOverwrite::test_existing_mode_and_inode_kept_new_file_mode_from_the_umask")),
+    Mutant("write_new_file_mode_0o600", "cli.py",
+           "os.O_CREAT, 0o666)",
+           "os.O_CREAT, 0o600)",
+           ("tests/test_cli.py::TestOverwrite::test_existing_mode_and_inode_kept_new_file_mode_from_the_umask",)),
 )
 
 
 def _verdict(tree: Path, *args: str) -> str:
-    code = subprocess.run([sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *args], cwd=tree,
+    code = subprocess.run([sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+                           "--hypothesis-profile", "seeded_no_shrink", *args], cwd=tree,
                           env={**os.environ, "PYTHONPATH": str(tree / "src")},
                           stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode
     return {0: "survived", 1: "killed"}.get(code, "error")  # 1: tests ran and one failed

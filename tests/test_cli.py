@@ -11,6 +11,8 @@ import io
 import itertools
 import json
 import math
+import os
+import stat
 import string
 import tracemalloc
 import warnings
@@ -774,6 +776,93 @@ class TestOptTime:
 
     def test_missing_vary(self, capsys):
         assert run(capsys, "opt-time", "--t_max", "1", "--dt", "0.5")[0] == 2
+
+
+# One small run per subcommand that writes a file; contour also writes `<out>.meta.json`
+OUT_RUNS = {
+    "dynamics": ("dynamics", "--t_max", "1", "--dt", "0.1"),
+    "sweep": ("sweep", "--t_max", "1", "--dt", "0.1", "--vary", "gamma", "--vary_values", "0,0.5"),
+    "contour": ("contour", "--t_max", "1", "--dt", "0.5",
+                "--vary", "g_a", "--vary_values", "0.5,1", "--vary2", "g_b", "--vary2_values", "1,2"),
+    "opt_time": ("opt-time", "--t_max", "1", "--dt", "0.1", "--vary", "g_b", "--vary_values", "0.5,1"),
+}
+
+
+def written(argv, out: Path) -> list[Path]:
+    """The files a run of `argv` with `--out out` writes."""
+    return [out, out.with_name(out.name + ".meta.json")] if argv[0] == "contour" else [out]
+
+
+class TestOverwrite:
+    """A run over existing files writes them from their start and cuts them to the new
+    length: the bytes of a run into a fresh path, in the same inode, mode and links."""
+
+    @pytest.mark.parametrize("old", ["longer", "shorter"])
+    @pytest.mark.parametrize("argv", OUT_RUNS.values(), ids=OUT_RUNS)
+    def test_bytes_of_a_run_into_a_fresh_path(self, tmp_path, capsys, argv, old):
+        fresh, out = tmp_path / "fresh.csv", tmp_path / "out.csv"
+        assert run(capsys, *argv, "--out", str(fresh)) == (0, "", "")
+        expected = [path.read_bytes() for path in written(argv, fresh)]
+        for path, data in zip(written(argv, out), expected):
+            path.write_bytes(b"old\n" * (len(data) // 2 if old == "longer" else len(data) // 8))
+        assert run(capsys, *argv, "--out", str(out)) == (0, "", "")
+        assert [path.read_bytes() for path in written(argv, out)] == expected
+
+    def test_symlink_is_written_through_and_stays_a_link(self, tmp_path, capsys):
+        fresh, target, link = tmp_path / "fresh.csv", tmp_path / "target.csv", tmp_path / "link.csv"
+        run(capsys, *OUT_RUNS["opt_time"], "--out", str(fresh))
+        target.write_bytes(b"old\n" * 1000)
+        link.symlink_to(target)
+        assert run(capsys, *OUT_RUNS["opt_time"], "--out", str(link)) == (0, "", "")
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert target.read_bytes() == fresh.read_bytes()
+
+    def test_existing_mode_and_inode_kept_new_file_mode_from_the_umask(self, tmp_path, capsys):
+        out, new = tmp_path / "out.csv", tmp_path / "new.csv"
+        out.write_bytes(b"old\n" * 1000)
+        out.chmod(0o640)
+        inode = out.stat().st_ino
+        umask = os.umask(0o022)  # a file made anew would read 0o644
+        try:
+            assert run(capsys, *OUT_RUNS["opt_time"], "--out", str(out)) == (0, "", "")
+            assert run(capsys, *OUT_RUNS["opt_time"], "--out", str(new)) == (0, "", "")
+        finally:
+            os.umask(umask)
+        assert (stat.S_IMODE(out.stat().st_mode), out.stat().st_ino) == (0o640, inode)
+        assert stat.S_IMODE(new.stat().st_mode) == 0o644
+        assert out.read_bytes() == new.read_bytes()
+
+    def test_devnull_is_written_and_never_cut(self, capsys):
+        # a one-file subcommand: contour would create its sidecar beside os.devnull
+        assert run(capsys, *OUT_RUNS["opt_time"], "--out", os.devnull) == (0, "", "")
+
+    def test_pipe_is_written_and_never_cut(self, tmp_path, capsys):
+        fresh, fifo = tmp_path / "fresh.csv", tmp_path / "fifo"
+        run(capsys, *OUT_RUNS["opt_time"], "--out", str(fresh))
+        os.mkfifo(fifo)
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)  # opened first, so the run's open does not block
+        try:
+            assert run(capsys, *OUT_RUNS["opt_time"], "--out", str(fifo)) == (0, "", "")
+            data = os.read(reader, 2**16)  # the output is far below the pipe's buffer
+        finally:
+            os.close(reader)
+        assert data == fresh.read_bytes()
+
+    def test_failure_mid_write_leaves_only_the_rows_written_before_it(self, tmp_path, monkeypatch, capsys):
+        rows = cli._rows
+
+        def first_block_then_fail(template, table):
+            yield next(rows(template, table))
+            raise ValueError("rendering failed")
+
+        monkeypatch.setattr(cli, "_BLOCK_ROWS", 3)
+        monkeypatch.setattr(cli, "_rows", first_block_then_fail)
+        fresh, out = tmp_path / "fresh.csv", tmp_path / "out.csv"
+        out.write_bytes(b"old\n" * 1000)
+        for path in (fresh, out):
+            assert run(capsys, *OUT_RUNS["dynamics"], "--out", str(path)) == (2, "", "error: rendering failed\n")
+        assert out.read_bytes() == fresh.read_bytes()
+        assert fresh.read_bytes().count(b"\n") == 1 + 3  # the header and the first block of the 11 rows
 
 
 # A grid of 3 time points, and a range of 4 * 10^6 values: under the limit of
