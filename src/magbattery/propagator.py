@@ -172,29 +172,20 @@ def _initial_vector(initial) -> np.ndarray:
     return z0
 
 
-def _runs(t: np.ndarray) -> tuple[list[int], list[float]]:
-    """The first index and the step of each run of the checked grid `t`, by the
-    position rule of `rotating_amplitudes`.  A grid that is one run, as every
-    `arange * dt` or `linspace` from 0 is, is checked in one vector pass; any
-    other is split point by point."""
+def _one_run(t: np.ndarray) -> tuple[int, float]:
+    """The first stepped index and the step h of the checked grid `t`, which must
+    be t_k = k h from t_0 = 0 or h, each point within 4 ulps of its position, as
+    every `arange * dt` or `linspace` from 0 is: one vector pass, or a refusal."""
     first = int(t[0] == 0.0)  # a point at t = 0 is the initial state, no step
-    if first == t.size:
-        return [], []
-    origin = t[first - 1] if first else 0.0
-    h, rest = t[first] - origin, t[first + 1:]
+    h, rest = (float(t[first]) if first < t.size else 0.0), t[first + 1:]
     ulp = np.spacing(np.minimum(rest, 2.0**1023))  # math.ulp: the top binade's spacing up to the largest float
-    with np.errstate(over="ignore"):  # a position past the grid's floats is off the run, as inf
-        off = np.abs(rest - (origin + np.arange(2, rest.size + 2) * h)) > 4.0 * ulp
-    if not off.any():
-        return [first], [float(h)]
-    tl, starts, hs = t.tolist(), [], []
-    for k in range(first, len(tl)):
-        if not hs or abs(tl[k] - (origin + (k - start + 1) * h)) > 4.0 * math.ulp(tl[k]):
-            start, origin = k, (tl[k - 1] if k else 0.0)
-            h = tl[k] - origin
-            starts.append(k)
-            hs.append(h)
-    return starts, hs
+    with np.errstate(over="ignore"):  # a position past the grid's floats is off it, as inf
+        off = np.abs(rest - np.arange(2, rest.size + 2) * h) > 4.0 * ulp
+    if off.any():
+        k = first + 1 + int(off.argmax())
+        raise ValueError(f"time grid must be t_k = k h with t_0 = 0 or h, each point within 4 ulps: "
+                         f"t[{k}] = {t[k].item()!r} is off the step h = {h!r}")
+    return first, h
 
 
 def rotating_amplitudes(chunks: Callable[[int], Iterable[np.ndarray]], t_grid, *,
@@ -205,25 +196,20 @@ def rotating_amplitudes(chunks: Callable[[int], Iterable[np.ndarray]], t_grid, *
     norm check below and the metrics' norm guard both read.  `chunks(size)`
     gives the points as (n <= size, 11) `model._field_array` chunks, in order.
 
-    Each point's evolution matrix A is constant there: Z(t_k) = exp(-i A h)
-    Z(t_{k-1}) with h = t_k - t_{k-1} and t_{-1} = 0; a point at t = 0 is the
-    initial state.  The grid is checked and split into runs once, by position
-    (`_runs`): the run from t_s takes the step h = t_s - t_{s-1} and holds
-    every later t_k within 4 ulps of t_{s-1} + (k - s + 1) h.  So rounding
-    cannot split `arange * dt` or `linspace`, and a grid that changes its step
-    splits.  The kernel runs on the real form of these maps (`_real_form`): Z
-    is the complex view of an (n, T, 8) float array X, and a step is
-    X_k = X_{k-1} @ M with the real 8x8 M = exp(h W), W the real form of -i A.
-    Per chunk, W is built and the M of every run and point are one stacked
-    exponential; per slice of about _BLOCK_SAMPLES points x time points, each
-    run is filled by doubling, X_{k+j} = X_j @ M^k for j < k, so a run of L
-    steps costs ceil(log2 L) batched fills and one squaring fewer, and a
-    uniform grid one exponential per point.  An M takes 512 B: for R runs, a
-    chunk holds at most _BLOCK_SAMPLES // 16R points, a whole number of slices
-    of _BLOCK_SAMPLES // max(T, 16R) points (at least one point), so its
-    exponentials take at most _BLOCK_SAMPLES x 32 B, half a slice's
-    trajectory, and the at most 7 stacks the Taylor core holds at once, its
-    argument included, 7 times that.
+    Each point's evolution matrix A is constant there, and the grid must be
+    t_k = k h from t_0 = 0 or h, each point within 4 ulps (`_one_run`, which
+    `arange * dt` and `linspace` from 0 pass): Z(t_k) = exp(-i A h) Z(t_{k-1}),
+    and a point at t = 0 is the initial state.  The kernel runs on the real
+    form of these maps (`_real_form`): Z is the complex view of an (n, T, 8)
+    float array X, and a step is X_k = X_{k-1} @ M with the real 8x8 M =
+    exp(h W), W the real form of -i A.  Memory is bounded in points x T.  A
+    chunk of at most _BLOCK_SAMPLES // 16 points builds W and takes the M of
+    every point as one stacked exponential: _BLOCK_SAMPLES x 32 B at most (an
+    M takes 512 B), and 7 times that for the stacks the Taylor core holds at
+    once.  A slice of _BLOCK_SAMPLES // max(T, 16) points (at least one) holds
+    at most _BLOCK_SAMPLES points x time points, or one point of T, and is
+    filled by doubling, X_{k+j} = X_j @ M^k for j < k: T steps cost
+    ceil(log2 T) batched fills, one squaring fewer and one exponential.
     A slice is refused, after the slices before it are yielded, if one point
     fails: a step exponential that would need more than 22 squarings (its step
     maps are NaN, so the rest of the chunk still runs), and a physical norm
@@ -235,37 +221,36 @@ def rotating_amplitudes(chunks: Callable[[int], Iterable[np.ndarray]], t_grid, *
     z0 = _initial_vector(initial)
     x0 = z0.view(float)[None]
     limit = float(physical_norm(z0)) * (1.0 + _NORM_SLACK)
-    starts, hs = _runs(t)
-    dt, stepping = max(hs, default=0.0), max(1, len(hs))
-    per_slice = max(1, _BLOCK_SAMPLES // max(t.size, 16 * stepping))
-    per_chunk = max(1, _BLOCK_SAMPLES // (16 * stepping)) // per_slice * per_slice
+    first, h = _one_run(t)
+    steps = t.size - first
+    per_slice = max(1, _BLOCK_SAMPLES // max(t.size, 16))
+    per_chunk = max(1, _BLOCK_SAMPLES // 16) // per_slice * per_slice
     for fields in chunks(per_chunk):
         with np.errstate(over="ignore", invalid="ignore"):  # a norm that overflows is refused as too large
             a = evolution_matrices(fields)
             w = _real_form(a.imag, -a.real)  # of -i A
             del a
-            exps = _expm_stack((np.reshape(hs, (-1, 1, 1, 1)) * w).reshape(-1, 8, 8)).reshape(len(hs), len(w), 8, 8)
+            exps = _expm_stack(h * w) if steps else np.zeros_like(w)  # t = 0 alone takes no step
         del w  # the slices need only the step maps
-        fine = ~np.isnan(exps[..., 0, 0]).any(axis=0)  # a point's step maps are NaN past the budget
-        for lo in range(0, len(fine), per_slice):
-            if not fine[lo:lo + per_slice].all():
-                raise ValueError(f"one-step exponential exp(-i A dt) has no precision left for time step dt = {dt:g}: "
+        for lo in range(0, len(exps), per_slice):
+            if np.isnan(exps[lo:lo + per_slice, 0, 0]).any():  # a point's step map is NaN past the budget
+                raise ValueError(f"one-step exponential exp(-i A dt) has no precision left for time step dt = {h:g}: "
                                  "dt times the evolution matrix norm exceeds 2**21")
-            x = np.empty((min(per_slice, len(fine) - lo), t.size, 8))
+            x = np.empty((min(per_slice, len(exps) - lo), t.size, 8))
             x[:, 0] = x0  # the state at t = 0, or overwritten by the first step
-            for start, end, power in zip(starts, starts[1:] + [t.size], exps[:, lo:lo + len(x)]):
-                x[:, start:start + 1] = (x[:, start - 1:start] if start else x0) @ power
-                k = 1
-                while k < end - start:  # x[start + k + j] = x[start + j] @ M^k for j < k
-                    m = min(k, end - start - k)
-                    np.matmul(x[:, start:start + m], power, out=x[:, start + k:start + k + m])
-                    power, k = (power @ power if 2 * k < end - start else power), 2 * k
+            power, k = exps[lo:lo + len(x)], 1
+            if steps:
+                x[:, first:first + 1] = (x[:, :1] if first else x0) @ power
+            while k < steps:  # x[first + k + j] = x[first + j] @ M^k for j < k
+                m = min(k, steps - k)
+                np.matmul(x[:, first:first + m], power, out=x[:, first + k:first + k + m])
+                power, k = (power @ power if 2 * k < steps else power), 2 * k
             z = x.view(complex)
             g, s, norm = _population_sums(z)
             peak = float(norm.max())
             if not peak <= limit:
-                raise ValueError(f"one-step exponential exp(-i A dt) lost precision over {t.size - starts[0]} steps "
-                                 f"of dt = {dt:g}: the physical norm rose to {peak!r}, more than 1e-9 (relative) "
+                raise ValueError(f"one-step exponential exp(-i A dt) lost precision over {steps} steps "
+                                 f"of dt = {h:g}: the physical norm rose to {peak!r}, more than 1e-9 (relative) "
                                  "above its value at t = 0")
             yield z, g, s, norm
         del exps  # before the next chunk takes its own

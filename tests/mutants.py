@@ -81,8 +81,7 @@ MUTANTS = (
     Mutant("population_floor_-1e-10", "metrics.py", "_POPULATION_FLOOR = -1e-12", "_POPULATION_FLOOR = -1e-10",
            ("tests/test_metrics.py::TestGuards::test_ground_population_floor_is_minus_1e_12",)),
     Mutant("one_pass_ulp_2", "propagator.py", "> 4.0 * ulp", "> 2.0 * ulp",
-           equivalent="a grid within 4 but not 2 ulps of one run falls to the point-by-point loop, "
-                      "which returns the same single run: only the path changes"),
+           ("tests/test_propagator.py::TestRunPlanner::test_window_is_4_ulps",)),
     Mutant("taylor_15_dropped", "propagator.py", "f = c[15] * m3", "f = 0.0 * m3",
            equivalent="the X^15 / 15! term is below 2e-17 relative at norm <= 0.5, "
                       "under the last bit that 12 digits or any test tolerance reads"),
@@ -134,32 +133,32 @@ MUTANTS = (
     Mutant("one_pass_ulp_64", "propagator.py",
            "> 4.0 * ulp",
            "> 64.0 * ulp",
-           ("tests/test_propagator.py::TestRunPlanner::test_position_rule_and_int_starts",)),
+           ("tests/test_propagator.py::TestRunPlanner::test_window_is_4_ulps",
+            "tests/test_propagator.py::TestRunPlanner::test_position_rule_and_int_starts_at_edges")),
     Mutant("one_pass_ulp_8", "propagator.py",
            "> 4.0 * ulp",
            "> 8.0 * ulp",
-           ("tests/test_propagator.py::TestRunPlanner::test_position_rule_and_int_starts",
+           ("tests/test_propagator.py::TestRunPlanner::test_window_is_4_ulps",
             "tests/test_propagator.py::TestRunPlanner::test_position_rule_and_int_starts_at_edges")),
     Mutant("one_pass_last_unchecked", "propagator.py",
-           "if not off.any():",
-           "if not off[:-1].any():",
-           ("tests/test_propagator.py::TestRunPlanner::test_position_rule_and_int_starts",
+           "if off.any():",
+           "if off[:-1].any():",
+           ("tests/test_propagator.py::TestRunPlanner::test_window_is_4_ulps",
             "tests/test_propagator.py::TestRunPlanner::test_position_rule_and_int_starts_at_edges")),
     Mutant("one_pass_positions_one_step_off", "propagator.py",
            "np.arange(2, rest.size + 2)",
            "np.arange(1, rest.size + 1)",
-           equivalent="every grid then fails the one-pass check and falls to the point-by-point loop, "
-                      "which returns the same runs: only the path changes"),
-    Mutant("loop_positions_one_step_off", "propagator.py",
-           "(origin + (k - start + 1) * h)",
-           "(origin + (k - start) * h)",
-           ("tests/test_propagator.py::test_runs_are_found_by_position",
-            "tests/test_propagator.py::TestRunPlanner::test_position_rule_and_int_starts_at_edges")),
-    Mutant("loop_ulp_8", "propagator.py",
-           "> 4.0 * math.ulp(tl[k])",
-           "> 8.0 * math.ulp(tl[k])",
            ("tests/test_propagator.py::TestRunPlanner::test_position_rule_and_int_starts",
             "tests/test_propagator.py::test_runs_are_found_by_position")),
+    Mutant("one_run_refusal_dropped", "propagator.py",
+           "if off.any():",
+           "if False:",
+           ("tests/test_propagator.py::TestEvolve::test_nonuniform_grid",
+            "tests/test_sweeps.py::test_library_input_refused")),
+    Mutant("chunk_without_the_16", "propagator.py",
+           "per_chunk = max(1, _BLOCK_SAMPLES // 16)",
+           "per_chunk = max(1, _BLOCK_SAMPLES)",
+           ("tests/test_sweeps.py::TestBlocks::test_opt_time_memory_bounded_in_points_x_time_points",)),
     Mutant("norm_guard_max", "metrics.py",
            "np.fmax.reduce(norm, axis=None, initial=-np.inf) > 1.0",
            "norm.max() > 1.0",

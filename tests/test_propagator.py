@@ -6,12 +6,13 @@ Pade `expm` checks the production Taylor core by a different method.
 """
 
 import math
+import re
 import tracemalloc
 import types
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from magbattery import (
     DEFAULT_INITIAL,
@@ -24,13 +25,15 @@ from magbattery import (
 
 from magbattery import propagator
 from magbattery.model import _field_array
-from magbattery.propagator import _expm_stack, _population_sums, _real_form, _runs, rotating_amplitudes
+from magbattery.propagator import _expm_stack, _one_run, _population_sums, _real_form, rotating_amplitudes
 from magbattery.sweeps import time_grid
 
 from conftest import evolution_matrix, expm, frame_frequencies
 from oracles import lindblad_metrics, shell_amplitudes
 
 RABI = SystemParams(g_a=0.0, g_b=0.0, lam=1.0)  # resonant two-level reduction
+# the kernel's refusal of a grid that is not t_k = k h from t_0 = 0 or h
+NOT_ONE_RUN = "time grid must be t_k = k h with t_0 = 0 or h, each point within 4 ulps: "
 
 
 def expm_series(m, terms=80):
@@ -313,11 +316,9 @@ class TestEvolve:
             np.testing.assert_allclose(traj.amplitudes[k], self.pointwise(p, t[k]), atol=1e-11)
 
     def test_nonuniform_grid(self, rng, draw_params):
-        p = draw_params(rng)
-        t = np.array([0.0, 0.3, 1.0, 2.5, 2.6])
-        traj = evolve(p, t)
-        for k, tk in enumerate(t):
-            np.testing.assert_allclose(traj.amplitudes[k], self.pointwise(p, tk), atol=1e-12)
+        # refused at its first point off t_k = k h, before any step is taken
+        with pytest.raises(ValueError, match=f"^{re.escape(NOT_ONE_RUN + 't[2] = 1.0 is off the step h = 0.3')}$"):
+            evolve(draw_params(rng), np.array([0.0, 0.3, 1.0, 2.5, 2.6]))
 
     def test_initial_override(self):
         traj = evolve(SystemParams(), [0.0, 0.5], initial=(0, 1, 0, 0))
@@ -361,19 +362,33 @@ def run_grid(t0, lengths=(3, 1, 65, 2, 7, 64)):
     return t0 + np.concatenate(([0.0], np.cumsum(steps)))
 
 
+def assert_refused_alike(points, grid, **kw):
+    """`evolve` refuses the grid, which is not t_k = k h from t_0 = 0 or h, for
+    the sequence and for each of its points alone, with one message."""
+    messages = set()
+    for p in (points, *points):
+        with pytest.raises(ValueError, match=f"^{re.escape(NOT_ONE_RUN)}") as refusal:
+            evolve(p, grid, **kw)
+        messages.add(str(refusal.value))
+    assert len(messages) == 1
+
+
 class TestBatchedEvolve:
     """A sequence of points advances together; row i is `evolve` of point i."""
 
-    @pytest.mark.parametrize("grid", [
-        np.linspace(0.0, 5.0, 101),
-        np.array([0.0, 0.3, 1.0, 2.5, 2.6]),
-        np.array([0.7, 1.2, 1.7, 4.0]),
-        run_grid(0.0),
-        np.arange(300) * 0.01,
+    @pytest.mark.parametrize("grid, refused", [
+        (np.linspace(0.0, 5.0, 101), False),
+        (np.array([0.0, 0.3, 1.0, 2.5, 2.6]), True),
+        (0.7 * np.arange(1, 5), False),  # one run from t_0 = h
+        (run_grid(0.0), True),
+        (np.arange(300) * 0.01, False),
     ], ids=["uniform", "nonuniform", "from_t0", "runs", "arange"])
     @pytest.mark.parametrize("initial", [None, (0.6, 0.0, 0.8j, 0.0)])
-    def test_rows_match_single_points(self, rng, draw_params, grid, initial):
+    def test_rows_match_single_points(self, rng, draw_params, grid, refused, initial):
         points = [draw_params(rng) for _ in range(6)]
+        if refused:
+            assert_refused_alike(points, grid, initial=initial)
+            return
         batch = evolve(points, grid, initial=initial)
         np.testing.assert_array_equal(batch.times, grid)
         assert batch.amplitudes.shape == (6, len(grid), 4)
@@ -395,17 +410,20 @@ class TestBatchedEvolve:
         with pytest.raises(ValueError, match="at least one parameter point"):
             evolve([], [0.0, 1.0])
 
-    @pytest.mark.parametrize("grid", [
-        np.linspace(0.0, 20.0, 2001),
-        np.arange(2001) * 0.01,  # steps that differ by ulps
-        run_grid(0.0),
-        run_grid(0.25),
+    @pytest.mark.parametrize("grid, refused", [
+        (np.linspace(0.0, 20.0, 2001), False),
+        (np.arange(2001) * 0.01, False),  # steps that differ by ulps
+        (run_grid(0.0), True),
+        (0.0137 * np.arange(1, 201), False),  # one run from t_0 = h
     ], ids=["uniform2001", "arange2001", "runs", "runs_from_t0"])
-    def test_runs_match_a_sequential_loop_and_scipy(self, rng, draw_params, grid):
-        # each run of equal steps is filled by doubling; the reference takes
+    def test_runs_match_a_sequential_loop_and_scipy(self, rng, draw_params, grid, refused):
+        # the run of equal steps is filled by doubling; the reference takes
         # one exponential per step and one matvec at a time
         scipy_expm = pytest.importorskip("scipy.linalg").expm
         points = [draw_params(rng) for _ in range(2)]
+        if refused:
+            assert_refused_alike(points, grid)
+            return
         batch = evolve(points, grid).amplitudes
         for row, p in zip(batch, points):
             a, f = evolution_matrix(p), frame_frequencies(p)
@@ -466,101 +484,85 @@ def test_step_norm_refuses_its_slice_after_the_earlier_ones(rng, draw_params):
         np.testing.assert_array_equal(z, w)
 
 
-@pytest.mark.parametrize("grid, runs", [
-    (time_grid(200.0, 0.01), 1),
-    (time_grid(9999.99, 0.01), 1),
+@pytest.mark.parametrize("grid, accepted", [
+    (time_grid(200.0, 0.01), True),
+    (time_grid(9999.99, 0.01), True),
     (0.05 + np.concatenate(([0.0], np.cumsum(np.r_[np.full(60, 0.01), np.linspace(0.011, 0.03, 40),
-                                                   np.full(80, 0.02)]))), 43),
-    (np.geomspace(0.01, 2.0, 41), 41),
-    (np.concatenate(([0.0], np.cumsum(np.full(2000, 0.01)))), 4),
+                                                   np.full(80, 0.02)]))), False),
+    (np.geomspace(0.01, 2.0, 41), False),
+    (np.concatenate(([0.0], np.cumsum(np.full(2000, 0.01)))), False),
 ], ids=["arange20001", "arange_limit", "sweeps_grid", "geomspace", "cumsum"])
-def test_runs_are_found_by_position(monkeypatch, grid, runs):
-    # a run holds every point within 4 ulps of its origin plus whole steps, so
-    # the rounding of `arange * dt` cannot split it, up to the 1e6-point limit
-    # of `time_grid`; a change of step (the grid of tests/test_sweeps.py, a
-    # geometric grid) and the drift of a running sum still do.  A chunk takes
-    # one stacked exponential of runs x points; the first slice is enough
+def test_runs_are_found_by_position(monkeypatch, grid, accepted):
+    # the one run holds every point within 4 ulps of k h, so the rounding of
+    # `arange * dt` cannot break it, up to the 1e6-point limit of `time_grid`,
+    # and a chunk takes one stacked exponential of its points; a change of step
+    # after t_0 > 0, a geometric grid and the drift of a running sum are
+    # refused before any exponential is taken
     stacks, exact = [], propagator._expm_stack
     monkeypatch.setattr(propagator, "_expm_stack", lambda m: stacks.append(len(m)) or exact(m))
     fields = _field_array([SystemParams()] * 3)
-    next(rotating_amplitudes(lambda size: [fields], grid))
-    assert stacks == [3 * runs]
-
-
-@st.composite
-def run_grids(draw):
-    """Checked time grids of every shape the run planner meets: `arange * dt`,
-    `linspace` and `geomspace` grids, running sums, two such grids joined, and
-    uniform grids with each point moved by a few ulps."""
-    kind = draw(st.sampled_from(["arange", "linspace", "geomspace", "cumsum", "joined", "perturbed"]))
-    n = draw(st.integers(1, 2500))
-    dt = draw(st.floats(1e-4, 10.0))
-    t0 = draw(st.sampled_from([0.0, 0.05, 1.0]))
-    if kind == "arange":
-        t = t0 + np.arange(n) * dt
-    elif kind == "linspace":
-        t = np.linspace(t0, t0 + n * dt, n)
-    elif kind == "geomspace":
-        t = np.geomspace(dt, dt * draw(st.floats(1.5, 1e6)), n)
-    elif kind == "cumsum":
-        t = t0 + np.cumsum(np.full(n, dt))
-    elif kind == "joined":
-        head = np.arange(n) * dt
-        tail = head[-1] + draw(st.floats(0.1, 3.0)) * dt + np.arange(1, draw(st.integers(1, 2000))) * 2.0 * dt
-        t = np.concatenate((head, tail))
+    slices = rotating_amplitudes(lambda size: [fields], grid)
+    if accepted:
+        next(slices)
     else:
-        spread, seed = draw(st.integers(1, 30)), draw(st.integers(0, 2**32 - 1))
-        t = np.arange(1, n + 1) * dt
-        t = t + np.random.default_rng(seed).integers(-spread, spread + 1, n) * np.spacing(t)
-    assume(np.all(np.diff(t) > 0) and t[0] >= 0.0)
-    return t
-
-
-def check_position_rule(t, starts, steps):
-    """Asserts the position rule of `_runs` on its output for the grid `t`: the
-    first run starts at 1 if t[0] = 0, else at 0; the run from t_s takes the
-    step t_s - t_{s-1} (t_{-1} = 0) and holds every point up to the next start
-    within 4 ulps of t_{s-1} plus whole steps; each later start lies off the
-    line of the run before it."""
-    tl = [float(x) for x in t]
-    first = int(tl[0] == 0.0)
-    assert starts[:1] == ([first] if first < len(tl) else [])
-    assert starts == sorted(set(starts)) and len(steps) == len(starts)
-
-    def off(k, s, h):  # t_k against the line of the run from t_s with step h
-        return abs(tl[k] - ((tl[s - 1] if s else 0.0) + (k - s + 1) * h)) > 4.0 * math.ulp(tl[k])
-
-    for j, (s, h) in enumerate(zip(starts, steps)):
-        assert h == tl[s] - (tl[s - 1] if s else 0.0)
-        end = starts[j + 1] if j + 1 < len(starts) else len(tl)
-        assert not any(off(k, s, h) for k in range(s, end))
-        if end < len(tl):
-            assert off(end, s, h)
+        with pytest.raises(ValueError, match=f"^{re.escape(NOT_ONE_RUN)}"):
+            next(slices)
+    assert stacks == [3] * accepted
 
 
 class TestRunPlanner:
-    """`_runs` splits a grid by the position rule: `check_position_rule` pins
-    its one greedy split, point by point, whichever of its two paths ran."""
+    """`_one_run` returns the first stepped index and the step h of a grid
+    t_k = k h from t_0 = 0 or h, each point within 4 ulps of k h, checked in one
+    vector pass, or refuses the grid at its first point off that line."""
 
-    @settings(max_examples=300)
-    @given(t=run_grids())
-    def test_position_rule_and_int_starts(self, t):
-        starts, steps = _runs(t)
-        check_position_rule(t, starts, steps)
-        assert all(type(k) is int for k in starts)
+    @settings(max_examples=60)
+    @example(n=10**6 - 1, dt=0.01, linspace=False)
+    @example(n=10**6 - 1, dt=0.01, linspace=True)
+    @given(n=st.integers(1, 10**6 - 1), dt=st.floats(1e-6, 10.0), linspace=st.booleans())
+    def test_position_rule_and_int_starts(self, n, dt, linspace):
+        # every grid `time_grid` builds and every `linspace` from 0, up to the
+        # 1e6-point limit: their rounding leaves them within 1 ulp of k h
+        t = np.linspace(0.0, n * dt, n + 1) if linspace else time_grid(n * dt, dt)
+        first, h = _one_run(t)
+        assert type(first) is int and type(h) is float and (first, h) == (1, t[1])
 
-    @pytest.mark.parametrize("grid", [
-        [0.0], [5e-324], [0.0, 5e-324, 1e-323, 2e-323, 3e-323, 5e-323],
-        [1e307, 5e307, 9e307, 1.3e308, 1.7e308, np.finfo(float).max],
-        np.finfo(float).max * np.linspace(0.5, 1.0, 33),
-        np.arange(1, 4001) * 0.01 + np.where(np.arange(4000) % 3, 0.0, 1e-13),
-    ], ids=["origin", "subnormal", "subnormals", "largest", "top_binade", "every_third_moved"])
-    def test_position_rule_and_int_starts_at_edges(self, grid):
+    MAX = np.finfo(float).max
+
+    @pytest.mark.parametrize("grid, want", [
+        ([0.0], (1, 0.0)),
+        ([5e-324], (0, 5e-324)),
+        ([0.0, 5e-324, 1e-323, 2e-323, 3e-323, 5e-323], "t[5] = 5e-323 is off the step h = 5e-324"),
+        ([1e307, 5e307, 9e307, 1.3e308, 1.7e308, MAX], "t[1] = 5e+307 is off the step h = 1e+307"),
+        (MAX * np.linspace(0.5, 1.0, 33),
+         "t[1] = 9.269355226633814e+307 is off the step h = 8.988465674311579e+307"),
+        (np.arange(1, 4001) * 0.01 + np.where(np.arange(4000) % 3, 0.0, 1e-13),
+         "t[1] = 0.02 is off the step h = 0.0100000000001"),
+        ([0.0, 5e-324, 1e-323, 1.5e-323, 2e-323], (1, 5e-324)),
+        ([MAX / 2, MAX], (0, MAX / 2)),
+    ], ids=["origin", "subnormal", "subnormals", "largest", "top_binade", "every_third_moved",
+            "subnormal_run", "largest_run"])
+    def test_position_rule_and_int_starts_at_edges(self, grid, want):
+        # positions past the largest float are off the line, as inf, without an overflow
         t = np.asarray(grid, dtype=float)
         with np.errstate(over="raise"):
-            starts, steps = _runs(t)
-        check_position_rule(t, starts, steps)
-        assert all(type(k) is int for k in starts)
+            if isinstance(want, str):
+                with pytest.raises(ValueError, match=f"^{re.escape(NOT_ONE_RUN + want)}$"):
+                    _one_run(t)
+            else:
+                got = _one_run(t)
+                assert got == want and type(got[0]) is int
+
+    def test_window_is_4_ulps(self):
+        # `arange * dt` and `linspace` from 0 need at most 1 ulp; a grid with
+        # every stepped point after the first moved 3 ulps up is one run, and
+        # moving its last point 5 ulps up refuses it
+        t = time_grid(1.0, 0.01)
+        moved = t + np.r_[0.0, 0.0, np.full(99, 3.0)] * np.spacing(t)
+        assert _one_run(moved) == (1, 0.01)
+        moved[-1] = t[-1] + 5.0 * np.spacing(t[-1])
+        refusal = NOT_ONE_RUN + "t[100] = 1.000000000000001 is off the step h = 0.01"
+        with pytest.raises(ValueError, match=f"^{re.escape(refusal)}$"):
+            _one_run(moved)
 
 
 def test_amplitudes_match_a_40_digit_reference(rng, draw_params):
@@ -787,7 +789,7 @@ class TestOracleIntegrate:
             codes += [c for c in code.co_consts if isinstance(c, types.CodeType)]
         assert "exp" in names  # the walk reached the nested M(u)
         shared = {"evolve", "rotating_amplitudes", "_expm_stack", "evolution_matrices", "_frame_frequencies",
-                  "_population_sums", "_real_form", "_field_array", "_runs", "physical_norm"}
+                  "_population_sums", "_real_form", "_field_array", "_one_run", "physical_norm"}
         assert not names & shared
 
 
@@ -810,9 +812,9 @@ class TestShellHamiltonianOracle:
     }
 
     @staticmethod
-    def check_both_routes(p, t):
+    def check_both_routes(p, t, routes=(evolve, oracle_integrate)):
         want = np.abs(shell_amplitudes(p, t)) ** 2
-        for route in (evolve, oracle_integrate):
+        for route in routes:
             got = np.abs(route(p, t).amplitudes) ** 2
             assert np.abs(got - want).max() <= 1e-10, route.__name__
 
@@ -822,10 +824,11 @@ class TestShellHamiltonianOracle:
 
     @pytest.mark.parametrize("name", sorted(CASES))
     def test_both_routes_from_t0(self, name):
-        # a first step from t = 0 to t0 > 0, then steps that repeat (one
-        # reused exponential) and change (a fresh one)
-        t = np.array([0.7, 1.2, 1.7, 2.2, 2.5, 2.8, 3.1, 4.0])
-        self.check_both_routes(self.CASES[name], t)
+        # a first span from t = 0 to t0 > 0: for the oracle, then spans that
+        # repeat and change; for `evolve`, a run of steps from t_0 = h
+        self.check_both_routes(self.CASES[name], np.array([0.7, 1.2, 1.7, 2.2, 2.5, 2.8, 3.1, 4.0]),
+                               (oracle_integrate,))
+        self.check_both_routes(self.CASES[name], 0.7 * np.arange(1, 9), (evolve,))
 
     def test_random_draws(self, rng):
         # detunings of both signs, half the draws lossy, random initial shell state

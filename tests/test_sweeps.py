@@ -581,11 +581,10 @@ class TestBlocks:
         assert len(seen) >= 3 and [len(z) for z in per_block] == [len(fields) for fields in seen]
         assert len(calls) == len(per_block) + 1  # and the norm of the initial amplitudes, once
 
-    # t0 > 0, a run of equal steps, single steps and a second run: every block
-    # shares the runs the kernel split once
-    GRID = 0.05 + np.concatenate(([0.0], np.cumsum(np.r_[np.full(60, 0.01),
-                                                        np.linspace(0.011, 0.03, 40),
-                                                        np.full(80, 0.02)])))
+    # a grid from t_0 = h whose later points sit up to 3 ulps off k h, so that
+    # its steps differ in floats: one run to the kernel, as `arange * dt` is
+    GRID = 0.0175 * np.arange(1, 182)
+    GRID[1:] += np.random.default_rng(7).integers(-3, 4, 180) * np.spacing(GRID[1:])
 
     def test_non_uniform_grid_opt_time_equals_per_point(self, monkeypatch):
         vary = VarySpec.linspace("g_b", 0.1, 5.0, 50)
@@ -622,10 +621,10 @@ class TestBlocks:
                             panel_sweep(BASE, VarySpec.linspace("lambda", 0.0, 80.0, 45), t)]),
     ], ids=["opt_time", "contour", "panel"])
     def test_outputs_independent_of_chunk_and_slice_sizes(self, monkeypatch, sweep, grid, samples):
-        # one chunk of up to 240 points (uniform) or 5 (non-uniform, 43 runs) at 2**12;
-        # at 2**6 one point a slice and 4 or 1 a chunk, at 2**9 two points a slice and
-        # 32 a chunk (uniform) or one point a slice and a chunk.  The step
-        # exponentials of one chunk take different squaring counts.
+        # one chunk of up to 240 (uniform, T = 201) or 242 points (non_uniform,
+        # T = 181) at 2**12; at 2**6 one point a slice and 4 a chunk, at 2**9 two
+        # points a slice and 32 a chunk.  The step exponentials of one chunk take
+        # different squaring counts.
         want = sweep(grid)
         monkeypatch.setattr(propagator, "_BLOCK_SAMPLES", samples)
         seen = record_blocks(monkeypatch)
@@ -633,12 +632,13 @@ class TestBlocks:
         assert len(seen) >= 20
         np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
-    def test_chunk_shrinks_with_the_run_count(self):
-        # every step of a geometric grid is its own run (R = T = 41): a chunk
-        # is one slice of 4096 // (16 R) = 6 points, whose real step
-        # exponentials take 0.13 MB, half of 4096 points x time points of
-        # trajectory; a 99-point slice would take 2.1 MB, all 300 points 6.3 MB
-        t = np.geomspace(0.01, 2.0, 41)
+    def test_opt_time_memory_bounded_in_points_x_time_points(self):
+        # a chunk of 240 points, 12 slices of 20 within 4096 // 16 = 256, takes
+        # its real step exponentials as one 120 KiB stack, of which the Taylor
+        # core holds at most 7, 0.86 MB (0.91 MB peak measured); a slice of 20
+        # points x 201 time points holds 0.26 MB of trajectory.  All 300 points
+        # at once would take 1.08 MB in the core and 3.9 MB of trajectory
+        t = T_BLOCKS
         vary = VarySpec.linspace("g_b", 0.1, 5.0, 300)
         optimal_time_sweep(BASE, vary, t)
         tracemalloc.start()
@@ -667,7 +667,10 @@ class TestBlocks:
     (lambda: evolve(BASE, [0.0, math.nan]), "time grid must be finite"),
     (lambda: evolve(BASE, [0.0, 1.0], initial=(1.0, 0.0, 0.0)),
      "initial amplitudes must have exactly 4 components"),
-], ids=["linspace_count", "grid_bound", "evolve_grid", "evolve_initial"])
+    (lambda: optimal_time_sweep(BASE, VarySpec("g_b", (1.0,)), np.geomspace(0.01, 2.0, 41)),
+     "time grid must be t_k = k h with t_0 = 0 or h, each point within 4 ulps: "
+     "t[1] = 0.011416309914166938 is off the step h = 0.01"),
+], ids=["linspace_count", "grid_bound", "evolve_grid", "evolve_initial", "geometric_grid"])
 def test_library_input_refused(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()

@@ -51,10 +51,9 @@ UNIT_TOL = 3e-12
 # largest |difference| of any column of a time series, energies over s, over
 # 40 seeded draws in both modes: 4.2e-13 (s = 1e3)
 UNIT_COLUMN_TOL = 5e-12
-# GRID with nine points 1e-6 apart before its second one: there every energy
-# is far below a population of 1e-5, which a snap in energy units zeroed at
-# s = 1e-7
-UNIT_GRID = np.concatenate((np.arange(10) * 1e-6, GRID[1:]))
+# ten points 1e-6 apart from t = 0, where every energy is far below a
+# population of 1e-5, which a snap in energy units zeroed at s = 1e-7, and GRID
+UNIT_GRIDS = (np.arange(10) * 1e-6, GRID)
 # largest |difference| of a population over 20 seeded draws, c in {-7.5, 1e3,
 # 1e6}: 3.1e-11 at c = 1e6, from the rounding of the shifted omegas, in both
 # integrators
@@ -190,28 +189,31 @@ class TestEnergyUnit:
     @MODES
     def test_time_series(self, rng, mode):
         deltas, omega_q, rates = lossy_draw(rng)
-        want = time_series(self.base(deltas, omega_q, rates), UNIT_GRID, mode)
-        for s in self.UNITS:
-            self.check_scaled(want, time_series(self.base(deltas, omega_q, rates, s), UNIT_GRID, mode), s)
+        for grid in UNIT_GRIDS:
+            want = time_series(self.base(deltas, omega_q, rates), grid, mode)
+            for s in self.UNITS:
+                self.check_scaled(want, time_series(self.base(deltas, omega_q, rates, s), grid, mode), s)
 
     @MODES
     def test_panel_sweep(self, rng, mode):
         deltas, omega_q, rates = lossy_draw(rng)
         gammas = VarySpec("gamma", (0.0, 0.1, 0.5))
-        runs = panel_sweep(self.base(deltas, omega_q, rates), gammas, UNIT_GRID, mode)
-        for s in self.UNITS:
-            scaled_runs = panel_sweep(self.base(deltas, omega_q, rates, s), gammas, UNIT_GRID, mode)
-            for (_, table), (_, other) in zip(runs, scaled_runs):
-                self.check_scaled(table, other, s)
+        for grid in UNIT_GRIDS:
+            runs = panel_sweep(self.base(deltas, omega_q, rates), gammas, grid, mode)
+            for s in self.UNITS:
+                scaled_runs = panel_sweep(self.base(deltas, omega_q, rates, s), gammas, grid, mode)
+                for (_, table), (_, other) in zip(runs, scaled_runs):
+                    self.check_scaled(table, other, s)
 
     @MODES
     def test_max_ergotropy_grid(self, rng, mode):
         deltas, omega_q, rates = lossy_draw(rng)
         axes = VarySpec("g_b", (0.5, 1.0, 2.0)), VarySpec("lambda", (0.01, 0.3, 1.0))
-        z = max_ergotropy_grid(self.base(deltas, omega_q, rates), *axes, UNIT_GRID, mode)
-        for s in self.UNITS:
-            got = max_ergotropy_grid(self.base(deltas, omega_q, rates, s), *axes, UNIT_GRID, mode)
-            np.testing.assert_allclose(got / s, z, rtol=0, atol=UNIT_COLUMN_TOL)
+        for grid in UNIT_GRIDS:
+            z = max_ergotropy_grid(self.base(deltas, omega_q, rates), *axes, grid, mode)
+            for s in self.UNITS:
+                got = max_ergotropy_grid(self.base(deltas, omega_q, rates, s), *axes, grid, mode)
+                np.testing.assert_allclose(got / s, z, rtol=0, atol=UNIT_COLUMN_TOL)
 
     def test_cli_dynamics(self, rng, capsys):
         # a grid of 2e-5 steps: the early energies sit below a population of
