@@ -44,7 +44,7 @@ import numpy as np
 
 from .metrics import METRIC_NAMES
 from .model import SystemParams
-from .states import AccountingMode
+from .states import _DEFAULT_MODE, AccountingMode
 from .sweeps import (
     PARAMETER_NAMES,
     VarySpec,
@@ -72,13 +72,7 @@ _ALL_KEYS = frozenset(
 
 # the model's default point as config strings (its field `lam` is the key `lambda`), then the CLI's own keys
 _DEFAULTS = {("lambda" if name == "lam" else name): f"{value:g}" for name, value in vars(SystemParams()).items()} | {
-    "t_max": "20", "dt": "0.01", "mode": "paper"}
-
-_MODES = {
-    "paper": AccountingMode.PAPER,
-    "repaired": AccountingMode.TRACE_REPAIRED,
-    "trace_repaired": AccountingMode.TRACE_REPAIRED,
-}
+    "t_max": "20", "dt": "0.01", "mode": _DEFAULT_MODE.value}
 
 _DYNAMICS_HEADER = ",".join(("t",) + METRIC_NAMES)
 _DYNAMICS_ROW = ",".join(["%.12g"] * (1 + len(METRIC_NAMES)))
@@ -202,11 +196,7 @@ def _resolve(cfg: dict[str, str], prefixes: tuple[str, ...] = (), missing: str =
     axes = _build_axes(cfg, prefixes, times.size)
     if axes is None:
         raise ValueError(missing)
-    params = build_params(cfg)
-    try:
-        return times, axes, params, _MODES[cfg["mode"]]
-    except KeyError:
-        raise ValueError(f"unknown mode {cfg['mode']!r}; expected one of {', '.join(_MODES)}") from None
+    return times, axes, build_params(cfg), AccountingMode(cfg["mode"])
 
 
 def _write(path: str, blocks: Iterable[bytes]) -> None:
@@ -311,7 +301,7 @@ subcommands:
 flags (each also as --flag=VALUE):
   --config PATH  flat key = value config file ('#' comments)
   --out PATH     output CSV path (default: stdout)
-  --mode MODE    accounting of decayed weight: paper (default), repaired or trace_repaired
+  --mode MODE    accounting of decayed weight: trace_repaired (default; also as repaired) or paper
   --threads N    accepted for compatibility; has no effect (evaluation is serial)
 
 Any config key overrides the file as --KEY VALUE or --KEY=VALUE.

@@ -9,7 +9,7 @@ s = |C4|^2 alone.  `_columns` computes the metrics named to it from g and s;
 density matrix is formed and no eigensolver runs: the general passive-state
 construction the closed form follows lives with the tests, as its oracle.
 In ``paper`` accounting the sub-normalized battery populations enter as-is;
-``trace_repaired`` first books the decayed weight into |gg>.
+``trace_repaired``, the default, first books the decayed weight into |gg>.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 
 from .model import SystemParams
 from .propagator import _NORM_SLACK, AmplitudeState, _population_sums
-from .states import AccountingMode, InconsistentStateError
+from .states import _DEFAULT_MODE, AccountingMode, InconsistentStateError
 
 __all__ = [
     "METRIC_NAMES",
@@ -60,18 +60,15 @@ class MetricsSample:
 def metric_columns(
     c: np.ndarray,
     omega_q: float,
-    mode: AccountingMode | str = AccountingMode.PAPER,
+    mode: AccountingMode | str = _DEFAULT_MODE,
 ) -> np.ndarray:
     """All five `_columns` of (..., 4) amplitudes as a (..., 5) array, in METRIC_NAMES order."""
     return np.stack(_columns(*_population_sums(c), omega_q, mode, METRIC_NAMES, c), axis=-1)
 
 
 def _check_battery(omega_q: float, mode: AccountingMode | str) -> AccountingMode:
-    """`mode` turned into an AccountingMode, here alone; ValueError for an unknown mode or omega_q < 0."""
-    try:
-        mode = AccountingMode(mode)
-    except ValueError:
-        raise ValueError(f"unknown accounting mode {mode!r}; expected 'paper' or 'trace_repaired'") from None
+    """`mode` as an AccountingMode, which refuses an unknown one; ValueError for omega_q < 0."""
+    mode = AccountingMode(mode)
     if not omega_q >= 0.0:  # the excited level must lie above |gg>
         raise ValueError(f"battery metrics need omega_q >= 0, got {omega_q!r}")
     return mode
@@ -137,7 +134,7 @@ def _columns(g: np.ndarray, s: np.ndarray, norm: np.ndarray, omega_q: float, mod
 def sample_metrics(
     a: AmplitudeState,
     p: SystemParams,
-    mode: AccountingMode | str = AccountingMode.PAPER,
+    mode: AccountingMode | str = _DEFAULT_MODE,
 ) -> MetricsSample:
     """All figures of merit at one time point: one row of `metric_columns`."""
     return MetricsSample(a.t, *(float(v) for v in metric_columns(a.c, p.omega_q, mode)))
@@ -146,7 +143,7 @@ def sample_metrics(
 def stored_energy_series(
     c: np.ndarray,
     omega_q: float,
-    mode: AccountingMode | str = AccountingMode.PAPER,
+    mode: AccountingMode | str = _DEFAULT_MODE,
 ) -> np.ndarray:
     """The energy column of `metric_columns`, for (..., 4) amplitudes."""
     return _columns(*_population_sums(c), omega_q, mode, ("energy",))[0]
@@ -155,7 +152,7 @@ def stored_energy_series(
 def ergotropy_series(
     c: np.ndarray,
     omega_q: float,
-    mode: AccountingMode | str = AccountingMode.PAPER,
+    mode: AccountingMode | str = _DEFAULT_MODE,
 ) -> np.ndarray:
     """The ergotropy column of `metric_columns`, for (..., 4) amplitudes."""
     return _columns(*_population_sums(c), omega_q, mode, ("ergotropy",))[0]

@@ -10,7 +10,9 @@ weight in one of two ways:
   ground level (|gg> for the battery, |000> for the charger), where every
   zero-temperature decay channel terminates, restoring unit trace.
 
-Without dissipation the two modes coincide.
+Without dissipation the two modes coincide.  `AccountingMode` parses every
+mode string, the CLI's short name ``repaired`` included, and `_DEFAULT_MODE`
+is the one default, ``trace_repaired``.
 """
 
 from __future__ import annotations
@@ -29,11 +31,20 @@ class AccountingMode(str, Enum):
     equation gives exactly these repaired matrices (checked against a 36x36
     Liouvillian in the tests).  ``paper`` keeps the sub-normalized no-jump
     matrices, so its stored energy omega_q (1 - g) books the decayed weight
-    as battery charge.  The default stays ``paper``.
+    as battery charge.  ``repaired`` is accepted for ``trace_repaired``.
     """
 
     PAPER = "paper"
     TRACE_REPAIRED = "trace_repaired"
+
+    @classmethod
+    def _missing_(cls, value: object) -> AccountingMode:
+        if value != "repaired":
+            raise ValueError(f"unknown mode {value!r}; expected one of paper, repaired, trace_repaired")
+        return cls.TRACE_REPAIRED
+
+
+_DEFAULT_MODE = AccountingMode.TRACE_REPAIRED  # the Lindblad answer
 
 
 class InconsistentStateError(ValueError):

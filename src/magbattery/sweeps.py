@@ -17,7 +17,7 @@ import numpy as np
 from .metrics import METRIC_NAMES, _check_battery, _columns, _ergotropy
 from .model import _FIELD_NAMES, SystemParams, _detunings, _field_array, _omegas
 from .propagator import rotating_amplitudes
-from .states import AccountingMode
+from .states import _DEFAULT_MODE, AccountingMode
 
 __all__ = [
     "VarySpec",
@@ -193,7 +193,7 @@ def _energy_peaks(t: np.ndarray, e: np.ndarray) -> np.ndarray:
 def time_series(
     p: SystemParams,
     t_grid: Sequence[float] | np.ndarray,
-    mode: AccountingMode | str = AccountingMode.PAPER,
+    mode: AccountingMode | str = _DEFAULT_MODE,
 ) -> np.ndarray:
     """(T, 6) table with rows (t, coherence, energy, ergotropy, purity, norm)."""
     return _evolve_points(p, (), t_grid, mode, METRIC_NAMES, _tables)[0][0]
@@ -203,7 +203,7 @@ def panel_sweep(
     base: SystemParams,
     vary: VarySpec,
     t_grid: Sequence[float] | np.ndarray,
-    mode: AccountingMode | str = AccountingMode.PAPER,
+    mode: AccountingMode | str = _DEFAULT_MODE,
 ) -> list[tuple[float, np.ndarray]]:
     """One `time_series` table per swept value, in the given order: views into each slice's tables."""
     return list(zip(vary.values, itertools.chain(*_evolve_points(base, (vary,), t_grid, mode, METRIC_NAMES, _tables))))
@@ -214,7 +214,7 @@ def max_ergotropy_grid(
     vary_x: VarySpec,
     vary_y: VarySpec,
     t_grid: Sequence[float] | np.ndarray,
-    mode: AccountingMode | str = AccountingMode.PAPER,
+    mode: AccountingMode | str = _DEFAULT_MODE,
 ) -> np.ndarray:
     """Maximum ergotropy over the time grid for every (x, y) parameter pair:
     a (len(vary_y.values), len(vary_x.values)) array with z[i, j] at (x_j, y_i)."""
@@ -233,7 +233,7 @@ def optimal_time_sweep(
     base: SystemParams,
     vary: VarySpec,
     t_grid: Sequence[float] | np.ndarray,
-    mode: AccountingMode | str = AccountingMode.PAPER,
+    mode: AccountingMode | str = _DEFAULT_MODE,
 ) -> np.ndarray:
     """(n, 3) float array of (value, tau, e_max) rows, one per swept value, in the given order."""
     peaks = _evolve_points(base, (vary,), t_grid, mode, ("energy",), _energy_peaks)

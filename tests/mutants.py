@@ -43,10 +43,17 @@ class Mutant:
 
 
 MUTANTS = (
-    Mutant("repaired_is_paper", "cli.py",
-           '"repaired": AccountingMode.TRACE_REPAIRED,', '"repaired": AccountingMode.PAPER,',
+    Mutant("repaired_is_paper", "states.py", "return cls.TRACE_REPAIRED", "return cls.PAPER",
            ("tests/test_cli.py::TestDynamics::test_trace_repaired_alias_in_config",
-            "tests/test_cli.py::TestDynamics::test_mode_changes_numbers_under_decay")),
+            "tests/test_cli.py::TestDynamics::test_mode_changes_numbers_under_decay",
+            "tests/test_modes.py::test_default_and_repaired_are_trace_repaired")),
+    Mutant("default_mode_paper", "states.py",
+           "_DEFAULT_MODE = AccountingMode.TRACE_REPAIRED", "_DEFAULT_MODE = AccountingMode.PAPER",
+           ("tests/test_modes.py::test_library_default_is_trace_repaired",
+            "tests/test_modes.py::test_cli_default_is_trace_repaired")),
+    Mutant("unknown_mode_accepted", "states.py", 'if value != "repaired":', "if False:",
+           ("tests/test_modes.py::test_unknown_mode_refused_with_one_message",
+            "tests/test_cli.py::TestDynamics::test_unknown_mode_lists_the_flag_choices")),
     Mutant("latest_peak", "sweeps.py",
            "idx = np.argmax(e >= peak - _PEAK_TIE_TOL * peak, axis=-1)",
            "idx = e.shape[-1] - 1 - np.argmax((e >= peak - _PEAK_TIE_TOL * peak)[..., ::-1], axis=-1)",
@@ -149,7 +156,7 @@ MUTANTS = (
            "np.arange(2, rest.size + 2)",
            "np.arange(1, rest.size + 1)",
            ("tests/test_propagator.py::TestRunPlanner::test_position_rule_and_int_starts",
-            "tests/test_propagator.py::test_runs_are_found_by_position")),
+            "tests/test_propagator.py::test_one_run_is_found_by_position")),
     Mutant("one_run_refusal_dropped", "propagator.py",
            "if off.any():",
            "if False:",

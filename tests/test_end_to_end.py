@@ -6,9 +6,9 @@ its CSV is parsed.  The reference is built at a parameter point made here from
 the default point written out below, not read from the package, on the same
 `time_grid`:
 
-* `trace_repaired` is the Lindblad answer at any loss, and without loss every
-  mode is: `oracles.lindblad_metrics`;
-* `paper` (the default mode) under loss books the decayed weight as charge:
+* `trace_repaired` (the default mode) is the Lindblad answer at any loss,
+  and without loss every mode is: `oracles.lindblad_metrics`;
+* `paper` under loss books the decayed weight as charge:
   `oracles.oracle_metrics` of the amplitudes of the five-level shell
   Hamiltonian, `oracles.shell_amplitudes`.
 
@@ -38,7 +38,7 @@ DEFAULT_OMEGA = 1.0
 DEFAULT_COUPLINGS = {"g_a": 1.0, "g_b": 1.0, "lambda": 1.0}
 DEFAULT_RATES = {"kappa_a": 0.0, "kappa_b": 0.0, "kappa_m": 0.0, "gamma": 0.0}
 DETUNINGS = ("delta_1", "delta_2", "delta_3")
-MODES = (None, "paper", "repaired", "trace_repaired")  # None: no --mode, the default `paper`
+MODES = (None, "paper", "repaired", "trace_repaired")  # None: no --mode, the default `trace_repaired`
 
 # Each bound is about ten times the worst |CLI - reference| measured over its
 # test's draws: 5.0e-12 for dynamics and sweep against the Lindblad solve,
@@ -72,7 +72,7 @@ def reference_columns(keys, times, mode):
     point of `keys` in `mode`: the shell amplitudes' density matrices for `paper`
     under loss, the Lindblad solve otherwise."""
     p = reference_point(keys)
-    if mode in (None, "paper") and any(keys.get(name, 0.0) for name in DEFAULT_RATES):
+    if mode == "paper" and any(keys.get(name, 0.0) for name in DEFAULT_RATES):
         return np.array([oracle_metrics(c, p.omega_q, "paper") for c in shell_amplitudes(p, times)])
     return lindblad_metrics(p, times)
 
@@ -114,8 +114,8 @@ def printed(value):
 @st.composite
 def cli_runs(draw, paper_under_loss=False):
     """(parameter keys given, --t_max, --dt, --mode or None, the swept key and its values).
-    Lossy draws run in the repaired modes; with `paper_under_loss` every draw sets
-    one rate to 0.05-2 and runs in `paper`."""
+    Lossy draws run in the repaired modes, the default among them; with
+    `paper_under_loss` every draw sets one rate to 0.05-2 and runs in `paper`."""
     lossy = paper_under_loss or draw(st.booleans())
     ranges = parameter_ranges(lossy)
     keys = {name: draw(values) for name, values in ranges.items() if draw(st.booleans())}
@@ -126,7 +126,7 @@ def cli_runs(draw, paper_under_loss=False):
     values = draw(st.lists(ranges[axis], min_size=1, max_size=3))
     lossless = all(point.get(name, 0.0) == 0.0 for point in [keys, *({axis: v} for v in values)]
                    for name in DEFAULT_RATES)
-    modes = (None, "paper") if paper_under_loss else MODES if lossless else ("repaired", "trace_repaired")
+    modes = ("paper",) if paper_under_loss else MODES if lossless else (None, "repaired", "trace_repaired")
     return keys, steps * dt, dt, draw(st.sampled_from(modes)), axis, values
 
 
@@ -191,7 +191,7 @@ def test_contour_matches_a_python_max_of_the_reference_ergotropy(run):
                            "base_params", "config_sha256"}
     assert (record["metric"], record["x_name"], record["y_name"], record["time_points"]) == (
         "max_ergotropy", x, y, times.size)
-    assert record["mode"] == ("paper" if mode in (None, "paper") else "trace_repaired")
+    assert record["mode"] == ("paper" if mode == "paper" else "trace_repaired")
     cells = [(xv, yv) for yv in ys for xv in xs]  # y-major: x runs fastest
     assert len(rows) == len(cells)
     for (x_name, x_value, y_name, y_value, z), (xv, yv) in zip(rows, cells):
@@ -221,7 +221,7 @@ def opt_time_runs(draw):
     keys, t_max, dt, _, axis, values = draw(cli_runs())
     if draw(st.booleans()):
         keys |= {name: draw(st.floats(1.0, 2.0)) for name in ("kappa_a", "kappa_b", "kappa_m")}
-        return keys, 20.0, 0.5, draw(st.sampled_from((None, "paper"))), axis, values
+        return keys, 20.0, 0.5, "paper", axis, values
     return keys, t_max, dt, draw(st.sampled_from(MODES)), axis, values
 
 

@@ -356,10 +356,11 @@ class TestEvolve:
             evolve(SystemParams(g_a=2.0**21), [0.0, 1.0])
 
 
-def run_grid(t0, lengths=(3, 1, 65, 2, 7, 64)):
-    """t0, then runs of equal steps of the given lengths, each run its own step."""
+def step_changing_grid(lengths=(3, 1, 65, 2, 7, 64)):
+    """0, then stretches of equal steps of the given lengths, each stretch its own
+    step: not one run, so `evolve` refuses it."""
     steps = np.repeat(0.01 * (1.0 + 0.37 * np.arange(len(lengths))), lengths)
-    return t0 + np.concatenate(([0.0], np.cumsum(steps)))
+    return np.concatenate(([0.0], np.cumsum(steps)))
 
 
 def assert_refused_alike(points, grid, **kw):
@@ -380,7 +381,7 @@ class TestBatchedEvolve:
         (np.linspace(0.0, 5.0, 101), False),
         (np.array([0.0, 0.3, 1.0, 2.5, 2.6]), True),
         (0.7 * np.arange(1, 5), False),  # one run from t_0 = h
-        (run_grid(0.0), True),
+        (step_changing_grid(), True),
         (np.arange(300) * 0.01, False),
     ], ids=["uniform", "nonuniform", "from_t0", "runs", "arange"])
     @pytest.mark.parametrize("initial", [None, (0.6, 0.0, 0.8j, 0.0)])
@@ -413,7 +414,7 @@ class TestBatchedEvolve:
     @pytest.mark.parametrize("grid, refused", [
         (np.linspace(0.0, 20.0, 2001), False),
         (np.arange(2001) * 0.01, False),  # steps that differ by ulps
-        (run_grid(0.0), True),
+        (step_changing_grid(), True),
         (0.0137 * np.arange(1, 201), False),  # one run from t_0 = h
     ], ids=["uniform2001", "arange2001", "runs", "runs_from_t0"])
     def test_runs_match_a_sequential_loop_and_scipy(self, rng, draw_params, grid, refused):
@@ -492,7 +493,7 @@ def test_step_norm_refuses_its_slice_after_the_earlier_ones(rng, draw_params):
     (np.geomspace(0.01, 2.0, 41), False),
     (np.concatenate(([0.0], np.cumsum(np.full(2000, 0.01)))), False),
 ], ids=["arange20001", "arange_limit", "sweeps_grid", "geomspace", "cumsum"])
-def test_runs_are_found_by_position(monkeypatch, grid, accepted):
+def test_one_run_is_found_by_position(monkeypatch, grid, accepted):
     # the one run holds every point within 4 ulps of k h, so the rounding of
     # `arange * dt` cannot break it, up to the 1e6-point limit of `time_grid`,
     # and a chunk takes one stacked exponential of its points; a change of step

@@ -341,7 +341,7 @@ class TestOptimalChargingTime:
             tau, emax = optimal_charging_time(p, t)
             k = np.nonzero(np.isclose(t, tau, rtol=0, atol=1e-15))[0]
             assert k.size == 1
-            e = stored_energy_series(evolve(p, t).amplitudes, p.omega_q)
+            e = stored_energy_series(evolve(p, t).amplitudes, p.omega_q, "paper")  # the helper's mode
             assert e[k[0]] == emax
 
     @pytest.mark.parametrize("lam", [1e-5, 1e-4])
@@ -350,7 +350,7 @@ class TestOptimalChargingTime:
         # window of 1e-9 absolute took in the whole curve (tau 0, e_max 0) and
         # its last 7 points (tau 1.94); one relative to the peak takes neither
         p, t = apply_parameters(BASE, {"lambda": lam}), time_grid(2, 0.01)
-        energy = time_series(p, t)[:, COLUMN["energy"]]
+        energy = time_series(p, t, "paper")[:, COLUMN["energy"]]  # the helper's mode
         assert energy.argmax() == len(t) - 1
         assert optimal_charging_time(p, t) == (2.0, energy.max())
 
@@ -419,7 +419,7 @@ def test_unknown_mode_rejected(monkeypatch, sweep):
     # refused before the kernel is handed a single point
     handed = []
     record_blocks(monkeypatch, handed)
-    with pytest.raises(ValueError, match="expected 'paper' or 'trace_repaired'"):
+    with pytest.raises(ValueError, match="^unknown mode 'bogus'; expected one of paper, repaired, trace_repaired$"):
         sweep(BASE, time_grid(1, 0.5), "bogus")
     assert handed == []
 
