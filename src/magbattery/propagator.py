@@ -172,20 +172,21 @@ def _initial_vector(initial) -> np.ndarray:
     return z0
 
 
-def _one_run(t: np.ndarray) -> tuple[int, float]:
-    """The first stepped index and the step h of the checked grid `t`, which must
-    be t_k = k h from t_0 = 0 or h, each point within 4 ulps of its position, as
-    every `arange * dt` or `linspace` from 0 is: one vector pass, or a refusal."""
-    first = int(t[0] == 0.0)  # a point at t = 0 is the initial state, no step
-    h, rest = (float(t[first]) if first < t.size else 0.0), t[first + 1:]
+def _one_run(t: np.ndarray) -> float:
+    """The step h of the checked grid `t`, which must be t_k = k h from t_0 = 0
+    with at least one step, each point within 4 ulps of its position, as every
+    `arange * dt` or `linspace` from 0 is: one vector pass, or a refusal."""
+    if t.size < 2 or t[0] != 0.0:
+        raise ValueError(f"time grid must start at 0 and take a step, got {t.size} point(s) from t[0] = {t[0].item()!r}")
+    h, rest = float(t[1]), t[2:]
     ulp = np.spacing(np.minimum(rest, 2.0**1023))  # math.ulp: the top binade's spacing up to the largest float
     with np.errstate(over="ignore"):  # a position past the grid's floats is off it, as inf
         off = np.abs(rest - np.arange(2, rest.size + 2) * h) > 4.0 * ulp
     if off.any():
-        k = first + 1 + int(off.argmax())
-        raise ValueError(f"time grid must be t_k = k h with t_0 = 0 or h, each point within 4 ulps: "
+        k = 2 + int(off.argmax())
+        raise ValueError(f"time grid must be t_k = k h from t_0 = 0, each point within 4 ulps: "
                          f"t[{k}] = {t[k].item()!r} is off the step h = {h!r}")
-    return first, h
+    return h
 
 
 def rotating_amplitudes(chunks: Callable[[int], Iterable[np.ndarray]], t_grid, *,
@@ -197,9 +198,9 @@ def rotating_amplitudes(chunks: Callable[[int], Iterable[np.ndarray]], t_grid, *
     gives the points as (n <= size, 11) `model._field_array` chunks, in order.
 
     Each point's evolution matrix A is constant there, and the grid must be
-    t_k = k h from t_0 = 0 or h, each point within 4 ulps (`_one_run`, which
-    `arange * dt` and `linspace` from 0 pass): Z(t_k) = exp(-i A h) Z(t_{k-1}),
-    and a point at t = 0 is the initial state.  The kernel runs on the real
+    t_k = k h from t_0 = 0 with a step, each point within 4 ulps (`_one_run`,
+    which `arange * dt` and `linspace` from 0 pass): Z(t_0) is the initial
+    state and Z(t_k) = exp(-i A h) Z(t_{k-1}).  The kernel runs on the real
     form of these maps (`_real_form`): Z is the complex view of an (n, T, 8)
     float array X, and a step is X_k = X_{k-1} @ M with the real 8x8 M =
     exp(h W), W the real form of -i A.  Memory is bounded in points x T.  A
@@ -208,7 +209,7 @@ def rotating_amplitudes(chunks: Callable[[int], Iterable[np.ndarray]], t_grid, *
     M takes 512 B), and 7 times that for the stacks the Taylor core holds at
     once.  A slice of _BLOCK_SAMPLES // max(T, 16) points (at least one) holds
     at most _BLOCK_SAMPLES points x time points, or one point of T, and is
-    filled by doubling, X_{k+j} = X_j @ M^k for j < k: T steps cost
+    filled by doubling, X_{1+k+j} = X_{1+j} @ M^k for j < k: T steps cost
     ceil(log2 T) batched fills, one squaring fewer and one exponential.
     A slice is refused, after the slices before it are yielded, if one point
     fails: a step exponential that would need more than 22 squarings (its step
@@ -221,8 +222,8 @@ def rotating_amplitudes(chunks: Callable[[int], Iterable[np.ndarray]], t_grid, *
     z0 = _initial_vector(initial)
     x0 = z0.view(float)[None]
     limit = float(physical_norm(z0)) * (1.0 + _NORM_SLACK)
-    first, h = _one_run(t)
-    steps = t.size - first
+    h = _one_run(t)
+    steps = t.size - 1
     per_slice = max(1, _BLOCK_SAMPLES // max(t.size, 16))
     per_chunk = max(1, _BLOCK_SAMPLES // 16) // per_slice * per_slice
     for fields in chunks(per_chunk):
@@ -230,20 +231,19 @@ def rotating_amplitudes(chunks: Callable[[int], Iterable[np.ndarray]], t_grid, *
             a = evolution_matrices(fields)
             w = _real_form(a.imag, -a.real)  # of -i A
             del a
-            exps = _expm_stack(h * w) if steps else np.zeros_like(w)  # t = 0 alone takes no step
+            exps = _expm_stack(h * w)
         del w  # the slices need only the step maps
         for lo in range(0, len(exps), per_slice):
             if np.isnan(exps[lo:lo + per_slice, 0, 0]).any():  # a point's step map is NaN past the budget
                 raise ValueError(f"one-step exponential exp(-i A dt) has no precision left for time step dt = {h:g}: "
                                  "dt times the evolution matrix norm exceeds 2**21")
             x = np.empty((min(per_slice, len(exps) - lo), t.size, 8))
-            x[:, 0] = x0  # the state at t = 0, or overwritten by the first step
+            x[:, 0] = x0
             power, k = exps[lo:lo + len(x)], 1
-            if steps:
-                x[:, first:first + 1] = (x[:, :1] if first else x0) @ power
-            while k < steps:  # x[first + k + j] = x[first + j] @ M^k for j < k
+            x[:, 1:2] = x[:, :1] @ power
+            while k < steps:  # x[1 + k + j] = x[1 + j] @ M^k for j < k
                 m = min(k, steps - k)
-                np.matmul(x[:, first:first + m], power, out=x[:, first + k:first + k + m])
+                np.matmul(x[:, 1:1 + m], power, out=x[:, 1 + k:1 + k + m])
                 power, k = (power @ power if 2 * k < steps else power), 2 * k
             z = x.view(complex)
             g, s, norm = _population_sums(z)
@@ -266,7 +266,8 @@ def evolve(
     points advancing together (amplitudes (n, T, 4)) over the grid: the
     `rotating_amplitudes` Z of their one field array, slices joined, with its
     checks and refusals, rotated back to C_n = Z_n exp(+i f_n t) with f the
-    frame frequencies of `model._frame_frequencies`, which must be finite.
+    frame frequencies of `model._frame_frequencies` (an f_n that overflows is
+    an infinite step norm, which the kernel refuses first).
     `initial` (amplitudes at t=0, shared by all points) is a hook for testing only.
     """
     fields = _field_array([p] if isinstance(p, SystemParams) else p)
@@ -275,11 +276,7 @@ def evolve(
     slices = rotating_amplitudes(lambda size: (fields[lo:lo + size] for lo in range(0, len(fields), size)),
                                  t_grid, initial=initial)
     c = np.concatenate([z for z, *_ in slices])  # a fresh array, rotated in place
-    with np.errstate(over="ignore"):  # a frame frequency that overflows is refused below, not warned about
-        t, f = np.asarray(t_grid, dtype=float), _frame_frequencies(fields)
-    if not np.isfinite(f).all():
-        bad = [f"{w} - omega_q" for w, ok in zip(("omega_a", "omega_b", "omega_m"), np.isfinite(f).all(axis=0)) if not ok]
-        raise ValueError(f"frame frequencies must be finite, got an overflow in {' and '.join(bad)}")
+    t, f = np.asarray(t_grid, dtype=float), _frame_frequencies(fields)
     c *= np.exp(1j * t[:, None] * f[:, None, :])
     return Trajectory(times=t, amplitudes=c[0] if isinstance(p, SystemParams) else c)
 

@@ -130,6 +130,8 @@ class VarySpec:
         if count < 2:
             raise ValueError("linear range needs count >= 2")
         _check_size(count)
+        if not math.isfinite(stop - start):  # an infinite or NaN bound, or a span past the largest float
+            raise ValueError(f"linear range {start:g} to {stop:g} needs finite bounds and a finite span")
         return cls(parameter_name, tuple(np.linspace(start, stop, count)))
 
 

@@ -54,6 +54,16 @@ MUTANTS = (
     Mutant("unknown_mode_accepted", "states.py", 'if value != "repaired":', "if False:",
            ("tests/test_modes.py::test_unknown_mode_refused_with_one_message",
             "tests/test_cli.py::TestDynamics::test_unknown_mode_lists_the_flag_choices")),
+    Mutant("linspace_range_unchecked", "sweeps.py",
+           "if not math.isfinite(stop - start):",
+           "if False:",
+           ("tests/test_sweeps.py::TestVarySpec::test_linspace_needs_a_finite_span",
+            "tests/test_cli.py::TestExitCodeContract::test_every_run_exits_0_or_2")),
+    Mutant("linspace_span_unchecked", "sweeps.py",
+           "if not math.isfinite(stop - start):",
+           "if not (math.isfinite(start) and math.isfinite(stop)):",
+           ("tests/test_sweeps.py::TestVarySpec::test_linspace_needs_a_finite_span",
+            "tests/test_cli.py::TestExitCodeContract::test_every_run_exits_0_or_2")),
     Mutant("latest_peak", "sweeps.py",
            "idx = np.argmax(e >= peak - _PEAK_TIE_TOL * peak, axis=-1)",
            "idx = e.shape[-1] - 1 - np.argmax((e >= peak - _PEAK_TIE_TOL * peak)[..., ::-1], axis=-1)",
@@ -88,7 +98,7 @@ MUTANTS = (
     Mutant("population_floor_-1e-10", "metrics.py", "_POPULATION_FLOOR = -1e-12", "_POPULATION_FLOOR = -1e-10",
            ("tests/test_metrics.py::TestGuards::test_ground_population_floor_is_minus_1e_12",)),
     Mutant("one_pass_ulp_2", "propagator.py", "> 4.0 * ulp", "> 2.0 * ulp",
-           ("tests/test_propagator.py::TestRunPlanner::test_window_is_4_ulps",)),
+           ("tests/test_propagator.py::TestOneRun::test_window_is_4_ulps",)),
     Mutant("taylor_15_dropped", "propagator.py", "f = c[15] * m3", "f = 0.0 * m3",
            equivalent="the X^15 / 15! term is below 2e-17 relative at norm <= 0.5, "
                       "under the last bit that 12 digits or any test tolerance reads"),
@@ -140,28 +150,38 @@ MUTANTS = (
     Mutant("one_pass_ulp_64", "propagator.py",
            "> 4.0 * ulp",
            "> 64.0 * ulp",
-           ("tests/test_propagator.py::TestRunPlanner::test_window_is_4_ulps",
-            "tests/test_propagator.py::TestRunPlanner::test_position_rule_and_int_starts_at_edges")),
+           ("tests/test_propagator.py::TestOneRun::test_window_is_4_ulps",
+            "tests/test_propagator.py::TestOneRun::test_position_rule_at_edges")),
     Mutant("one_pass_ulp_8", "propagator.py",
            "> 4.0 * ulp",
            "> 8.0 * ulp",
-           ("tests/test_propagator.py::TestRunPlanner::test_window_is_4_ulps",
-            "tests/test_propagator.py::TestRunPlanner::test_position_rule_and_int_starts_at_edges")),
+           ("tests/test_propagator.py::TestOneRun::test_window_is_4_ulps",
+            "tests/test_propagator.py::TestOneRun::test_position_rule_at_edges")),
     Mutant("one_pass_last_unchecked", "propagator.py",
            "if off.any():",
            "if off[:-1].any():",
-           ("tests/test_propagator.py::TestRunPlanner::test_window_is_4_ulps",
-            "tests/test_propagator.py::TestRunPlanner::test_position_rule_and_int_starts_at_edges")),
+           ("tests/test_propagator.py::TestOneRun::test_window_is_4_ulps",
+            "tests/test_propagator.py::TestOneRun::test_position_rule_at_edges")),
     Mutant("one_pass_positions_one_step_off", "propagator.py",
            "np.arange(2, rest.size + 2)",
            "np.arange(1, rest.size + 1)",
-           ("tests/test_propagator.py::TestRunPlanner::test_position_rule_and_int_starts",
+           ("tests/test_propagator.py::TestOneRun::test_position_rule",
             "tests/test_propagator.py::test_one_run_is_found_by_position")),
     Mutant("one_run_refusal_dropped", "propagator.py",
            "if off.any():",
            "if False:",
            ("tests/test_propagator.py::TestEvolve::test_nonuniform_grid",
             "tests/test_sweeps.py::test_library_input_refused")),
+    Mutant("grid_start_unchecked", "propagator.py",
+           "if t.size < 2 or t[0] != 0.0:",
+           "if t.size < 2:",
+           ("tests/test_sweeps.py::test_grid_starts_at_0_and_takes_a_step",
+            "tests/test_propagator.py::TestBatchedEvolve::test_rows_match_single_points")),
+    Mutant("grid_without_a_step_accepted", "propagator.py",
+           "if t.size < 2 or t[0] != 0.0:",
+           "if t[0] != 0.0:",
+           ("tests/test_sweeps.py::test_grid_starts_at_0_and_takes_a_step",
+            "tests/test_propagator.py::TestEvolve::test_overflowing_frame_frequency_refused")),
     Mutant("chunk_without_the_16", "propagator.py",
            "per_chunk = max(1, _BLOCK_SAMPLES // 16)",
            "per_chunk = max(1, _BLOCK_SAMPLES)",

@@ -80,7 +80,7 @@ def _checked_norm(c: np.ndarray) -> float:
 
 def battery_density(
     a: AmplitudeState | Sequence[complex],
-    mode: AccountingMode | str = AccountingMode.PAPER,
+    mode: AccountingMode | str,
 ) -> DensityMatrix:
     """Atomic reduced state in the basis (|gg>, |eg>, |ge>, |ee>).
 
@@ -105,7 +105,7 @@ def battery_density(
 
 def charger_density(
     a: AmplitudeState | Sequence[complex],
-    mode: AccountingMode | str = AccountingMode.PAPER,
+    mode: AccountingMode | str,
 ) -> DensityMatrix:
     """Field reduced state in the basis (|100>, |010>, |001>, |000>).
 

@@ -70,7 +70,7 @@ def test_02_closed_form_rabi_anchor():
     c1_err = float(np.abs(traj.amplitudes[:, 0] - np.cos(math.sqrt(2) * t)).max())
     e = stored_energy_series(traj.amplitudes, p.omega_q, AccountingMode.PAPER)  # as `optimal_charging_time`
     e_err = float(np.abs(e - np.sin(math.sqrt(2) * t) ** 2).max())
-    tau, _ = optimal_charging_time(p, t)
+    tau, _ = optimal_charging_time(p, t, AccountingMode.PAPER)
     tau_err = abs(tau - math.pi / (2 * math.sqrt(2)))
     ok = c1_err <= 1e-8 and e_err <= 1e-8 and tau_err <= 0.01
     report(2, ok,
@@ -145,7 +145,7 @@ def test_06_coherence_consistency():
         columns = metric_columns(traj.amplitudes, p.omega_q)
         coherence = columns[:, METRIC_NAMES.index("coherence")]
         for k, s in enumerate(traj.amplitudes):
-            rho = charger_density(s).matrix
+            rho = charger_density(s, AccountingMode.TRACE_REPAIRED).matrix  # the default of `metric_columns`
             l1 = float(np.sum(np.abs(rho - np.diag(np.diag(rho)))))
             worst = max(worst, abs(coherence[k] - l1))
     report(6, worst <= 1e-12, f"max |amplitude formula - matrix l1| = {worst:.2e}")

@@ -1004,6 +1004,14 @@ class TestExitCodeContract:
              use_config=False, out=False, joined=False)
     @example(command="contour", entries=[("t_max", "1e308", False), ("dt", "1e308", False)],
              use_config=False, out=True, joined=False)
+    # a range with an infinite bound or a span past the largest float: refused
+    # before np.linspace, without its numpy warnings
+    @example(command="sweep", entries=[("vary_values", None, False), ("vary_min", "0", False),
+                                       ("vary_max", "inf", False), ("vary_count", "3", False)],
+             use_config=False, out=False, joined=False)
+    @example(command="sweep", entries=[("vary_values", None, False), ("vary_min", "-1e308", False),
+                                       ("vary_max", "1e308", False), ("vary_count", "3", False)],
+             use_config=False, out=False, joined=False)
     def test_every_run_exits_0_or_2(self, tmp_path, capsys, command, entries, use_config, out, joined):
         for path in tmp_path.iterdir():
             path.unlink()

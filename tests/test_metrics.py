@@ -86,7 +86,7 @@ class TestCoherence:
             traj = evolve(draw_params(rng), np.linspace(0, 10, 30))
             column = metric_columns(traj.amplitudes, 1.0)[:, METRIC_NAMES.index("coherence")]
             for k, s in enumerate(traj.amplitudes):
-                rho = charger_density(s).matrix
+                rho = charger_density(s, "trace_repaired").matrix  # the default of `metric_columns`
                 l1 = np.sum(np.abs(rho - np.diag(np.diag(rho))))
                 assert column[k] == pytest.approx(l1, abs=1e-12)
 
@@ -111,11 +111,11 @@ class TestStoredEnergy:
 
 class TestPassiveState:
     def test_ground_projector_fixed(self):
-        rho = battery_density((1, 0, 0, 0))
+        rho = battery_density((1, 0, 0, 0), "paper")
         np.testing.assert_allclose(passive_state(rho, H).matrix, rho.matrix, atol=1e-14)
 
     def test_bell_state_drops_to_ground(self):
-        eta = passive_state(battery_density(BELL_PEAK), H).matrix
+        eta = passive_state(battery_density(BELL_PEAK, "paper"), H).matrix
         want = np.zeros((4, 4))
         want[0, 0] = 1.0
         np.testing.assert_allclose(eta, want, atol=1e-12)
@@ -144,10 +144,10 @@ class TestPassiveState:
 
 class TestErgotropy:
     def test_ground_state(self):
-        assert ergotropy(battery_density((1, 0, 0, 0)), H) == 0.0
+        assert ergotropy(battery_density((1, 0, 0, 0), "paper"), H) == 0.0
 
     def test_bell_peak(self):
-        assert ergotropy(battery_density(BELL_PEAK), H) == pytest.approx(1.0, abs=1e-12)
+        assert ergotropy(battery_density(BELL_PEAK, "paper"), H) == pytest.approx(1.0, abs=1e-12)
 
     def test_diagonal_example(self):
         rho = DensityMatrix(np.diag([0.1, 0.2, 0.3, 0.4]).astype(complex),
@@ -188,7 +188,7 @@ class TestPurity:
         assert purity(rho) == pytest.approx(0.25, abs=1e-15)
 
     def test_bell_peak_pure(self):
-        assert purity(battery_density(BELL_PEAK)) == pytest.approx(1.0, abs=1e-12)
+        assert purity(battery_density(BELL_PEAK, "paper")) == pytest.approx(1.0, abs=1e-12)
 
     def test_range_for_unit_trace(self, rng):
         for _ in range(100):
@@ -229,7 +229,7 @@ class TestSampleMetrics:
         traj = evolve(p, np.arange(0, 20.0 + 1e-9, 0.01))
         e = stored_energy_series(traj.amplitudes, p.omega_q)
         k = int(np.argmax(e))
-        rho = battery_density(traj.amplitudes[k]).matrix
+        rho = battery_density(traj.amplitudes[k], "paper").matrix
         w = np.linalg.eigvalsh(rho)
         if w[:3].max() <= 1e-8:  # rank-1 within tolerance
             m = sample_metrics(AmplitudeState(traj.times[k], traj.amplitudes[k]), p)

@@ -32,8 +32,9 @@ from conftest import evolution_matrix, expm, frame_frequencies
 from oracles import lindblad_metrics, shell_amplitudes
 
 RABI = SystemParams(g_a=0.0, g_b=0.0, lam=1.0)  # resonant two-level reduction
-# the kernel's refusal of a grid that is not t_k = k h from t_0 = 0 or h
-NOT_ONE_RUN = "time grid must be t_k = k h with t_0 = 0 or h, each point within 4 ulps: "
+# the kernel's refusals of a grid that is not t_k = k h from t_0 = 0 with a step
+NOT_ONE_RUN = "time grid must be t_k = k h from t_0 = 0, each point within 4 ulps: "
+NO_STEP = "time grid must start at 0 and take a step, got "
 
 
 def expm_series(m, terms=80):
@@ -255,7 +256,7 @@ class TestZToC:
         # no rotation at t = 0, whatever the frame frequencies
         for _ in range(20):
             z = rng.normal(size=4) + 1j * rng.normal(size=4)
-            traj = evolve(draw_params(rng), [0.0], initial=z)
+            traj = evolve(draw_params(rng), [0.0, 0.5], initial=z)
             np.testing.assert_array_equal(traj.amplitudes[0], z)
 
     def test_unit_phase_rotation(self):
@@ -335,18 +336,18 @@ class TestEvolve:
         np.testing.assert_array_equal(traj.times, t)
         assert traj.amplitudes.shape == (11, 4)
 
-    @pytest.mark.parametrize("points, names", [
-        (SystemParams(omega_a=-1.7e308, omega_q=1.7e308), "omega_a - omega_q"),
-        ([SystemParams(), SystemParams(omega_b=-1.7e308, omega_m=-1.7e308, omega_a=0.0, omega_q=1.7e308)],
-         "omega_b - omega_q and omega_m - omega_q"),
+    @pytest.mark.parametrize("points", [
+        SystemParams(omega_a=-1.7e308, omega_q=1.7e308),
+        [SystemParams(), SystemParams(omega_b=-1.7e308, omega_m=-1.7e308, omega_a=0.0, omega_q=1.7e308)],
     ], ids=["one", "sequence"])
-    def test_overflowing_frame_frequency_refused(self, points, names):
-        # t = 0 alone takes no step, so only the rotation back meets the
-        # overflow; a grid with a step keeps the kernel's refusal
-        with pytest.raises(ValueError, match=f"^frame frequencies must be finite, got an overflow in {names}$"):
-            evolve(points, [0.0])
+    def test_overflowing_frame_frequency_refused(self, points):
+        # an f_n = omega_n - omega_q that overflows is an infinite step norm,
+        # which the kernel refuses before the rotation back meets it (warnings
+        # are errors here); t = 0 alone takes no step and is refused as a grid
         with pytest.raises(ValueError, match=r"^one-step exponential .* dt = 0\.1:"):
             evolve(points, [0.0, 0.1])
+        with pytest.raises(ValueError, match=f"^{re.escape(NO_STEP + '1 point(s) from t[0] = 0.0')}$"):
+            evolve(points, [0.0])
 
     def test_step_exponential_needs_at_most_22_squarings(self):
         # |A|_inf = g_a + 2 lam here, so dt |A|_inf is 2**21 (22 squarings),
@@ -363,32 +364,34 @@ def step_changing_grid(lengths=(3, 1, 65, 2, 7, 64)):
     return np.concatenate(([0.0], np.cumsum(steps)))
 
 
-def assert_refused_alike(points, grid, **kw):
-    """`evolve` refuses the grid, which is not t_k = k h from t_0 = 0 or h, for
-    the sequence and for each of its points alone, with one message."""
+def assert_refused_alike(points, grid, refusal, **kw):
+    """`evolve` refuses the grid, which is not t_k = k h from t_0 = 0 with a
+    step, for the sequence and for each of its points alone, with one message
+    that starts with `refusal`."""
     messages = set()
     for p in (points, *points):
-        with pytest.raises(ValueError, match=f"^{re.escape(NOT_ONE_RUN)}") as refusal:
+        with pytest.raises(ValueError, match=f"^{re.escape(refusal)}") as caught:
             evolve(p, grid, **kw)
-        messages.add(str(refusal.value))
+        messages.add(str(caught.value))
     assert len(messages) == 1
 
 
 class TestBatchedEvolve:
     """A sequence of points advances together; row i is `evolve` of point i."""
 
-    @pytest.mark.parametrize("grid, refused", [
-        (np.linspace(0.0, 5.0, 101), False),
-        (np.array([0.0, 0.3, 1.0, 2.5, 2.6]), True),
-        (0.7 * np.arange(1, 5), False),  # one run from t_0 = h
-        (step_changing_grid(), True),
-        (np.arange(300) * 0.01, False),
-    ], ids=["uniform", "nonuniform", "from_t0", "runs", "arange"])
+    @pytest.mark.parametrize("grid, refusal", [
+        (np.linspace(0.0, 5.0, 101), None),
+        (np.array([0.0, 0.3, 1.0, 2.5, 2.6]), NOT_ONE_RUN),
+        (0.7 * np.arange(5), None),  # four steps, the doubling's first two rounds
+        (step_changing_grid(), NOT_ONE_RUN),
+        (np.arange(300) * 0.01, None),
+        (0.7 * np.arange(1, 5), NO_STEP),  # steps from t_0 = h: start at 0 and keep rows 1:
+    ], ids=["uniform", "nonuniform", "four_steps", "runs", "arange", "from_h"])
     @pytest.mark.parametrize("initial", [None, (0.6, 0.0, 0.8j, 0.0)])
-    def test_rows_match_single_points(self, rng, draw_params, grid, refused, initial):
+    def test_rows_match_single_points(self, rng, draw_params, grid, refusal, initial):
         points = [draw_params(rng) for _ in range(6)]
-        if refused:
-            assert_refused_alike(points, grid, initial=initial)
+        if refusal:
+            assert_refused_alike(points, grid, refusal, initial=initial)
             return
         batch = evolve(points, grid, initial=initial)
         np.testing.assert_array_equal(batch.times, grid)
@@ -415,15 +418,15 @@ class TestBatchedEvolve:
         (np.linspace(0.0, 20.0, 2001), False),
         (np.arange(2001) * 0.01, False),  # steps that differ by ulps
         (step_changing_grid(), True),
-        (0.0137 * np.arange(1, 201), False),  # one run from t_0 = h
-    ], ids=["uniform2001", "arange2001", "runs", "runs_from_t0"])
+        (0.0137 * np.arange(201), False),  # 200 steps, a doubling that ends on a part round
+    ], ids=["uniform2001", "arange2001", "runs", "arange201"])
     def test_runs_match_a_sequential_loop_and_scipy(self, rng, draw_params, grid, refused):
         # the run of equal steps is filled by doubling; the reference takes
         # one exponential per step and one matvec at a time
         scipy_expm = pytest.importorskip("scipy.linalg").expm
         points = [draw_params(rng) for _ in range(2)]
         if refused:
-            assert_refused_alike(points, grid)
+            assert_refused_alike(points, grid, NOT_ONE_RUN)
             return
         batch = evolve(points, grid).amplitudes
         for row, p in zip(batch, points):
@@ -488,16 +491,16 @@ def test_step_norm_refuses_its_slice_after_the_earlier_ones(rng, draw_params):
 @pytest.mark.parametrize("grid, accepted", [
     (time_grid(200.0, 0.01), True),
     (time_grid(9999.99, 0.01), True),
-    (0.05 + np.concatenate(([0.0], np.cumsum(np.r_[np.full(60, 0.01), np.linspace(0.011, 0.03, 40),
-                                                   np.full(80, 0.02)]))), False),
-    (np.geomspace(0.01, 2.0, 41), False),
+    (np.concatenate(([0.0], np.cumsum(np.r_[np.full(60, 0.01), np.linspace(0.011, 0.03, 40),
+                                            np.full(80, 0.02)]))), False),
+    (np.r_[0.0, np.geomspace(0.01, 2.0, 41)], False),
     (np.concatenate(([0.0], np.cumsum(np.full(2000, 0.01)))), False),
 ], ids=["arange20001", "arange_limit", "sweeps_grid", "geomspace", "cumsum"])
 def test_one_run_is_found_by_position(monkeypatch, grid, accepted):
     # the one run holds every point within 4 ulps of k h, so the rounding of
     # `arange * dt` cannot break it, up to the 1e6-point limit of `time_grid`,
-    # and a chunk takes one stacked exponential of its points; a change of step
-    # after t_0 > 0, a geometric grid and the drift of a running sum are
+    # and a chunk takes one stacked exponential of its points; a change of
+    # step, a geometric grid after 0 and the drift of a running sum are
     # refused before any exponential is taken
     stacks, exact = [], propagator._expm_stack
     monkeypatch.setattr(propagator, "_expm_stack", lambda m: stacks.append(len(m)) or exact(m))
@@ -511,47 +514,48 @@ def test_one_run_is_found_by_position(monkeypatch, grid, accepted):
     assert stacks == [3] * accepted
 
 
-class TestRunPlanner:
-    """`_one_run` returns the first stepped index and the step h of a grid
-    t_k = k h from t_0 = 0 or h, each point within 4 ulps of k h, checked in one
-    vector pass, or refuses the grid at its first point off that line."""
+class TestOneRun:
+    """`_one_run` returns the step h of a grid t_k = k h from t_0 = 0 with at
+    least one step, each point within 4 ulps of k h, checked in one vector
+    pass, or refuses a grid that does not start at 0 with a step, or the grid
+    at its first point off that line."""
 
     @settings(max_examples=60)
     @example(n=10**6 - 1, dt=0.01, linspace=False)
     @example(n=10**6 - 1, dt=0.01, linspace=True)
     @given(n=st.integers(1, 10**6 - 1), dt=st.floats(1e-6, 10.0), linspace=st.booleans())
-    def test_position_rule_and_int_starts(self, n, dt, linspace):
+    def test_position_rule(self, n, dt, linspace):
         # every grid `time_grid` builds and every `linspace` from 0, up to the
         # 1e6-point limit: their rounding leaves them within 1 ulp of k h
         t = np.linspace(0.0, n * dt, n + 1) if linspace else time_grid(n * dt, dt)
-        first, h = _one_run(t)
-        assert type(first) is int and type(h) is float and (first, h) == (1, t[1])
+        h = _one_run(t)
+        assert type(h) is float and h == t[1]
 
     MAX = np.finfo(float).max
 
     @pytest.mark.parametrize("grid, want", [
-        ([0.0], (1, 0.0)),
-        ([5e-324], (0, 5e-324)),
-        ([0.0, 5e-324, 1e-323, 2e-323, 3e-323, 5e-323], "t[5] = 5e-323 is off the step h = 5e-324"),
-        ([1e307, 5e307, 9e307, 1.3e308, 1.7e308, MAX], "t[1] = 5e+307 is off the step h = 1e+307"),
-        (MAX * np.linspace(0.5, 1.0, 33),
-         "t[1] = 9.269355226633814e+307 is off the step h = 8.988465674311579e+307"),
-        (np.arange(1, 4001) * 0.01 + np.where(np.arange(4000) % 3, 0.0, 1e-13),
-         "t[1] = 0.02 is off the step h = 0.0100000000001"),
-        ([0.0, 5e-324, 1e-323, 1.5e-323, 2e-323], (1, 5e-324)),
-        ([MAX / 2, MAX], (0, MAX / 2)),
+        ([0.0], NO_STEP + "1 point(s) from t[0] = 0.0"),
+        ([5e-324], NO_STEP + "1 point(s) from t[0] = 5e-324"),
+        ([0.0, 5e-324, 1e-323, 2e-323, 3e-323, 5e-323], NOT_ONE_RUN + "t[5] = 5e-323 is off the step h = 5e-324"),
+        ([0.0, 1e307, 5e307, 9e307, 1.3e308, 1.7e308, MAX], NOT_ONE_RUN + "t[2] = 5e+307 is off the step h = 1e+307"),
+        (np.r_[0.0, MAX * np.linspace(0.5, 1.0, 33)],
+         NOT_ONE_RUN + "t[2] = 9.269355226633814e+307 is off the step h = 8.988465674311579e+307"),
+        (np.arange(4001) * 0.01 + np.where(np.arange(4001) % 3 == 1, 1e-13, 0.0),
+         NOT_ONE_RUN + "t[2] = 0.02 is off the step h = 0.0100000000001"),
+        ([0.0, 5e-324, 1e-323, 1.5e-323, 2e-323], 5e-324),
+        ([0.0, MAX / 2, MAX], MAX / 2),
     ], ids=["origin", "subnormal", "subnormals", "largest", "top_binade", "every_third_moved",
             "subnormal_run", "largest_run"])
-    def test_position_rule_and_int_starts_at_edges(self, grid, want):
+    def test_position_rule_at_edges(self, grid, want):
         # positions past the largest float are off the line, as inf, without an overflow
         t = np.asarray(grid, dtype=float)
         with np.errstate(over="raise"):
             if isinstance(want, str):
-                with pytest.raises(ValueError, match=f"^{re.escape(NOT_ONE_RUN + want)}$"):
+                with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
                     _one_run(t)
             else:
                 got = _one_run(t)
-                assert got == want and type(got[0]) is int
+                assert got == want and type(got) is float
 
     def test_window_is_4_ulps(self):
         # `arange * dt` and `linspace` from 0 need at most 1 ulp; a grid with
@@ -559,7 +563,7 @@ class TestRunPlanner:
         # moving its last point 5 ulps up refuses it
         t = time_grid(1.0, 0.01)
         moved = t + np.r_[0.0, 0.0, np.full(99, 3.0)] * np.spacing(t)
-        assert _one_run(moved) == (1, 0.01)
+        assert _one_run(moved) == 0.01
         moved[-1] = t[-1] + 5.0 * np.spacing(t[-1])
         refusal = NOT_ONE_RUN + "t[100] = 1.000000000000001 is off the step h = 0.01"
         with pytest.raises(ValueError, match=f"^{re.escape(refusal)}$"):
@@ -826,10 +830,11 @@ class TestShellHamiltonianOracle:
     @pytest.mark.parametrize("name", sorted(CASES))
     def test_both_routes_from_t0(self, name):
         # a first span from t = 0 to t0 > 0: for the oracle, then spans that
-        # repeat and change; for `evolve`, a run of steps from t_0 = h
+        # repeat and change; for `evolve`, which starts at 0, steps of t0 whose
+        # rows 1: are the times 0.7, 1.4, ..., 5.6
         self.check_both_routes(self.CASES[name], np.array([0.7, 1.2, 1.7, 2.2, 2.5, 2.8, 3.1, 4.0]),
                                (oracle_integrate,))
-        self.check_both_routes(self.CASES[name], 0.7 * np.arange(1, 9), (evolve,))
+        self.check_both_routes(self.CASES[name], 0.7 * np.arange(9), (evolve,))
 
     def test_random_draws(self, rng):
         # detunings of both signs, half the draws lossy, random initial shell state

@@ -36,7 +36,7 @@ class TestBatteryDensity:
             assert rho.basis == ("gg", "eg", "ge", "ee")
 
     def test_bell_peak(self):
-        rho = battery_density(BELL_PEAK).matrix
+        rho = battery_density(BELL_PEAK, "paper").matrix
         want = np.zeros((4, 4))
         want[1, 1] = want[2, 2] = want[1, 2] = want[2, 1] = 0.5
         np.testing.assert_allclose(rho, want, atol=1e-15)
@@ -50,7 +50,7 @@ class TestBatteryDensity:
 
     def test_overfull_norm_rejected(self):
         with pytest.raises(InconsistentStateError):
-            battery_density((1.1, 0, 0, 0))
+            battery_density((1.1, 0, 0, 0), "paper")
 
     def test_mode_accepts_strings(self):
         a = battery_density(BELL_PEAK, "paper").matrix
@@ -60,7 +60,7 @@ class TestBatteryDensity:
 
 class TestChargerDensity:
     def test_initial_state(self):
-        rho = charger_density((1, 0, 0, 0))
+        rho = charger_density((1, 0, 0, 0), "paper")
         want = np.zeros((4, 4))
         want[0, 0] = 1.0
         np.testing.assert_allclose(rho.matrix, want, atol=0)
@@ -68,18 +68,18 @@ class TestChargerDensity:
 
     def test_coherent_superposition_rank_one(self):
         s = 1 / math.sqrt(2)
-        rho = charger_density((s, s, 0, 0)).matrix
+        rho = charger_density((s, s, 0, 0), "paper").matrix
         v = np.array([s, s, 0, 0], dtype=complex)
         np.testing.assert_allclose(rho, np.outer(v, v.conj()), atol=1e-15)
 
     def test_bell_peak_discharged(self):
-        rho = charger_density(BELL_PEAK).matrix
+        rho = charger_density(BELL_PEAK, "paper").matrix
         np.testing.assert_allclose(np.diag(rho), [0, 0, 0, 1], atol=1e-15)
 
     def test_no_coherence_to_vacuum(self, rng, draw_params):
         traj = random_trajectory(rng, draw_params)
         for s in traj.amplitudes:
-            rho = charger_density(s).matrix
+            rho = charger_density(s, "paper").matrix
             np.testing.assert_allclose(rho[3, :3], 0.0, atol=0)
             np.testing.assert_allclose(rho[:3, 3], 0.0, atol=0)
 
@@ -110,7 +110,7 @@ class TestInvariants:
     def test_one_excitation_block_rank_one(self, rng, draw_params):
         traj = random_trajectory(rng, draw_params)
         for s in traj.amplitudes:
-            block = charger_density(s).matrix[:3, :3]
+            block = charger_density(s, "paper").matrix[:3, :3]
             w = np.linalg.eigvalsh(block)
             assert w[:2].max() <= 1e-12  # only the top eigenvalue may be nonzero
 

@@ -192,6 +192,19 @@ class TestVarySpec:
         with pytest.raises(ValueError, match="parameter points x time points"):
             VarySpec.linspace("g_b", 0.0, 1.0, 10**12)
 
+    @pytest.mark.parametrize("start, stop, shown", [
+        (0.0, math.inf, "0 to inf"),
+        (-1e308, 1e308, "-1e+308 to 1e+308"),
+        (math.nan, 1.0, "nan to 1"),
+    ], ids=["infinite_bound", "overflowing_span", "nan_bound"])
+    def test_linspace_needs_a_finite_span(self, start, stop, shown):
+        # refused before np.linspace, which would warn (an error here) and fill NaN
+        message = f"linear range {shown} needs finite bounds and a finite span"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            VarySpec.linspace("g_a", start, stop, 3)
+        half = np.finfo(float).max / 2  # the widest finite span is kept
+        assert VarySpec.linspace("g_a", -half, half, 3).values == (-half, 0.0, half)
+
     def test_unknown_parameter(self):
         with pytest.raises(ValueError):
             VarySpec("not_a_knob", (1.0,))
@@ -318,27 +331,27 @@ class TestMaxErgotropyGrid:
 class TestOptimalChargingTime:
     def test_rabi_quarter_period(self):
         # horizon [0,2]: exactly one Rabi peak, so the grid max is unique
-        tau, emax = optimal_charging_time(RABI, time_grid(2, 0.01))
+        tau, emax = optimal_charging_time(RABI, time_grid(2, 0.01), "paper")
         assert abs(tau - math.pi / (2 * math.sqrt(2))) <= 0.01
         assert emax == pytest.approx(1.0, abs=1e-4)
 
     def test_flat_energy_returns_grid_start(self):
         p = SystemParams(g_a=0.0, g_b=0.0, lam=0.0)
-        tau, emax = optimal_charging_time(p, time_grid(2, 0.01))
+        tau, emax = optimal_charging_time(p, time_grid(2, 0.01), "paper")
         assert tau == 0.0 and emax == 0.0
 
     def test_doubling_lambda_halves_tau(self):
         # horizons sized per lambda so each contains one principal peak
-        tau1, _ = optimal_charging_time(RABI, time_grid(2.0, 0.01))
+        tau1, _ = optimal_charging_time(RABI, time_grid(2.0, 0.01), "paper")
         p2 = apply_parameters(RABI, {"lambda": 2.0})
-        tau2, _ = optimal_charging_time(p2, time_grid(1.0, 0.01))
+        tau2, _ = optimal_charging_time(p2, time_grid(1.0, 0.01), "paper")
         assert abs(tau1 - 2 * tau2) <= 2 * 0.01
 
     def test_tau_on_grid_with_matching_energy(self, rng, draw_params):
         for _ in range(10):
             p = draw_params(rng)
             t = time_grid(5, 0.05)
-            tau, emax = optimal_charging_time(p, t)
+            tau, emax = optimal_charging_time(p, t, "paper")
             k = np.nonzero(np.isclose(t, tau, rtol=0, atol=1e-15))[0]
             assert k.size == 1
             e = stored_energy_series(evolve(p, t).amplitudes, p.omega_q, "paper")  # the helper's mode
@@ -352,14 +365,14 @@ class TestOptimalChargingTime:
         p, t = apply_parameters(BASE, {"lambda": lam}), time_grid(2, 0.01)
         energy = time_series(p, t, "paper")[:, COLUMN["energy"]]  # the helper's mode
         assert energy.argmax() == len(t) - 1
-        assert optimal_charging_time(p, t) == (2.0, energy.max())
+        assert optimal_charging_time(p, t, "paper") == (2.0, energy.max())
 
     def test_earliest_tie_wins(self):
         # lossless Rabi over two full periods: peaks at tau and 3*tau are
         # analytically equal; sampling must still pick the first one when the
         # grid hits both symmetrically (dt chosen so samples align)
         t = np.linspace(0, 2 * math.pi / math.sqrt(2), 401)  # two periods
-        tau, _ = optimal_charging_time(RABI, t)
+        tau, _ = optimal_charging_time(RABI, t, "paper")
         assert tau <= t[-1] / 2
 
     @pytest.mark.parametrize("rise, later", [(1e-8, True), (1e-10, False)])
@@ -501,10 +514,11 @@ class TestBlocks:
          47, "coupling lambda must be >= 0"),
         (lambda: optimal_time_sweep(BASE, VarySpec("kappa_all", (0.1,) * 47 + (-1.0,)), T_BLOCKS),
          47, "decay rate kappa_all must be >= 0"),
-        # one grid point takes no step, so the finite 1e308 cells before the
-        # last one pass the kernel: 9000 cells, the last one overflows
+        # a step of 1e-306 keeps dt |A| near 100 at the finite 1e308 cells, so
+        # the cells before the last one pass the kernel: 9000 cells, the last
+        # one overflows
         (lambda: max_ergotropy_grid(BASE, VarySpec("delta_1", tuple(range(99)) + (1e308,)),
-                                    VarySpec("delta_2", tuple(range(89)) + (1e308,)), [0.0]),
+                                    VarySpec("delta_2", tuple(range(89)) + (1e308,)), [0.0, 1e-306]),
          8999, "delta_2, delta_1 out of range: omega_m must be finite, got -inf"),
         # on a real grid the first slice, whose row holds delta_1 = 1e308, is
         # refused by the kernel before the overflowing cell is reached
@@ -581,12 +595,12 @@ class TestBlocks:
         assert len(seen) >= 3 and [len(z) for z in per_block] == [len(fields) for fields in seen]
         assert len(calls) == len(per_block) + 1  # and the norm of the initial amplitudes, once
 
-    # a grid from t_0 = h whose later points sit up to 3 ulps off k h, so that
-    # its steps differ in floats: one run to the kernel, as `arange * dt` is
-    GRID = 0.0175 * np.arange(1, 182)
-    GRID[1:] += np.random.default_rng(7).integers(-3, 4, 180) * np.spacing(GRID[1:])
+    # a grid from 0 whose points after t_1 = h sit up to 3 ulps off k h, so
+    # that its steps differ in floats: one run to the kernel, as `arange * dt` is
+    GRID = 0.0175 * np.arange(182)
+    GRID[2:] += np.random.default_rng(7).integers(-3, 4, 180) * np.spacing(GRID[2:])
 
-    def test_non_uniform_grid_opt_time_equals_per_point(self, monkeypatch):
+    def test_jittered_grid_opt_time_equals_per_point(self, monkeypatch):
         vary = VarySpec.linspace("g_b", 0.1, 5.0, 50)
         seen = record_blocks(monkeypatch)
         rows = optimal_time_sweep(BASE, vary, self.GRID, "trace_repaired")
@@ -595,7 +609,7 @@ class TestBlocks:
             p = apply_parameters(BASE, {"g_b": v})
             assert (tau, emax) == optimal_charging_time(p, self.GRID, "trace_repaired")
 
-    def test_non_uniform_grid_contour_equals_single_cells(self):
+    def test_jittered_grid_contour_equals_single_cells(self):
         xs, ys = VarySpec.linspace("g_a", 0.1, 3.0, 10), VarySpec.linspace("delta_1", -2.0, 2.0, 5)
         z = max_ergotropy_grid(BASE, xs, ys, self.GRID)
         for i, d1 in enumerate(ys.values):
@@ -604,7 +618,7 @@ class TestBlocks:
                                             self.GRID)
                 assert z[i, j] == single[0, 0]
 
-    def test_non_uniform_grid_panel_equals_time_series(self):
+    def test_jittered_grid_panel_equals_time_series(self):
         vary = VarySpec.linspace("gamma", 0.0, 1.0, 45)
         for v, table in panel_sweep(BASE, vary, self.GRID):
             np.testing.assert_array_equal(table, time_series(apply_parameters(BASE, {"gamma": v}),
@@ -622,9 +636,9 @@ class TestBlocks:
     ], ids=["opt_time", "contour", "panel"])
     def test_outputs_independent_of_chunk_and_slice_sizes(self, monkeypatch, sweep, grid, samples):
         # one chunk of up to 240 (uniform, T = 201) or 242 points (non_uniform,
-        # T = 181) at 2**12; at 2**6 one point a slice and 4 a chunk, at 2**9 two
-        # points a slice and 32 a chunk.  The step exponentials of one chunk take
-        # different squaring counts.
+        # the jittered GRID, T = 182) at 2**12; at 2**6 one point a slice and 4
+        # a chunk, at 2**9 two points a slice and 32 a chunk.  The step
+        # exponentials of one chunk take different squaring counts.
         want = sweep(grid)
         monkeypatch.setattr(propagator, "_BLOCK_SAMPLES", samples)
         seen = record_blocks(monkeypatch)
@@ -667,10 +681,28 @@ class TestBlocks:
     (lambda: evolve(BASE, [0.0, math.nan]), "time grid must be finite"),
     (lambda: evolve(BASE, [0.0, 1.0], initial=(1.0, 0.0, 0.0)),
      "initial amplitudes must have exactly 4 components"),
-    (lambda: optimal_time_sweep(BASE, VarySpec("g_b", (1.0,)), np.geomspace(0.01, 2.0, 41)),
-     "time grid must be t_k = k h with t_0 = 0 or h, each point within 4 ulps: "
-     "t[1] = 0.011416309914166938 is off the step h = 0.01"),
+    (lambda: optimal_time_sweep(BASE, VarySpec("g_b", (1.0,)), np.r_[0.0, np.geomspace(0.01, 2.0, 41)]),
+     "time grid must be t_k = k h from t_0 = 0, each point within 4 ulps: "
+     "t[2] = 0.011416309914166938 is off the step h = 0.01"),
 ], ids=["linspace_count", "grid_bound", "evolve_grid", "evolve_initial", "geometric_grid"])
 def test_library_input_refused(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()
+
+
+@pytest.mark.parametrize("grid, got", [
+    (0.01 * np.arange(1, 201), "200 point(s) from t[0] = 0.01"),
+    ([0.0], "1 point(s) from t[0] = 0.0"),
+], ids=["from_h", "t0_alone"])
+@pytest.mark.parametrize("call", [
+    lambda t: evolve(BASE, t),
+    lambda t: time_series(BASE, t),
+    lambda t: panel_sweep(BASE, VarySpec("g_a", (1.0, 2.0)), t),
+    lambda t: max_ergotropy_grid(BASE, VarySpec("g_a", (1.0, 2.0)), VarySpec("g_b", (1.0,)), t),
+    lambda t: optimal_time_sweep(BASE, VarySpec("g_b", (1.0, 2.0)), t),
+], ids=["evolve", "time_series", "panel", "contour", "opt_time"])
+def test_grid_starts_at_0_and_takes_a_step(call, grid, got):
+    # the kernel takes one grid shape (`oracle_integrate` still takes both of these)
+    message = f"time grid must start at 0 and take a step, got {got}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(grid)
