@@ -12,7 +12,6 @@ An existing --out file or sidecar is written over from its start and cut at clos
 written; a run killed mid-write (SIGKILL) can leave the new rows followed by the old file's
 tail, and nothing is synced to disk.
 ``--threads`` N >= 1 is accepted and has no effect: evaluation is serial.
-A run's garbage collections skip the objects that existed before `main` was called; the GC state is restored on return.
 
 After the command line and config file are read, a run refuses the first fault
 it meets in one order (`_resolve`): ``contour`` without --out; the time grid;
@@ -24,7 +23,6 @@ Exit codes: 0 success, 2 config/validation error, 3 I/O error.
 
 from __future__ import annotations
 
-import gc
 import itertools
 import json
 import math
@@ -315,8 +313,6 @@ def main(argv: list[str] | None = None) -> int:
     if {"-h", "--help"} & {*args[:1], *(tok for tok, _ in _pieces(args[1:]))}:
         sys.stdout.write(_USAGE)
         return 0
-    if own_freeze := gc.get_freeze_count() == 0:  # a host that froze objects keeps its frozen set
-        gc.freeze()  # so the run's collections scan only the objects the run creates
     try:
         if not args or args[0] not in _COMMANDS:
             got = repr(args[0]) if args else "none"
@@ -338,6 +334,3 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    finally:
-        if own_freeze:
-            gc.unfreeze()

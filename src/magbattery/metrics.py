@@ -128,7 +128,7 @@ def _columns(g: np.ndarray, s: np.ndarray, norm: np.ndarray, omega_q: float, mod
         "purity": lambda: ground**2 + 4.0 * s**2,
         "norm": lambda: norm,
     }
-    return tuple([formulas[name]() for name in names])  # a list: tuple() of a generator leaves 1 on the gc count per call
+    return tuple([formulas[name]() for name in names])  # a list: tuple() of a generator leaves 1 on the collector's count per call
 
 
 def sample_metrics(

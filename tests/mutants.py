@@ -170,7 +170,7 @@ MUTANTS = (
     Mutant("one_run_refusal_dropped", "propagator.py",
            "if off.any():",
            "if False:",
-           ("tests/test_propagator.py::TestEvolve::test_nonuniform_grid",
+           ("tests/test_propagator.py::TestEvolve::test_grid_off_the_step_refused",
             "tests/test_sweeps.py::test_library_input_refused")),
     Mutant("grid_start_unchecked", "propagator.py",
            "if t.size < 2 or t[0] != 0.0:",
@@ -285,21 +285,17 @@ MUTANTS = (
            "_ZERO_SNAP = 1e-12\n",
            "_ZERO_SNAP = 1e-12\n_ONLY_TESTS_READ = 1\n",
            ("tests/test_package.py::test_every_private_name_has_a_reader_in_the_package",)),
-    Mutant("gc_not_frozen", "cli.py",
-           "gc.freeze()",
-           "pass",
-           ("tests/test_cli.py::TestGcState::test_main_restores_the_gc_state",)),
-    Mutant("host_freeze_taken_over", "cli.py",
-           "if own_freeze := gc.get_freeze_count() == 0:",
-           "if own_freeze := True:",
-           ("tests/test_cli.py::TestGcState::test_main_restores_the_gc_state",)),
-    Mutant("extra_unfreeze", "cli.py",
+    Mutant("gc_frozen_before_dispatch", "cli.py",
            "_COMMANDS[args[0]](cfg, out)\n",
-           "_COMMANDS[args[0]](cfg, out)\n        gc.unfreeze()\n",
+           '__import__("gc").freeze()\n        _COMMANDS[args[0]](cfg, out)\n',
            ("tests/test_cli.py::TestGcState::test_main_restores_the_gc_state",)),
-    Mutant("unfreeze_not_in_finally", "cli.py",
-           "    finally:\n        if own_freeze:\n            gc.unfreeze()",
-           "    finally:\n        pass",
+    Mutant("gc_collected_before_dispatch", "cli.py",
+           "_COMMANDS[args[0]](cfg, out)\n",
+           '__import__("gc").collect()\n        _COMMANDS[args[0]](cfg, out)\n',
+           ("tests/test_cli.py::TestGcState::test_main_restores_the_gc_state",)),
+    Mutant("gc_disabled_before_dispatch", "cli.py",
+           "_COMMANDS[args[0]](cfg, out)\n",
+           '__import__("gc").disable()\n        _COMMANDS[args[0]](cfg, out)\n',
            ("tests/test_cli.py::TestGcState::test_main_restores_the_gc_state",)),
     Mutant("contour_labels_swapped_unequal", "cli.py",
            'template = f"{vary_x.parameter_name},%.12g,{vary_y.parameter_name},%.12g,%.12g"',

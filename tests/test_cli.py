@@ -480,53 +480,55 @@ class TestSweep:
         assert code == 2
 
 
-def is_frozen(obj) -> bool:
-    """Whether the tracked `obj` sits in the permanent generation, outside every collection."""
-    return not any(o is obj for generation in range(3) for o in gc.get_objects(generation))
+def generation(obj) -> int | None:
+    """The generation that holds the tracked `obj`, or None when it sits in the permanent one."""
+    return next((g for g in range(3) if any(o is obj for o in gc.get_objects(g))), None)
 
 
 class TestGcState:
-    """A run's collections skip the objects that existed before `main` was called,
-    and `main` leaves the caller's GC state as it found it on every exit path."""
+    """`main` leaves the caller's GC state as it found it on every exit path: an object
+    stays in its generation, a frozen one stays frozen, and the older generations'
+    counts and `gc.isenabled()` are unchanged."""
 
     @pytest.mark.parametrize("outcome", [0, 2, 3, "raises"])
     @pytest.mark.parametrize("host", ["plain", "frozen", "disabled"])
     def test_main_restores_the_gc_state(self, tmp_path, monkeypatch, capsys, host, outcome):
         argv = ["opt-time", "--t_max", "1", "--dt", "0.5", "--vary", "g_b", "--vary_values", "1,2"]
         argv += {2: ["--bogus", "1"], 3: ["--out", str(tmp_path / "no_such_dir" / "out.csv")]}.get(outcome, [])
-        sweep, seen = cli.optimal_time_sweep, []
-
-        def recording(*args):
-            seen.append((is_frozen(early), is_frozen(late)))
-            if outcome == "raises":
+        if outcome == "raises":
+            def failing(*args):
                 raise RuntimeError("not a config or I/O fault")
-            return sweep(*args)
 
-        monkeypatch.setattr(cli, "optimal_time_sweep", recording)
-        # a frozen object that dies lowers the freeze count, so a host's frozen
-        # set is followed through `early`, made before the host's own freeze
-        early = []
+            monkeypatch.setattr(cli, "optimal_time_sweep", failing)
+        threshold = gc.get_threshold()
+        early = []  # frozen with the host's set
         try:
             if host == "frozen":
                 gc.freeze()
             elif host == "disabled":
                 gc.disable()
-            late = []
-            enabled = gc.isenabled()
+            gc.set_threshold(0)  # no automatic collection, which would move objects on its own
+            young = []
+
+            def state():
+                return generation(early), generation(young), gc.get_count()[1:], gc.isenabled()
+
+            before, frozen_before = state(), gc.get_freeze_count()
             if outcome == "raises":
                 with pytest.raises(RuntimeError, match="not a config or I/O fault"):
                     main(argv)
             else:
-                assert run(capsys, *argv)[0] == outcome
-            assert gc.isenabled() == enabled
-            assert (gc.get_freeze_count() > 0, is_frozen(early), is_frozen(late)) == (host == "frozen",) * 2 + (False,)
+                assert main(argv) == outcome
+            after, frozen_after = state(), gc.get_freeze_count()
         finally:
+            gc.set_threshold(*threshold)
             gc.unfreeze()
             gc.enable()
-        if outcome == 2:  # the key is refused before any point is computed
-            assert seen == []
-        else:  # during the run every object older than it is frozen, or only the host's set
-            assert seen == [(True, host != "frozen")]
+        assert (before[0] is None, before[1], before[3]) == (host == "frozen", 0, host != "disabled")
+        assert after == before
+        # a frozen object that dies during the run lowers the freeze count (numpy's
+        # errstate replaces the context's variable map), and nothing may raise it
+        assert frozen_after <= frozen_before and (frozen_after > 0) == (host == "frozen")
 
 
 @pytest.mark.parametrize("argv", [
@@ -976,14 +978,24 @@ ACCEPTED = {"t_max": "1", "dt": "0.25", "vary": "g_a", "vary_values": "0.5",
             "vary2": "g_b", "vary2_values": "1"}
 
 
-def _entry(key: str):
+def _entry(key: str, droppable: bool = True):
     """(key, value or None to drop it, whether it goes in the config file)."""
-    ordinary = VALUES.get(key.replace("vary2", "vary"), ("0", "0.5", "1", "-1", "2"))
-    return st.tuples(st.just(key), st.none() | st.sampled_from(ordinary) | ADVERSARIAL,
+    values = st.sampled_from(VALUES.get(key.replace("vary2", "vary"), ("0", "0.5", "1", "-1", "2"))) | ADVERSARIAL
+    return st.tuples(st.just(key), st.none() | values if droppable else values,
                      st.booleans() if key in _ALL_KEYS else st.just(False))
 
 
-ENTRIES = st.lists(st.sampled_from(sorted(_ALL_KEYS | {"threads"})).flatmap(_entry), max_size=4)
+def _axis(prefix: str):
+    """A swept axis as one unit, or no entries: its values list, or a complete
+    min/max/count range that drops the values list."""
+    values, low, high, count = (f"{prefix}_{suffix}" for suffix in ("values", "min", "max", "count"))
+    return st.just([]) | _entry(values).map(lambda entry: [entry]) | st.tuples(
+        st.just((values, None, False)), *(_entry(key, droppable=False) for key in (low, high, count))).map(list)
+
+
+# each swept axis drawn as one unit, then single entries that may override or drop its keys
+ENTRIES = st.tuples(_axis("vary"), _axis("vary2"), st.lists(
+    st.sampled_from(sorted(_ALL_KEYS | {"threads"})).flatmap(_entry), max_size=4)).map(lambda parts: sum(parts, []))
 
 
 class TestExitCodeContract:

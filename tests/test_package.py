@@ -164,8 +164,7 @@ def test_cli_run_imports_no_test_only_library(tmp_path):
 def test_cli_import_adds_only_allowed_modules():
     # a cold run pays for every module it imports: beyond what numpy loads
     # itself, the CLI may load only the package, json (for the contour's
-    # sidecar), dataclasses, copy, __future__, CPython's own SHA-256 and gc
-    # (built in, for `main`'s freeze of the objects that predate a run)
+    # sidecar), dataclasses, copy, __future__ and CPython's own SHA-256
     script = (
         "import sys\n"
         "import numpy\n"
@@ -176,7 +175,7 @@ def test_cli_import_adds_only_allowed_modules():
     result = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": str(PACKAGE_DIR.parent)},
                             capture_output=True, text=True, check=True)
     added = set(result.stdout.split())
-    allowed = {"json", "_json", "dataclasses", "copy", "__future__", "_sha2", "_sha256", "gc"}
+    allowed = {"json", "_json", "dataclasses", "copy", "__future__", "_sha2", "_sha256"}
     assert "magbattery.cli" in added
     assert {name for name in added if name.split(".")[0] not in allowed | {"magbattery"}} == set()
 

@@ -316,7 +316,7 @@ class TestEvolve:
         for k in (1, 37, 60, len(t) - 1):
             np.testing.assert_allclose(traj.amplitudes[k], self.pointwise(p, t[k]), atol=1e-11)
 
-    def test_nonuniform_grid(self, rng, draw_params):
+    def test_grid_off_the_step_refused(self, rng, draw_params):
         # refused at its first point off t_k = k h, before any step is taken
         with pytest.raises(ValueError, match=f"^{re.escape(NOT_ONE_RUN + 't[2] = 1.0 is off the step h = 0.3')}$"):
             evolve(draw_params(rng), np.array([0.0, 0.3, 1.0, 2.5, 2.6]))
@@ -386,7 +386,7 @@ class TestBatchedEvolve:
         (step_changing_grid(), NOT_ONE_RUN),
         (np.arange(300) * 0.01, None),
         (0.7 * np.arange(1, 5), NO_STEP),  # steps from t_0 = h: start at 0 and keep rows 1:
-    ], ids=["uniform", "nonuniform", "four_steps", "runs", "arange", "from_h"])
+    ], ids=["uniform", "off_the_step", "four_steps", "step_change", "arange", "from_h"])
     @pytest.mark.parametrize("initial", [None, (0.6, 0.0, 0.8j, 0.0)])
     def test_rows_match_single_points(self, rng, draw_params, grid, refusal, initial):
         points = [draw_params(rng) for _ in range(6)]
@@ -419,8 +419,8 @@ class TestBatchedEvolve:
         (np.arange(2001) * 0.01, False),  # steps that differ by ulps
         (step_changing_grid(), True),
         (0.0137 * np.arange(201), False),  # 200 steps, a doubling that ends on a part round
-    ], ids=["uniform2001", "arange2001", "runs", "arange201"])
-    def test_runs_match_a_sequential_loop_and_scipy(self, rng, draw_params, grid, refused):
+    ], ids=["uniform2001", "arange2001", "step_change", "arange201"])
+    def test_one_run_matches_a_sequential_loop_and_scipy(self, rng, draw_params, grid, refused):
         # the run of equal steps is filled by doubling; the reference takes
         # one exponential per step and one matvec at a time
         scipy_expm = pytest.importorskip("scipy.linalg").expm

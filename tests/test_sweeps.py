@@ -625,7 +625,7 @@ class TestBlocks:
                                                              self.GRID))
 
     @pytest.mark.parametrize("samples", [2**6, 2**9])
-    @pytest.mark.parametrize("grid", [T_BLOCKS, GRID], ids=["uniform", "non_uniform"])
+    @pytest.mark.parametrize("grid", [T_BLOCKS, GRID], ids=["uniform", "jittered"])
     @pytest.mark.parametrize("sweep", [
         lambda t: np.array(optimal_time_sweep(BASE, VarySpec.linspace("g_b", 0.1, 100.0, 50), t,
                                               "trace_repaired")),
@@ -635,8 +635,8 @@ class TestBlocks:
                             panel_sweep(BASE, VarySpec.linspace("lambda", 0.0, 80.0, 45), t)]),
     ], ids=["opt_time", "contour", "panel"])
     def test_outputs_independent_of_chunk_and_slice_sizes(self, monkeypatch, sweep, grid, samples):
-        # one chunk of up to 240 (uniform, T = 201) or 242 points (non_uniform,
-        # the jittered GRID, T = 182) at 2**12; at 2**6 one point a slice and 4
+        # one chunk of up to 240 (uniform, T = 201) or 242 points (jittered,
+        # the GRID, T = 182) at 2**12; at 2**6 one point a slice and 4
         # a chunk, at 2**9 two points a slice and 32 a chunk.  The step
         # exponentials of one chunk take different squaring counts.
         want = sweep(grid)
