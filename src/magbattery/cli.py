@@ -181,9 +181,9 @@ def _build_axes(cfg: dict[str, str], prefixes: Iterable[str], time_points: int |
     return [build() for _, build in axes]
 
 
-def build_vary(cfg: dict[str, str], prefix: str, time_points: int | None = None) -> VarySpec | None:
+def build_vary(cfg: dict[str, str], prefix: str) -> VarySpec | None:
     """VarySpec of `<prefix>`, or None without it: `_build_axes` of one prefix."""
-    axes = _build_axes(cfg, (prefix,), time_points)
+    axes = _build_axes(cfg, (prefix,), None)
     return None if axes is None else axes[0]
 
 

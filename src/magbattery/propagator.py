@@ -26,7 +26,6 @@ from .model import SystemParams, _field_array, _frame_frequencies, evolution_mat
 __all__ = [
     "AmplitudeState",
     "Trajectory",
-    "physical_norm",
     "evolve",
     "oracle_integrate",
     "DEFAULT_INITIAL",
@@ -49,20 +48,11 @@ _BLOCK_SAMPLES = 2**12
 _TAYLOR = tuple(1.0 / math.factorial(k) for k in range(16))  # 1 / k!, the coefficients of the Taylor core
 
 
-def physical_norm(c: Sequence[complex] | np.ndarray) -> np.ndarray:
-    """Survival probability |C1|^2 + |C2|^2 + |C3|^2 + 2|C4|^2 of (..., 4) amplitudes.
-
-    C4 is counted twice because it stands for both degenerate single-atom
-    excitations.  Conserved without decay, non-increasing with decay.
-    """
-    return _population_sums(c)[2]
-
-
 def _population_sums(z) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """g = |Z1|^2 + |Z2|^2 + |Z3|^2, s = |Z4|^2 and the physical norm g + 2s of
-    (..., 4) amplitudes: one pass for g, two products and a sum for s (the
-    bits of a two-term `einsum`, at half its cost on a kernel slice), and the
-    norm formed once."""
+    """g = |Z1|^2 + |Z2|^2 + |Z3|^2, s = |Z4|^2 and the physical norm g + 2s (Z4
+    stands for both atoms) of (..., 4) amplitudes: one pass for g, two products
+    and a sum for s (the bits of a two-term `einsum`, at half its cost on a
+    kernel slice), and the norm formed once."""
     v = np.ascontiguousarray(z, dtype=complex).view(float)
     if v.shape[-1] != 8:
         raise ValueError(f"amplitudes need 4 components in their last axis, got shape {np.shape(z)}")
@@ -203,14 +193,15 @@ def rotating_amplitudes(chunks: Callable[[int], Iterable[np.ndarray]], t_grid, *
     state and Z(t_k) = exp(-i A h) Z(t_{k-1}).  The kernel runs on the real
     form of these maps (`_real_form`): Z is the complex view of an (n, T, 8)
     float array X, and a step is X_k = X_{k-1} @ M with the real 8x8 M =
-    exp(h W), W the real form of -i A.  Memory is bounded in points x T.  A
-    chunk of at most _BLOCK_SAMPLES // 16 points builds W and takes the M of
-    every point as one stacked exponential: _BLOCK_SAMPLES x 32 B at most (an
-    M takes 512 B), and 7 times that for the stacks the Taylor core holds at
-    once.  A slice of _BLOCK_SAMPLES // max(T, 16) points (at least one) holds
-    at most _BLOCK_SAMPLES points x time points, or one point of T, and is
-    filled by doubling, X_{1+k+j} = X_{1+j} @ M^k for j < k: T steps cost
-    ceil(log2 T) batched fills, one squaring fewer and one exponential.
+    exp(h W), W the real form of -i A.  A chunk of at most _BLOCK_SAMPLES //
+    16 points builds W and takes the M of every point as one stacked
+    exponential, _BLOCK_SAMPLES x 32 B at most (an M takes 512 B): W, h W
+    and the up to 7 such stacks its Taylor core holds set a sweep's peak
+    memory, not a slice.  A slice of _BLOCK_SAMPLES // max(T, 16) points (at
+    least one) holds at most _BLOCK_SAMPLES points x time points, or one
+    point of T, and is filled by doubling, X_{1+k+j} = X_{1+j} @ M^k for j <
+    k: T steps cost ceil(log2 T) batched fills, one squaring fewer and one
+    exponential.
     A slice is refused, after the slices before it are yielded, if one point
     fails: a step exponential that would need more than 22 squarings (its step
     maps are NaN, so the rest of the chunk still runs), and a physical norm
@@ -221,7 +212,7 @@ def rotating_amplitudes(chunks: Callable[[int], Iterable[np.ndarray]], t_grid, *
     t = _validated_grid(t_grid)
     z0 = _initial_vector(initial)
     x0 = z0.view(float)[None]
-    limit = float(physical_norm(z0)) * (1.0 + _NORM_SLACK)
+    limit = float(_population_sums(z0)[2]) * (1.0 + _NORM_SLACK)
     h = _one_run(t)
     steps = t.size - 1
     per_slice = max(1, _BLOCK_SAMPLES // max(t.size, 16))

@@ -135,7 +135,7 @@ class VarySpec:
         return cls(parameter_name, tuple(np.linspace(start, stop, count)))
 
 
-def time_grid(t_max: float = 20.0, dt: float = 0.01) -> np.ndarray:
+def time_grid(t_max: float, dt: float) -> np.ndarray:
     """Uniform grid {0, dt, 2 dt, ...} up to and including floor(t_max/dt)*dt."""
     if not (math.isfinite(t_max) and math.isfinite(dt)):
         raise ValueError("t_max and dt must be finite")

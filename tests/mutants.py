@@ -186,6 +186,16 @@ MUTANTS = (
            "per_chunk = max(1, _BLOCK_SAMPLES // 16)",
            "per_chunk = max(1, _BLOCK_SAMPLES)",
            ("tests/test_sweeps.py::TestBlocks::test_opt_time_memory_bounded_in_points_x_time_points",)),
+    Mutant("kernel_limit_from_s", "propagator.py",
+           "float(_population_sums(z0)[2])",
+           "float(_population_sums(z0)[1])",
+           ("tests/test_propagator.py::TestZToC::test_t_zero",
+            "tests/test_propagator.py::TestZToC::test_modulus_preserved")),
+    Mutant("kernel_limit_from_g", "propagator.py",
+           "float(_population_sums(z0)[2])",
+           "float(_population_sums(z0)[0])",
+           ("tests/test_propagator.py::TestZToC::test_unit_phase_rotation",
+            "tests/test_propagator.py::TestShellHamiltonianOracle::test_random_draws")),
     Mutant("norm_guard_max", "metrics.py",
            "np.fmax.reduce(norm, axis=None, initial=-np.inf) > 1.0",
            "norm.max() > 1.0",

@@ -16,6 +16,10 @@ the long way, so the tests can compare the two:
   equation, which uses no no-jump amplitudes at all;
 * `shell_amplitudes`, the no-jump amplitudes from scipy's expm of the
   five-level shell Hamiltonian, with one amplitude per atom;
+* `bright_chain` and `spectral_amplitudes`, the lossless chain in the
+  bright-state basis, diagonalized once, with amplitudes in closed form at
+  any t;
+* `shell_norm`, the survival probability of the amplitudes;
 * `rows_by_row`, the CSV text of a table rendered one row at a time, against
   which the CLI's row-block renderer is tested.
 
@@ -41,7 +45,7 @@ from magbattery import (
     AccountingMode,
     AmplitudeState,
     InconsistentStateError,
-    physical_norm,
+    SystemParams,
 )
 from magbattery.metrics import _POPULATION_FLOOR, _snap
 from magbattery.propagator import _NORM_SLACK
@@ -71,8 +75,17 @@ def _amplitudes(a: AmplitudeState | Sequence[complex] | np.ndarray) -> np.ndarra
     return c
 
 
+def shell_norm(c) -> np.ndarray:
+    """Survival probability |C1|^2 + |C2|^2 + |C3|^2 + 2|C4|^2 of (..., 4)
+    amplitudes: C4 is counted twice because it stands for both degenerate
+    single-atom excitations.  Conserved without decay, non-increasing with decay."""
+    c = np.asarray(c, dtype=complex)
+    p = c.real * c.real + c.imag * c.imag
+    return p[..., 0] + p[..., 1] + p[..., 2] + 2.0 * p[..., 3]
+
+
 def _checked_norm(c: np.ndarray) -> float:
-    n = physical_norm(c)
+    n = shell_norm(c)
     if n > 1.0 + _NORM_SLACK:
         raise InconsistentStateError(f"physical norm {n} exceeds 1")
     return n
@@ -283,6 +296,35 @@ def shell_amplitudes(p, t, initial=DEFAULT_INITIAL):
     psi = np.array([expm(-1j * tt * h) @ np.append(c0, c0[3]) for tt in t])
     np.testing.assert_allclose(psi[:, 3], psi[:, 4], atol=1e-12)  # atoms stay alike
     return psi[:, :4]
+
+
+def bright_chain(p: SystemParams) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues E (ascending) and orthonormal eigenvectors u_k (the columns
+    of U) of the lossless chain as the real symmetric 4x4 H in the basis
+    (photon a, magnon b, phonon m, bright state B = (|eg> + |ge>) / sqrt 2).
+
+    The diagonal holds the frame frequencies omega_n - omega_q (0 for B); the
+    couplings are g_a (a-b), g_b (b-m) and sqrt(2) lambda (a-B), since the
+    photon feeds both atoms alike.  A lossy point is refused: its H is not
+    Hermitian, and no orthonormal expansion holds.
+    """
+    if any((p.kappa_a, p.kappa_b, p.kappa_m, p.gamma)):
+        raise ValueError("the spectral oracle takes lossless points only")
+    h = np.diag([p.omega_a - p.omega_q, p.omega_b - p.omega_q, p.omega_m - p.omega_q, 0.0])
+    h[0, 1] = h[1, 0] = p.g_a
+    h[1, 2] = h[2, 1] = p.g_b
+    h[0, 3] = h[3, 0] = math.sqrt(2.0) * p.lam
+    return np.linalg.eigh(h)
+
+
+def spectral_amplitudes(p: SystemParams, t) -> np.ndarray:
+    """(T, 4) amplitudes (a, b, m, B) at the times t from one photon, in the
+    frame that turns at omega_q: sum_k u_k u_k(a) exp(-i E_k t) of
+    `bright_chain`.  Their moduli are |C1|, |C2|, |C3| and sqrt(2) |C4|, so
+    the bright population P(t) = |sum_k u_k(B) u_k(a) exp(-i E_k t)|^2 is the
+    battery's excitation, and its ergotropy is omega_q max(0, 2P - 1)."""
+    e, u = bright_chain(p)
+    return (np.exp(-1j * np.multiply.outer(np.asarray(t, dtype=float), e)) * u[0]) @ u.T
 
 
 def rows_by_row(template, table):

@@ -28,14 +28,13 @@ from magbattery import (
     metric_columns,
     optimal_time_sweep,
     oracle_integrate,
-    physical_norm,
     stored_energy_series,
     time_grid,
 )
 from magbattery.cli import main as cli_main
 
 from conftest import _draw_params, optimal_charging_time, record_verdict
-from oracles import BatteryHamiltonian, DensityMatrix, charger_density, ergotropy
+from oracles import BatteryHamiltonian, DensityMatrix, charger_density, ergotropy, shell_norm
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 MODES = (AccountingMode.PAPER, AccountingMode.TRACE_REPAIRED)
@@ -93,9 +92,9 @@ def test_03_norm_laws():
             d1, d2, d3, g_a=ga, g_b=gb, lam=lam,
             kappa_a=ka, kappa_b=kb, kappa_m=km, gamma=gam)
         worst_drift = max(
-            worst_drift, float(np.abs(physical_norm(evolve(closed, t).amplitudes) - 1.0).max()))
+            worst_drift, float(np.abs(shell_norm(evolve(closed, t).amplitudes) - 1.0).max()))
         worst_rise = max(
-            worst_rise, float(np.diff(physical_norm(evolve(lossy, t).amplitudes)).max()))
+            worst_rise, float(np.diff(shell_norm(evolve(lossy, t).amplitudes)).max()))
     ok = worst_drift <= 1e-9 and worst_rise <= 1e-12
     report(3, ok,
            f"lossless |N-1| <= {worst_drift:.2e}, max dN step = {worst_rise:.2e}")

@@ -33,7 +33,7 @@ README = TESTS_DIR.parent / "README.md"
 
 EXPORTS = {
     "DEFAULT_INITIAL", "SystemParams",
-    "AmplitudeState", "Trajectory", "physical_norm", "evolve", "oracle_integrate",
+    "AmplitudeState", "Trajectory", "evolve", "oracle_integrate",
     "AccountingMode", "InconsistentStateError", "METRIC_NAMES", "MetricsSample",
     "metric_columns", "sample_metrics", "stored_energy_series", "ergotropy_series",
     "VarySpec", "apply_parameters", "time_grid", "time_series",
@@ -45,7 +45,7 @@ ORACLE_NAMES = ("DensityMatrix", "battery_density", "charger_density",
 
 
 def test_exports_are_pinned_and_resolve():
-    assert len(magbattery.__all__) == len(EXPORTS) == 23
+    assert len(magbattery.__all__) == len(EXPORTS) == 22
     assert set(magbattery.__all__) == EXPORTS
     for name in magbattery.__all__:
         getattr(magbattery, name)

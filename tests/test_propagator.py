@@ -20,7 +20,6 @@ from magbattery import (
     evolve,
     metric_columns,
     oracle_integrate,
-    physical_norm,
 )
 
 from magbattery import propagator
@@ -29,7 +28,7 @@ from magbattery.propagator import _expm_stack, _one_run, _population_sums, _real
 from magbattery.sweeps import time_grid
 
 from conftest import evolution_matrix, expm, frame_frequencies
-from oracles import lindblad_metrics, shell_amplitudes
+from oracles import lindblad_metrics, shell_amplitudes, shell_norm, spectral_amplitudes
 
 RABI = SystemParams(g_a=0.0, g_b=0.0, lam=1.0)  # resonant two-level reduction
 # the kernel's refusals of a grid that is not t_k = k h from t_0 = 0 with a step
@@ -294,7 +293,7 @@ class TestEvolve:
     def test_baseline_norm_conserved(self):
         p = SystemParams.from_detunings(1.0, 1.0, 1.0)
         t = np.arange(0, 20.0 + 1e-9, 0.01)
-        norms = physical_norm(evolve(p, t).amplitudes)
+        norms = shell_norm(evolve(p, t).amplitudes)
         assert np.max(np.abs(norms - 1.0)) <= 1e-9
 
     def test_initial_sample_is_initial_condition(self):
@@ -635,7 +634,7 @@ class TestPopulationSums:
             np.testing.assert_allclose(g, p[..., 0] + p[..., 1] + p[..., 2], rtol=1e-15, atol=0)
             np.testing.assert_allclose(s, p[..., 3], rtol=1e-15, atol=0)
             np.testing.assert_array_equal(norm, g + 2.0 * s)
-            np.testing.assert_array_equal(physical_norm(c), norm)
+            np.testing.assert_allclose(norm, shell_norm(c), rtol=1e-15, atol=0)
 
     def test_atom_sum_has_the_bits_of_the_einsum(self, rng):
         # s is taken as two products and a sum: the same bits as the einsum
@@ -794,7 +793,7 @@ class TestOracleIntegrate:
             codes += [c for c in code.co_consts if isinstance(c, types.CodeType)]
         assert "exp" in names  # the walk reached the nested M(u)
         shared = {"evolve", "rotating_amplitudes", "_expm_stack", "evolution_matrices", "_frame_frequencies",
-                  "_population_sums", "_real_form", "_field_array", "_one_run", "physical_norm"}
+                  "_population_sums", "_real_form", "_field_array", "_one_run"}
         assert not names & shared
 
 
@@ -847,12 +846,25 @@ class TestShellHamiltonianOracle:
                 lam=rng.uniform(0.0, 2.0), kappa_a=rates[0], kappa_b=rates[1],
                 kappa_m=rates[2], gamma=rates[3])
             c0 = rng.normal(size=4) + 1j * rng.normal(size=4)
-            c0 /= math.sqrt(physical_norm(c0))
+            c0 /= math.sqrt(shell_norm(c0))
             want = np.abs(shell_amplitudes(p, t, c0)) ** 2
             routes = (evolve, oracle_integrate) if k < 4 else (evolve,)
             for route in routes:
                 got = np.abs(route(p, t, initial=c0).amplitudes) ** 2
                 assert np.abs(got - want).max() <= 1e-10, (k, route.__name__)
+
+
+def test_spectral_oracle_matches_both_routes_without_loss(rng):
+    # the eigen-expansion's bright amplitude is sqrt(2) C4: the populations
+    # are |C1|^2, |C2|^2, |C3|^2 and 2|C4|^2, over detunings of both signs
+    t = np.linspace(0.0, 5.0, 11)
+    for k in range(10):
+        p = SystemParams.from_detunings(*rng.uniform(-2.0, 2.0, 3), omega_q=rng.uniform(0.5, 2.0),
+                                        g_a=rng.uniform(0.0, 2.0), g_b=rng.uniform(0.0, 2.0), lam=rng.uniform(0.0, 2.0))
+        want = np.abs(spectral_amplitudes(p, t)) ** 2 / [1.0, 1.0, 1.0, 2.0]
+        for route in (evolve, oracle_integrate):
+            got = np.abs(route(p, t).amplitudes) ** 2
+            assert np.abs(got - want).max() <= 1e-10, (k, route.__name__)
 
 
 class TestLindbladOracle:
@@ -871,7 +883,7 @@ class TestLindbladOracle:
         for k in range(20):
             p = self.draw(rng, rng.uniform(0.0, 1.0, 4))
             c0 = rng.normal(size=4) + 1j * rng.normal(size=4)
-            c0 /= math.sqrt(physical_norm(c0))
+            c0 /= math.sqrt(shell_norm(c0))
             want = lindblad_metrics(p, self.T, c0)
             got = metric_columns(evolve(p, self.T, initial=c0).amplitudes, p.omega_q,
                                  "trace_repaired")

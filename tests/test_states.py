@@ -11,11 +11,10 @@ from magbattery import (
     InconsistentStateError,
     SystemParams,
     evolve,
-    physical_norm,
 )
 
 from conftest import shell_amplitudes
-from oracles import battery_density, charger_density
+from oracles import battery_density, charger_density, shell_norm
 
 BELL_PEAK = (0.0, 0.0, 0.0, -1j / math.sqrt(2))  # full-transfer amplitudes
 MODES = (AccountingMode.PAPER, AccountingMode.TRACE_REPAIRED)
@@ -89,7 +88,7 @@ class TestInvariants:
         for _ in range(10):
             traj = random_trajectory(rng, draw_params)
             for s in traj.amplitudes:
-                n = physical_norm(s)
+                n = shell_norm(s)
                 for build in (battery_density, charger_density):
                     pap = build(s, "paper").matrix
                     rep = build(s, "trace_repaired").matrix

@@ -33,12 +33,13 @@ from magbattery import (
     time_series,
 )
 from magbattery import metrics, propagator, sweeps
+from magbattery.cli import _DEFAULTS, _resolve
 from magbattery.model import _FIELD_NAMES, _detunings
 from magbattery.propagator import _BLOCK_SAMPLES
 from magbattery.sweeps import MAX_SWEEP_SAMPLES, PARAMETER_NAMES, _energy_peaks
 
 from conftest import optimal_charging_time
-from oracles import oracle_metrics
+from oracles import oracle_metrics, spectral_amplitudes
 
 RABI = SystemParams(g_a=0.0, g_b=0.0, lam=1.0)
 BASE = SystemParams.from_detunings(1.0, 1.0, 1.0)
@@ -212,7 +213,8 @@ class TestVarySpec:
 
 class TestTimeGrid:
     def test_default_window(self):
-        t = time_grid()
+        # the one default horizon is the CLI's
+        t, *_ = _resolve(dict(_DEFAULTS))
         assert len(t) == 2001
         assert t[0] == 0.0 and t[-1] == pytest.approx(20.0, abs=1e-9)
 
@@ -318,6 +320,24 @@ class TestMaxErgotropyGrid:
             for j, x in enumerate(lams):
                 column = time_series(apply_parameters(base, {"lambda": x, "g_b": y}), t, mode)[:, COLUMN["ergotropy"]]
                 assert z[i, j].tobytes() == column.max().tobytes()
+
+    @pytest.mark.parametrize("mode", ["paper", "trace_repaired"])
+    def test_matches_the_spectral_oracle_without_loss(self, mode):
+        # a lossless 6x6 plane over the shipped axes and horizon against the
+        # bright population P(t) of the eigen-expansion on the same grid: the
+        # ergotropy is omega_q max(0, 2P - 1).  Worst gap measured: 1.1e-13
+        # (paper) and 2.5e-13 (trace_repaired)
+        t, values = time_grid(20, 0.01), tuple(np.linspace(0.1, 3.0, 6))
+        z = max_ergotropy_grid(BASE, VarySpec("g_a", values), VarySpec("g_b", values), t, mode)
+        for i, y in enumerate(values):
+            for j, x in enumerate(values):
+                bright = np.abs(spectral_amplitudes(apply_parameters(BASE, {"g_a": x, "g_b": y}), t)[:, 3]) ** 2
+                assert abs(z[i, j] - BASE.omega_q * max(0.0, 2.0 * bright.max() - 1.0)) <= 5e-13, (x, y)
+
+    def test_spectral_oracle_refuses_a_lossy_point(self):
+        for rate in ("kappa_a", "kappa_b", "kappa_m", "gamma"):
+            with pytest.raises(ValueError, match="lossless points only"):
+                spectral_amplitudes(apply_parameters(BASE, {rate: 0.01}), time_grid(1, 0.5))
 
     def test_same_parameter_rejected(self):
         # kappa_all sets kappa_a too: one axis would overwrite the other
