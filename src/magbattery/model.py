@@ -1,4 +1,4 @@
-"""Parameter containers and the constant single-excitation evolution matrix.
+"""Parameter containers and the real generator of the constant evolution matrix.
 
 The simulated device is a chain of three bosonic modes — cavity photon (a),
 magnon (b), phonon (m) — acting as the charger, with the photon mode also
@@ -13,12 +13,13 @@ amplitudes:
     C4  one atom excited    (|eg> and |ge> share this amplitude) (x) |000>
 
 Rotating every amplitude at the atomic frequency omega_q removes the explicit
-time dependence and leaves z'(t) = -i A z(t) with a constant 4x4 matrix A
-built here, whose diagonal holds each mode's frequency relative to omega_q.
+time dependence and leaves z'(t) = -i A z(t) with a constant 4x4 matrix A,
+whose diagonal holds each mode's frequency relative to omega_q.
 Decay enters as -i*kappa/2 on the diagonal (conditional non-Hermitian
 evolution), so A is not Hermitian; it is also not symmetric:
 the photon->battery entry is 2*lam while battery->photon is lam, because C4
-stands for two degenerate atomic excitations at once.
+stands for two degenerate atomic excitations at once.  A is built here only
+as the real 8x8 form of -i A that the kernel runs on (`real_generators`).
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ __all__ = [
 
 _COUPLING_FIELDS = ("g_a", "g_b", "lam")
 _DECAY_FIELDS = ("kappa_a", "kappa_b", "kappa_m", "gamma")
-# every field in declaration order: the columns `evolution_matrices` slices
+# every field in declaration order: the columns `real_generators` slices
 _FIELD_NAMES = ("omega_a", "omega_b", "omega_m", "omega_q") + _COUPLING_FIELDS + _DECAY_FIELDS
 
 
@@ -117,21 +118,20 @@ def _frame_frequencies(fields: np.ndarray) -> np.ndarray:
     return fields[:, :4] - fields[:, 3:4]
 
 
-def evolution_matrices(fields: np.ndarray) -> np.ndarray:
-    """(n, 4, 4) matrices A of z' = -i A z at the n points of an (n, 11) `_field_array`.
-
-    In the frame that turns at omega_q, C_n = Z_n exp(+i f_n t) with f the
-    `_frame_frequencies`.  Basis order (Z1, Z2, Z3, Z4).  Diagonal:
-    f - i*kappa_n/2 with kappa = (kappa_a, kappa_b, kappa_m, gamma).
-    Couplings: photon-magnon g_a, magnon-phonon g_b, photon-battery 2*lam
-    (forward) / lam (backward) — the factor 2 counts the two degenerate
-    atomic target states.
+def real_generators(fields: np.ndarray) -> np.ndarray:
+    """(n, 8, 8) real generators W of the n points of an (n, 11) `_field_array`:
+    x @ W is the float view of z @ (-i A).T for rows z with float view x, A the
+    matrix of z' = -i A z.  In the frame that turns at omega_q, C_n = Z_n
+    exp(+i f_n t) with f the `_frame_frequencies`; basis order (Z1, Z2, Z3, Z4).
+    A's diagonal is f - i*kappa/2 with kappa = (kappa_a, kappa_b, kappa_m, gamma),
+    its couplings photon-magnon g_a, magnon-phonon g_b and photon-battery 2*lam
+    (forward) / lam (backward), the 2 counting both atomic targets.  An entry
+    A_ij = a + ib is the block [[b, -a], [a, b]] at rows 2j.. and columns 2i..
     """
-    (g_a, g_b, lam), rates = fields[:, 4:7].T, fields[:, 7:]
-    a = np.zeros((len(fields), 4, 4), dtype=complex)
-    a.reshape(-1, 16)[:, ::5] = _frame_frequencies(fields) - 0.5j * rates  # the diagonal, as a strided view
-    a[:, 0, 1] = a[:, 1, 0] = g_a
-    a[:, 1, 2] = a[:, 2, 1] = g_b
-    a[:, 0, 3] = 2.0 * lam
-    a[:, 3, 0] = lam
-    return a
+    (g_a, g_b, lam), f, decay = fields[:, 4:7].T, _frame_frequencies(fields), 0.0 - 0.5 * fields[:, 7:]
+    w, d = np.zeros((len(fields), 4, 2, 4, 2)), np.arange(4)  # W[2j + p, 2i + q] is w[:, j, p, i, q]
+    w[:, d, 0, d, 0] = w[:, d, 1, d, 1] = decay
+    w[:, d, 1, d, 0], w[:, d, 0, d, 1] = f, -f
+    for (i, j), c in {(0, 1): g_a, (1, 0): g_a, (1, 2): g_b, (2, 1): g_b, (0, 3): 2.0 * lam, (3, 0): lam}.items():
+        w[:, j, 1, i, 0], w[:, j, 0, i, 1] = c, -c
+    return w.reshape(-1, 8, 8)

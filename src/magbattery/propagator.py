@@ -21,7 +21,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .model import SystemParams, _field_array, _frame_frequencies, evolution_matrices
+from .model import SystemParams, _field_array, _frame_frequencies, real_generators
 
 __all__ = [
     "AmplitudeState",
@@ -37,8 +37,9 @@ DEFAULT_INITIAL = (1.0 + 0.0j, 0.0j, 0.0j, 0.0j)
 # Largest infinity norm of a step exponential's argument (22 squarings; 2**22
 # eps ~ 1e-9 is the whole norm budget): `_expm_stack` makes a larger one NaN.
 _MAX_STEP_NORM = 2.0**21
-# Rise of the physical norm left to roundoff: `evolve` refuses a larger rise
-# relative to the norm at t = 0, states and metrics a norm above 1 + this.
+# Change of the physical norm left to roundoff: `evolve` refuses a larger rise
+# relative to the norm at t = 0, and a larger fall at a lossless point; states
+# and metrics refuse a norm above 1 + this.
 _NORM_SLACK = 1e-9
 # Longest RK4 substep of the oracle; its error stays far below the tests' 1e-6
 _ORACLE_STEP = 1e-3
@@ -127,21 +128,6 @@ def _expm_stack(m: np.ndarray) -> np.ndarray:
     return f
 
 
-def _real_form(re: np.ndarray, im: np.ndarray) -> np.ndarray:
-    """(..., 2d, 2d) real matrices M of the (..., d, d) complex s = re + i im such
-    that x @ M is the float view of z @ s.T for rows z with float view x: entry
-    s_ij = a + ib is the block [[a, b], [-b, a]] at rows 2j, 2j + 1 and columns
-    2i, 2i + 1.  M(s1 @ s2) = M(s2) @ M(s1), and exp(M(s)) = M(exp(s)).  Taking
-    the parts lets the kernel pass those of -i A = Im A - i Re A without forming
-    it; the four block entries are strided copies into one fresh array."""
-    d = re.shape[-1]
-    m = np.empty((*re.shape[:-2], d, 2, d, 2))
-    m[..., 0, :, 0] = m[..., 1, :, 1] = re.swapaxes(-1, -2)
-    m[..., 0, :, 1] = im.swapaxes(-1, -2)
-    np.negative(im.swapaxes(-1, -2), out=m[..., 1, :, 0])
-    return m.reshape(*re.shape[:-2], 2 * d, 2 * d)
-
-
 def _validated_grid(t_grid) -> np.ndarray:
     t = np.asarray(t_grid, dtype=float)
     if t.ndim != 1 or t.size == 0:
@@ -191,9 +177,9 @@ def rotating_amplitudes(chunks: Callable[[int], Iterable[np.ndarray]], t_grid, *
     t_k = k h from t_0 = 0 with a step, each point within 4 ulps (`_one_run`,
     which `arange * dt` and `linspace` from 0 pass): Z(t_0) is the initial
     state and Z(t_k) = exp(-i A h) Z(t_{k-1}).  The kernel runs on the real
-    form of these maps (`_real_form`): Z is the complex view of an (n, T, 8)
-    float array X, and a step is X_k = X_{k-1} @ M with the real 8x8 M =
-    exp(h W), W the real form of -i A.  A chunk of at most _BLOCK_SAMPLES //
+    form of these maps: Z is the complex view of an (n, T, 8) float array X,
+    and a step is X_k = X_{k-1} @ M with the real 8x8 M = exp(h W), W the
+    `model.real_generators` form of -i A.  A chunk of at most _BLOCK_SAMPLES //
     16 points builds W and takes the M of every point as one stacked
     exponential, _BLOCK_SAMPLES x 32 B at most (an M takes 512 B): W, h W
     and the up to 7 such stacks its Taylor core holds set a sweep's peak
@@ -206,22 +192,22 @@ def rotating_amplitudes(chunks: Callable[[int], Iterable[np.ndarray]], t_grid, *
     fails: a step exponential that would need more than 22 squarings (its step
     maps are NaN, so the rest of the chunk still runs), and a physical norm
     (|Z_n| = |C_n|) that rises more than 1e-9 (relative) above its t = 0
-    value, as the roundoff of many squarings does when T steps compound it;
-    the check reads g + 2s.
+    value, as the roundoff of many squarings does when T steps compound it,
+    or at a lossless point (all rates 0) falls as far below; the check reads g + 2s.
     """
     t = _validated_grid(t_grid)
     z0 = _initial_vector(initial)
     x0 = z0.view(float)[None]
-    limit = float(_population_sums(z0)[2]) * (1.0 + _NORM_SLACK)
+    norm0 = float(_population_sums(z0)[2])
+    limit, floor = norm0 * (1.0 + _NORM_SLACK), norm0 * (1.0 - _NORM_SLACK)
     h = _one_run(t)
     steps = t.size - 1
     per_slice = max(1, _BLOCK_SAMPLES // max(t.size, 16))
     per_chunk = max(1, _BLOCK_SAMPLES // 16) // per_slice * per_slice
     for fields in chunks(per_chunk):
+        lossless = ~fields[:, 7:].any(axis=1)  # whose norm stays N(0), so that a fall is roundoff too
         with np.errstate(over="ignore", invalid="ignore"):  # a norm that overflows is refused as too large
-            a = evolution_matrices(fields)
-            w = _real_form(a.imag, -a.real)  # of -i A
-            del a
+            w = real_generators(fields)
             exps = _expm_stack(h * w)
         del w  # the slices need only the step maps
         for lo in range(0, len(exps), per_slice):
@@ -238,11 +224,12 @@ def rotating_amplitudes(chunks: Callable[[int], Iterable[np.ndarray]], t_grid, *
                 power, k = (power @ power if 2 * k < steps else power), 2 * k
             z = x.view(complex)
             g, s, norm = _population_sums(z)
-            peak = float(norm.max())
-            if not peak <= limit:
+            peak, low = float(norm.max()), float(norm[lossless[lo:lo + len(x)]].min(initial=floor))
+            if not (peak <= limit and low >= floor):
+                moved = (f"rose to {peak!r}, more than 1e-9 (relative) above" if not peak <= limit
+                         else f"fell to {low!r}, more than 1e-9 (relative) below")
                 raise ValueError(f"one-step exponential exp(-i A dt) lost precision over {steps} steps "
-                                 f"of dt = {h:g}: the physical norm rose to {peak!r}, more than 1e-9 (relative) "
-                                 "above its value at t = 0")
+                                 f"of dt = {h:g}: the physical norm {moved} its value at t = 0")
             yield z, g, s, norm
         del exps  # before the next chunk takes its own
 

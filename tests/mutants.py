@@ -103,15 +103,20 @@ MUTANTS = (
            equivalent="the X^15 / 15! term is below 2e-17 relative at norm <= 0.5, "
                       "under the last bit that 12 digits or any test tolerance reads"),
     Mutant("decay_without_i", "model.py",
-           "_frame_frequencies(fields) - 0.5j * rates",
-           "_frame_frequencies(fields) - 0.5 * rates",
+           "_frame_frequencies(fields), 0.0 - 0.5 * fields[:, 7:]",
+           "_frame_frequencies(fields) - 0.5 * fields[:, 7:], 0.0",
            ("tests/test_model.py::TestEvolutionMatrix::test_decay_enters_diagonal",
             "tests/test_cli.py::TestDynamics::test_mode_changes_numbers_under_decay")),
     Mutant("g_a_squared", "model.py",
-           "a[:, 0, 1] = a[:, 1, 0] = g_a",
-           "a[:, 0, 1] = a[:, 1, 0] = g_a**2",
+           "{(0, 1): g_a, (1, 0): g_a,",
+           "{(0, 1): g_a**2, (1, 0): g_a**2,",
            ("tests/test_model.py::TestEvolutionMatrix::test_stacked_build_equals_each_point",
             "tests/test_propagator.py::TestShellHamiltonianOracle::test_random_draws")),
+    Mutant("generator_conjugated", "model.py",
+           "w[:, d, 1, d, 0], w[:, d, 0, d, 1] = f, -f",
+           "w[:, d, 1, d, 0], w[:, d, 0, d, 1] = -f, f",
+           ("tests/test_model.py::TestEvolutionMatrix::test_real_generator_is_minus_i_a_on_rows",
+            "tests/test_model.py::TestEvolutionMatrix::test_diagonal_is_frame_frequencies")),
     Mutant("substitute_axes_reversed", "sweeps.py",
            "for name, column in zip(names, cells.T):",
            "for name, column in zip(names, cells.T[::-1]):",
@@ -196,6 +201,11 @@ MUTANTS = (
            "float(_population_sums(z0)[0])",
            ("tests/test_propagator.py::TestZToC::test_unit_phase_rotation",
             "tests/test_propagator.py::TestShellHamiltonianOracle::test_random_draws")),
+    Mutant("lossless_fall_unchecked", "propagator.py",
+           "if not (peak <= limit and low >= floor):",
+           "if not peak <= limit:",
+           ("tests/test_propagator.py::TestEvolve::test_lossless_norm_within_1e_9_or_refused",
+            "tests/test_cli.py::TestDynamics::test_overflow_is_a_one_line_error[overflow23-one-step exponential]")),
     Mutant("norm_guard_max", "metrics.py",
            "np.fmax.reduce(norm, axis=None, initial=-np.inf) > 1.0",
            "norm.max() > 1.0",

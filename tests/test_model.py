@@ -1,4 +1,4 @@
-"""Parameter container, detuning arithmetic, frame frequencies, evolution matrix."""
+"""Parameter container, detuning arithmetic, frame frequencies, evolution matrix and its real generator."""
 
 import dataclasses
 
@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from magbattery import SystemParams
-from magbattery.model import _FIELD_NAMES, _detunings, _field_array, _frame_frequencies, evolution_matrices
+from magbattery.model import _FIELD_NAMES, _detunings, _field_array, _frame_frequencies, real_generators
 
 from conftest import evolution_matrix, frame_frequencies
 
@@ -107,7 +107,28 @@ class TestDeriveFrameShifts:
             assert abs(f_q - (f_a + d3)) < 1e-12
 
 
+def random_point(rng):
+    """Detunings of both signs, omega_q, couplings and rates drawn uniformly."""
+    return SystemParams.from_detunings(*rng.uniform(-3, 3, 3), omega_q=rng.uniform(0, 3),
+                                       g_a=rng.uniform(0, 2), g_b=rng.uniform(0, 2),
+                                       lam=rng.uniform(0, 2), kappa_a=rng.uniform(0, 2),
+                                       kappa_b=rng.uniform(0, 2), kappa_m=rng.uniform(0, 2),
+                                       gamma=rng.uniform(0, 2))
+
+
+def written_out(p):
+    """A at one point, the formulas written out."""
+    f = np.array([p.omega_a, p.omega_b, p.omega_m, p.omega_q]) - p.omega_q
+    a = np.diag(f - 0.5j * np.array([p.kappa_a, p.kappa_b, p.kappa_m, p.gamma]))
+    a[0, 1] = a[1, 0] = p.g_a
+    a[1, 2] = a[2, 1] = p.g_b
+    a[0, 3], a[3, 0] = 2.0 * p.lam, p.lam
+    return a
+
+
 class TestEvolutionMatrix:
+    """A, read back from the kernel's real generator W (`conftest.evolution_matrix`), and W itself."""
+
     def test_all_zero(self):
         p = SystemParams(omega_a=0, omega_b=0, omega_m=0, omega_q=0,
                          g_a=0, g_b=0, lam=0)
@@ -151,25 +172,25 @@ class TestEvolutionMatrix:
     def test_stacked_build_equals_each_point(self, rng):
         # detunings of both signs and a different omega_q per point: a row
         # must take only its own point's fields
-        points = [SystemParams.from_detunings(*rng.uniform(-3, 3, 3), omega_q=rng.uniform(0, 3),
-                                              g_a=rng.uniform(0, 2), g_b=rng.uniform(0, 2),
-                                              lam=rng.uniform(0, 2), kappa_a=rng.uniform(0, 2),
-                                              kappa_b=rng.uniform(0, 2), kappa_m=rng.uniform(0, 2),
-                                              gamma=rng.uniform(0, 2)) for _ in range(7)]
+        points = [random_point(rng) for _ in range(7)]
         assert _FIELD_NAMES == tuple(field.name for field in dataclasses.fields(SystemParams))
-        a, f = evolution_matrices(_field_array(points)), _frame_frequencies(_field_array(points))
-        assert a.shape == (7, 4, 4) and f.shape == (7, 4)
-        for p, a_p, f_p in zip(points, a, f):
-            np.testing.assert_array_equal(a_p, evolution_matrix(p))
+        w, f = real_generators(_field_array(points)), _frame_frequencies(_field_array(points))
+        assert w.shape == (7, 8, 8) and f.shape == (7, 4)
+        for p, w_p, f_p in zip(points, w, f):
+            np.testing.assert_array_equal(w_p, real_generators(_field_array([p]))[0])
             np.testing.assert_array_equal(f_p, frame_frequencies(p))
-            # the one-point formulas, written out
-            want_f = np.array([p.omega_a, p.omega_b, p.omega_m, p.omega_q]) - p.omega_q
-            want = np.diag(want_f - 0.5j * np.array([p.kappa_a, p.kappa_b, p.kappa_m, p.gamma]))
-            want[0, 1] = want[1, 0] = p.g_a
-            want[1, 2] = want[2, 1] = p.g_b
-            want[0, 3], want[3, 0] = 2.0 * p.lam, p.lam
-            np.testing.assert_array_equal(f_p, want_f)
-            np.testing.assert_array_equal(a_p, want)
+            np.testing.assert_array_equal(f_p, np.array([p.omega_a, p.omega_b, p.omega_m, p.omega_q]) - p.omega_q)
+            np.testing.assert_array_equal(evolution_matrix(p), written_out(p))
+
+    def test_real_generator_is_minus_i_a_on_rows(self, rng):
+        # x @ W is the float view of z @ (-i A).T: a conjugated W (the signs of
+        # f swapped) keeps every |Z| and so every CLI column, so only the
+        # amplitudes see it
+        points = [random_point(rng) for _ in range(50)]
+        for p, w in zip(points, real_generators(_field_array(points))):
+            z = rng.normal(size=(6, 4)) + 1j * rng.normal(size=(6, 4))
+            want = (z @ (-1j * written_out(p)).T).view(float)
+            np.testing.assert_allclose(z.view(float) @ w, want, rtol=0, atol=1e-13)
 
     def test_trace(self, rng, draw_params):
         for _ in range(200):

@@ -7,6 +7,7 @@ change of it fails these tests.
 """
 
 import dataclasses
+import functools
 import inspect
 
 import numpy as np
@@ -37,22 +38,35 @@ REFUSAL = "unknown mode 'bogus'; expected one of paper, repaired, trace_repaired
 # under loss, so that the two modes give different numbers
 LOSSY = SystemParams.from_detunings(1.0, 1.0, 1.0, kappa_a=0.3, gamma=0.2)
 TIMES = time_grid(2.0, 0.25)
-AMPLITUDES = evolve(LOSSY, TIMES).amplitudes
 AXIS, AXIS2 = VarySpec("g_b", (0.5, 1.0)), VarySpec("g_a", (0.5, 1.5))
 
-# each entry point on LOSSY, its result as one float array; `*mode` is empty for the default
+# each entry point on LOSSY, given the amplitudes of LOSSY over TIMES, its result as one
+# float array; `*mode` is empty for the default
 CALLS = {
-    "metric_columns": lambda *mode: metric_columns(AMPLITUDES, LOSSY.omega_q, *mode),
-    "sample_metrics": lambda *mode: np.array(dataclasses.astuple(
-        sample_metrics(AmplitudeState(TIMES[-1], AMPLITUDES[-1]), LOSSY, *mode))),
-    "stored_energy_series": lambda *mode: stored_energy_series(AMPLITUDES, LOSSY.omega_q, *mode),
-    "ergotropy_series": lambda *mode: ergotropy_series(AMPLITUDES, LOSSY.omega_q, *mode),
-    "time_series": lambda *mode: time_series(LOSSY, TIMES, *mode),
-    "panel_sweep": lambda *mode: np.array([table for _, table in panel_sweep(LOSSY, AXIS, TIMES, *mode)]),
-    "max_ergotropy_grid": lambda *mode: max_ergotropy_grid(LOSSY, AXIS, AXIS2, TIMES, *mode),
-    "optimal_time_sweep": lambda *mode: optimal_time_sweep(LOSSY, AXIS, TIMES, *mode),
+    "metric_columns": lambda z, *mode: metric_columns(z, LOSSY.omega_q, *mode),
+    "sample_metrics": lambda z, *mode: np.array(dataclasses.astuple(
+        sample_metrics(AmplitudeState(TIMES[-1], z[-1]), LOSSY, *mode))),
+    "stored_energy_series": lambda z, *mode: stored_energy_series(z, LOSSY.omega_q, *mode),
+    "ergotropy_series": lambda z, *mode: ergotropy_series(z, LOSSY.omega_q, *mode),
+    "time_series": lambda z, *mode: time_series(LOSSY, TIMES, *mode),
+    "panel_sweep": lambda z, *mode: np.array([table for _, table in panel_sweep(LOSSY, AXIS, TIMES, *mode)]),
+    "max_ergotropy_grid": lambda z, *mode: max_ergotropy_grid(LOSSY, AXIS, AXIS2, TIMES, *mode),
+    "optimal_time_sweep": lambda z, *mode: optimal_time_sweep(LOSSY, AXIS, TIMES, *mode),
 }
-EVERY_CALL = pytest.mark.parametrize("call", CALLS.values(), ids=CALLS.keys())
+
+
+@pytest.fixture(scope="module")
+def amplitudes():
+    """LOSSY's amplitudes over TIMES, computed when a test first asks, so that a
+    kernel fault fails the tests that read them, not the module's collection."""
+    return evolve(LOSSY, TIMES).amplitudes
+
+
+@pytest.fixture(params=CALLS, ids=CALLS)
+def call(request, amplitudes):
+    """One entry point of CALLS, its amplitudes given: call(*mode)."""
+    return functools.partial(CALLS[request.param], amplitudes)
+
 
 CLI_RUNS = {
     "dynamics": (),
@@ -84,7 +98,6 @@ def test_cli_default_is_trace_repaired():
     assert "trace_repaired (default" in line and line.count("default") == 1
 
 
-@EVERY_CALL
 def test_default_and_repaired_are_trace_repaired(call):
     want = call("trace_repaired")
     for got in (call(), call("repaired"), call(AccountingMode.TRACE_REPAIRED)):
@@ -104,7 +117,6 @@ def test_cli_default_and_repaired_are_trace_repaired(capsys, tmp_path, command):
     assert run_cli(capsys, tmp_path, command, "--mode", "paper")[2][0] != want[0]
 
 
-@EVERY_CALL
 def test_unknown_mode_refused_with_one_message(call):
     with pytest.raises(ValueError, match=f"^{REFUSAL}$"):
         call("bogus")
